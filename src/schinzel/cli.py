@@ -11,13 +11,14 @@ Exit codes: 0 verdict-true / success, 1 verdict-false / refusal,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 from . import __version__
 from .coprime import coprime_search
 from .factorlab import BudgetError, is_irreducible_q, is_irreducible_z, kronecker_factor
-from .fixdiv import BudgetExceeded, fixed_prime_divisors, removal_scalar
+from .fixdiv import BudgetExceeded, fixed_prime_divisors
 from .hilbert import density_report, hilbert_search
 from .polyring import ParseError, PolyError, VarSplit, parse_poly
 from .polyschinzel import (
@@ -103,7 +104,6 @@ def _build_parser():
             p.add_argument("--vars", default="", metavar="NAMES")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("fixdiv", help="fixed prime divisors w.r.t. the parameters")
@@ -183,7 +183,7 @@ def _cmd_fixdiv(args, rep):
     rep.add("confirmed", report.confirmed)
     for p in sorted(report.witnesses):
         rep.add(f"witness.p{p}", report.witnesses[p])
-    rep.add("scalar", removal_scalar(P, split))
+    rep.add("scalar", math.prod(report.confirmed))
     rep.add("verdict", not report.confirmed)
     return EXIT_OK if not report.confirmed else EXIT_FALSE
 

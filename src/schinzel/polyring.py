@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 
 class PolyError(Exception):
@@ -33,8 +34,27 @@ def _grlex_key(registry):
     return key
 
 
+def _mul_terms(t1, t2):
+    """Product of two term dicts, zero coefficients dropped."""
+    terms = {}
+    for e1, v1 in t1.items():
+        for e2, v2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + v1 * v2
+    return {e: v for e, v in terms.items() if v}
+
+
 class MPoly:
-    """Sparse polynomial in Z[registry]."""
+    """Sparse polynomial in Z[registry].
+
+    The public constructor validates and normalizes its input.  Results
+    computed from already-valid polynomials are built with the private
+    ``MPoly._make(registry, terms)``, which checks nothing.  Only code in
+    this module may call it, and the caller guarantees the invariant:
+    ``registry`` is a tuple, every key of ``terms`` is a tuple of
+    nonnegative ints of length ``len(registry)``, every value is a nonzero
+    int, and ``terms`` is a fresh dict that nothing else holds.
+    """
 
     __slots__ = ("registry", "terms")
 
@@ -51,6 +71,13 @@ class MPoly:
                 clean[expo] = int(coeff)
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, registry, terms):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "registry", registry)
+        object.__setattr__(obj, "terms", terms)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -156,12 +183,12 @@ class MPoly:
         terms = dict(self.terms)
         for e, v in other.terms.items():
             terms[e] = terms.get(e, 0) + v
-        return MPoly(self.registry, terms)
+        return MPoly._make(self.registry, {e: v for e, v in terms.items() if v})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.registry, {e: -v for e, v in self.terms.items()})
+        return MPoly._make(self.registry, {e: -v for e, v in self.terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -176,12 +203,7 @@ class MPoly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + v1 * v2
-        return MPoly(self.registry, terms)
+        return MPoly._make(self.registry, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -213,42 +235,59 @@ class MPoly:
         """Ring-homomorphism image: replace names by polynomials (or ints).
 
         Unbound variables pass through.  Bound values must share this
-        registry or be integers.
+        registry or be integers.  Integer values are folded into the
+        coefficients; polynomial values multiply the remaining monomial.
         """
         reg = self.registry
-        polys = {}
+        ints, polys = [], {}
         for name, val in bindings.items():
             if name not in reg:
                 raise PolyError(f"unknown variable {name!r} in substitution")
             if isinstance(val, int):
-                val = MPoly.const(reg, val)
+                ints.append((reg.index(name), val))
             elif val.registry != reg:
                 raise RegistryMismatch("bound polynomial has a different registry")
-            polys[reg.index(name)] = val
+            else:
+                polys[reg.index(name)] = val
+        bound = {i for i, _ in ints} | polys.keys()
+        keep = tuple(0 if i in bound else 1 for i in range(len(reg)))
 
         # cache powers of each bound polynomial
-        powcache = {i: {0: MPoly.const(reg, 1)} for i in polys}
+        powcache = {i: {} for i in polys}
 
         def power(i, e):
             cache = powcache[i]
             if e not in cache:
-                cache[e] = polys[i] ** e
+                cache[e] = (polys[i] ** e).terms
             return cache[e]
 
-        total = MPoly.zero(reg)
+        # one pass, accumulating in place; a sum that cancels is deleted at
+        # once, so terms keep the order that adding the parts with `+` gives
+        total = {}
         for expo, coeff in self.terms.items():
-            rest = tuple(0 if i in polys else e for i, e in enumerate(expo))
-            part = MPoly(reg, {rest: coeff})
+            for i, v in ints:
+                if expo[i]:
+                    coeff *= v ** expo[i]
+            if not coeff:
+                continue
+            part = {tuple(map(mul, expo, keep)): coeff}
             for i in polys:
                 if expo[i]:
-                    part = part * power(i, expo[i])
-            total = total + part
-        return total
+                    part = _mul_terms(part, power(i, expo[i]))
+            for e, v in part.items():
+                v += total.get(e, 0)
+                if v:
+                    total[e] = v
+                else:
+                    del total[e]
+        return MPoly._make(reg, total)
 
     def evaluate(self, point):
         """Integer value at a full integer point {name: int}."""
+        for name in point:
+            if name not in self.registry:
+                raise PolyError(f"unknown variable {name!r}")
         total = 0
-        idx = {name: self.registry.index(name) for name in point}
         for expo, coeff in self.terms.items():
             v = coeff
             for i, e in enumerate(expo):

@@ -179,10 +179,3 @@ def test_job_file_roundtrip(tmp_path, capsys):
     assert code == direct_code == 1
     assert mask(out) == mask(direct_out)
 
-
-def test_threads_flag_does_not_change_results(capsys):
-    base = ["hilbert", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y",
-            "--limit", "3"]
-    _, out1 = invoke(capsys, *base, "--threads", "1")
-    _, out2 = invoke(capsys, *base, "--threads", "8")
-    assert mask(out1) == mask(out2)

@@ -133,6 +133,85 @@ def test_substitute_is_homomorphism():
     assert (a + b).substitute(bind) == a.substitute(bind) + b.substitute(bind)
 
 
+def test_evaluate_unknown_variable():
+    q = parse_poly("x^2+y", ("x", "y"))
+    with pytest.raises(PolyError, match="unknown variable 'z'"):
+        q.evaluate({"x": 1, "y": 2, "z": 3})
+
+
+# -- substitution against evaluation -----------------------------------
+
+REG3 = ("T", "U", "Y")
+small = st.integers(-4, 4)
+
+
+def terms_over(reg, max_exp, max_size):
+    expos = st.tuples(*[st.integers(0, max_exp) for _ in reg])
+    return st.lists(st.tuples(expos, coeffs), max_size=max_size).map(
+        lambda pairs: MPoly(reg, dict(pairs))
+    )
+
+
+polys3 = terms_over(REG3, 3, 6)
+points3 = st.fixed_dictionaries({name: small for name in REG3})
+
+
+@given(polys3, points3)
+@settings(max_examples=150, deadline=None)
+def test_substitute_full_integer_point_is_evaluate(a, point):
+    value = a.substitute(point)
+    assert value.is_constant()
+    assert value.constant_value() == a.evaluate(point)
+
+
+@given(polys3, small, st.one_of(small, terms_over(REG3, 2, 3)))
+@settings(max_examples=150, deadline=None)
+def test_substitute_at_once_equals_successive(a, t, u):
+    if isinstance(u, MPoly):
+        u = u.substitute({"T": 1, "U": 1})  # a value in Y alone
+    at_once = a.substitute({"T": t, "U": u})
+    assert at_once == a.substitute({"T": t}).substitute({"U": u})
+    assert at_once == a.substitute({"U": u}).substitute({"T": t})
+
+
+@given(polys3, small, small)
+@settings(max_examples=150, deadline=None)
+def test_substitute_int_equals_constant_polynomial(a, t, u):
+    as_ints = a.substitute({"T": t, "U": u})
+    as_consts = a.substitute({"T": MPoly.const(REG3, t), "U": MPoly.const(REG3, u)})
+    assert as_ints == as_consts
+
+
+@given(polys3, small, terms_over(REG3, 2, 3), points3)
+@settings(max_examples=150, deadline=None)
+def test_substitute_mixed_bindings_then_point(a, t, q, point):
+    image = a.substitute({"T": t, "U": q}).substitute(point)
+    expected = a.evaluate({"T": t, "U": q.evaluate(point), "Y": point["Y"]})
+    assert image.constant_value() == expected
+
+
+@given(polys3, polys3, small, terms_over(REG3, 2, 3))
+@settings(max_examples=150, deadline=None)
+def test_results_are_canonical(a, b, t, q):
+    results = [a + b, a - b, a * b, -a, a + 3, 2 * a,
+               a.substitute({"T": t}), a.substitute({"U": q, "Y": t})]
+    for r in results:
+        assert all(type(v) is int and v != 0 for v in r.terms.values())
+        rebuilt = MPoly(r.registry, r.terms)
+        assert rebuilt == r and hash(rebuilt) == hash(r)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert hash(a - a) == hash(MPoly.zero(REG3))
+
+
+def test_cancellation_leaves_no_zero_term():
+    x = parse_poly("x", ("x",))
+    assert (x - x).terms == {}
+    assert x - x == MPoly.zero(("x",))
+    q = P("T*Y - 2*Y")
+    assert q.substitute({"T": 2}).terms == {}
+    assert q.substitute({"T": P("Y") - P("Y") + 2}).terms == {}
+
+
 def test_rename():
     q = parse_poly("Y^2 + Y", ("Y",))
     r = q.rename(REG, {"Y": "T"})
