@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numutil import divisors, is_prime, signed_ints, spiral
+from .numutil import UnprovedPrimeError, divisors, is_prime, signed_ints, spiral
 from .polyring import MPoly, PolyError, ResiduePoly
 
 MODP_TRIES = 10
@@ -106,25 +106,25 @@ def _trim(c):
 
 def _dense_exact_div(f, g):
     """f/g for dense integer lists, or None if not an exact Z-divisor."""
-    f = [Fraction(a) for a in _trim(f)]
+    f = _trim(f)
     g = _trim(g)
     if not g:
         raise PolyError("division by zero")
     df, dg = len(f) - 1, len(g) - 1
     if df < dg:
         return None
-    q = [Fraction(0)] * (df - dg + 1)
+    q = [0] * (df - dg + 1)
     for k in range(df - dg, -1, -1):
-        c = f[k + dg] / g[dg]
+        c, r = divmod(f[k + dg], g[dg])
+        if r:
+            return None
         q[k] = c
         if c:
             for j in range(dg + 1):
                 f[k + j] -= c * g[j]
     if any(f):
         return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return [int(c) for c in q]
+    return q
 
 
 # -- finite field univariate -----------------------------------------
@@ -219,34 +219,102 @@ def is_irreducible_fp(rp):
 # -- Kronecker oracle ------------------------------------------------
 
 
-def _interp(points, values):
-    """Lagrange interpolation; list of Fraction coefficients."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, vi) in enumerate(zip(points, values)):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            # multiply basis by (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k + 1] += c
-                nxt[k] -= c * xj
-            basis = nxt
-            denom *= xi - xj
-        scale = Fraction(vi, denom)
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    return coeffs
-
-
 def _signed_divisors(v, positive_only=False):
-    ds = divisors(v)
+    try:
+        ds = divisors(v)
+    except UnprovedPrimeError as exc:
+        raise BudgetError(f"kronecker oracle cannot list the divisors of {v}: {exc}")
     if positive_only:
         return ds
     return [d for a in ds for d in (a, -a)]
+
+
+def _agreeing(values, x, pts, chosen):
+    """The values v with (v - chosen[j]) divisible by (x - pts[j]) for every j."""
+    steps = [(x - xj, cj) for xj, cj in zip(pts, chosen)]
+    out = []
+    for v in values:
+        for step, c in steps:
+            if (v - c) % step:
+                break
+        else:
+            out.append(v)
+    return out
+
+
+def _newton_row(prev, pts, y):
+    """Divided differences f[x_k], f[x_k-1, x_k], ..., f[x_0..x_k] with f(x_k) = y.
+
+    k = len(prev) and prev is the row of x_k-1.  None if one is not an integer.
+    """
+    k = len(prev)
+    row = [y]
+    for i in range(1, k + 1):
+        q, r = divmod(row[-1] - prev[i - 1], pts[k] - pts[k - i])
+        if r:
+            return None
+        row.append(q)
+    return row
+
+
+def _from_newton(coeffs, pts):
+    """Dense coefficients of sum_k coeffs[k] * (x - pts[0]) ... (x - pts[k-1])."""
+    g = [coeffs[-1]]
+    for c, a in zip(reversed(coeffs[:-1]), reversed(pts[: len(coeffs) - 1])):
+        # g <- g * (x - a) + c
+        g = [c - a * g[0]] + [g[i - 1] - a * g[i] for i in range(1, len(g))] + [g[-1]]
+    return g
+
+
+def _search_degree(f, pts, divlists, combos, combo_budget):
+    """Divisor search for a factor of f of degree d = len(pts) - 1.
+
+    Depth first, one value per point from its divisor list, in list order.
+    A value is kept only if it differs from each earlier one by a multiple
+    of the point spacing; each complete choice of d + 1 values is one
+    candidate against combo_budget, counted on from combos.  Each level
+    extends a row of Newton divided differences.  Once one of them is not an
+    integer, no polynomial in Z[x] takes the chosen values, and the
+    candidates below are counted without arithmetic.  Returns the first
+    candidate that divides f exactly, or None, with the updated count;
+    raises BudgetError once the count passes combo_budget.
+    """
+    d = len(pts) - 1
+    lead = f[_deg(f)]
+    chosen = [0] * d
+    rows = [None] * d  # Newton row per level, None below a fractional entry
+    opts = [divlists[0]] + [None] * (d - 1)
+    pos = [0] * d
+    level = 0
+    while level >= 0:
+        if pos[level] == len(opts[level]):
+            level -= 1
+            continue
+        e = chosen[level] = opts[level][pos[level]]
+        pos[level] += 1
+        prev = rows[level - 1] if level else []
+        rows[level] = None if prev is None else _newton_row(prev, pts, e)
+        nxt = _agreeing(divlists[level + 1], pts[level + 1], pts, chosen[: level + 1])
+        if level + 1 < d:
+            level += 1
+            opts[level], pos[level] = nxt, 0
+            continue
+        last = rows[level]
+        room = combo_budget - combos  # candidates checked before the budget runs out
+        for i, v in enumerate(nxt[:room] if last is not None else ()):
+            row = _newton_row(last, pts, v)
+            # row[-1] is the leading coefficient; pts[0] = 0, so g(0) = chosen[0] divides f(0)
+            if row is None or row[-1] == 0 or lead % row[-1]:
+                continue
+            g = _from_newton([r[-1] for r in rows] + [row[-1]], pts)
+            if _dense_exact_div(f, g) is not None:
+                return g, combos + i + 1
+        combos += len(nxt)
+        if combos > combo_budget:
+            raise BudgetError(
+                f"kronecker oracle exceeded {combo_budget} interpolation candidates"
+            )
+    return None, combos
 
 
 def _find_dense_factor(f, combo_budget):
@@ -267,55 +335,16 @@ def _find_dense_factor(f, combo_budget):
         values.append(v)
         if len(points) > max_d:
             break
+    # divisor lists are made the first time a degree needs the point
+    divlists = []
     combos = 0
     for d in range(1, max_d + 1):
-        pts = points[: d + 1]
-        divlists = [
-            _signed_divisors(values[i], positive_only=(i == 0)) for i in range(d + 1)
-        ]
-        lead_f = f[n]
-        const_f = f[0]
-
-        chosen = [0] * (d + 1)
-
-        def search(level):
-            nonlocal combos
-            if level == d + 1:
-                combos += 1
-                if combos > combo_budget:
-                    raise BudgetError(
-                        f"kronecker oracle exceeded {combo_budget} interpolation candidates"
-                    )
-                cand = _interp(pts, chosen)
-                if any(c.denominator != 1 for c in cand):
-                    return None
-                g = [int(c) for c in cand]
-                if _deg(g) != d:
-                    return None
-                if lead_f % g[d] != 0:
-                    return None
-                if g[0] != 0 and const_f % g[0] != 0:
-                    return None
-                if _dense_exact_div(f, g) is not None:
-                    return g
-                return None
-            for e in divlists[level]:
-                ok = True
-                for j in range(level):
-                    step = pts[level] - pts[j]
-                    if (e - chosen[j]) % step != 0:
-                        ok = False
-                        break
-                if ok:
-                    chosen[level] = e
-                    hit = search(level + 1)
-                    if hit is not None:
-                        return hit
-            return None
-
-        hit = search(0)
-        if hit is not None:
-            return hit
+        while len(divlists) <= d:
+            i = len(divlists)
+            divlists.append(_signed_divisors(values[i], positive_only=(i == 0)))
+        g, combos = _search_degree(f, points[: d + 1], divlists, combos, combo_budget)
+        if g is not None:
+            return g
     return None
 
 
@@ -403,22 +432,25 @@ def kronecker_factor(P, max_total_degree=12, max_vars=3, combo_budget=2_000_000)
             f"total degree {pp.total_degree()} exceeds the degree-{max_total_degree} budget"
         )
 
-    if len(names) == 1:
-        name = names[0]
-        dense_factors = _factor_dense(_dense(pp, name), combo_budget)
-        collected = []
-        for df in dense_factors:
-            collected.append(_undense(df, P.registry, name))
+    try:
+        if len(names) == 1:
+            name = names[0]
+            dense_factors = _factor_dense(_dense(pp, name), combo_budget)
+            collected = [_undense(df, P.registry, name) for df in dense_factors]
+        else:
+            collected = _kronecker_multivar(pp, names, combo_budget)
+    except BudgetError as exc:
+        detail = str(exc)
     else:
-        collected = _kronecker_multivar(pp, names, combo_budget)
-
-    counted = {}
-    for fct in collected:
-        counted[fct] = counted.get(fct, 0) + 1
-    ordered = sorted(
-        counted.items(), key=lambda kv: (kv[0].total_degree(), str(kv[0]))
-    )
-    return Factorization(unit, content, tuple(ordered))
+        counted = {}
+        for fct in collected:
+            counted[fct] = counted.get(fct, 0) + 1
+        ordered = sorted(
+            counted.items(), key=lambda kv: (kv[0].total_degree(), str(kv[0]))
+        )
+        return Factorization(unit, content, tuple(ordered))
+    # raised here, once the search has unwound, so the traceback holds no search state
+    raise BudgetError(detail)
 
 
 def _kronecker_multivar(pp, names, combo_budget):

@@ -210,12 +210,18 @@ class MPoly:
     def __pow__(self, n):
         if n < 0:
             raise PolyError("negative power")
-        result = MPoly.const(self.registry, 1)
+        if n == 0:
+            return MPoly.const(self.registry, 1)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

@@ -146,6 +146,21 @@ def test_budget_exit_code(capsys):
     assert kv(out)["budget_exceeded"] == "true"
 
 
+def test_unproved_prime_budget_exit(capsys):
+    code, out = invoke(capsys, "irred", "--poly", "x^2 + 3317044064679887385962123",
+                       "--factor")
+    assert code == 3
+    d = kv(out)
+    assert d["budget_exceeded"] == "true"
+    assert "exact-primality bound" in d["detail"]
+    # the same cofactor as the content of a fixdiv input
+    code, out = invoke(capsys, "fixdiv", "--poly",
+                       "3317044064679887385962123*T*Y + 3317044064679887385962123",
+                       "--params", "T", "--vars", "Y")
+    assert code == 3
+    assert "exact-primality bound" in kv(out)["detail"]
+
+
 # -- determinism and artifacts ---------------------------------------
 
 

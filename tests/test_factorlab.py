@@ -1,9 +1,19 @@
+import gc
+import random
+import time
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schinzel.factorlab import (
     BudgetError,
+    _deg,
+    _dense_exact_div,
+    _eval_dense,
+    _find_dense_factor,
+    _signed_divisors,
     gcd_q,
     is_irreducible_fp,
     is_irreducible_q,
@@ -11,6 +21,7 @@ from schinzel.factorlab import (
     is_primitive_wrt,
     kronecker_factor,
 )
+from schinzel.numutil import signed_ints
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
 
 REG = ("T", "Y")
@@ -73,6 +84,196 @@ def test_oracle_multivariate():
 def test_oracle_budget():
     with pytest.raises(BudgetError):
         kronecker_factor(U("x^13 + x + 1"))
+
+
+def test_oracle_unproved_prime_is_a_budget_exit():
+    # the constant is prime and above the bound below which Miller-Rabin is exact
+    start = time.monotonic()
+    with pytest.raises(BudgetError, match="exact-primality bound"):
+        kronecker_factor(U("x^2 + 3317044064679887385962123"))
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "expr, opts",
+    [
+        ("x^13 + x + 1", {"max_total_degree": 13, "combo_budget": 100}),
+        ("x^2 + 3317044064679887385962123", {}),
+    ],
+)
+def test_budget_error_pins_no_search_frame(expr, opts):
+    with pytest.raises(BudgetError) as info:
+        kronecker_factor(U(expr), **opts)
+    tb = info.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code is kronecker_factor.__code__
+    assert info.value.__context__ is None
+
+
+def test_successful_factorization_makes_no_cycles():
+    f = U("(x^3 - 2*x + 5)*(x^3 + 7*x^2 - 1)*(x^2 + 3)")
+    g = P("(T^2 + Y)*(T - Y^2 + 1)")
+    gc.collect()
+    gc.disable()
+    try:
+        kronecker_factor(f)
+        kronecker_factor(g)
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert leaked == 0
+
+
+# -- the divisor search against Fraction-based Lagrange interpolation --
+
+
+def _reference_interp(points, values):
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, vi) in enumerate(zip(points, values)):
+        basis = [Fraction(1)]
+        denom = 1
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                nxt[k + 1] += c
+                nxt[k] -= c * xj
+            basis = nxt
+            denom *= xi - xj
+        scale = Fraction(vi, denom)
+        for k, c in enumerate(basis):
+            coeffs[k] += c * scale
+    return coeffs
+
+
+def _reference_exact_div(f, g):
+    f = [Fraction(a) for a in f[: _deg(f) + 1]]
+    g = g[: _deg(g) + 1]
+    df, dg = len(f) - 1, len(g) - 1
+    if df < dg:
+        return None
+    q = [Fraction(0)] * (df - dg + 1)
+    for k in range(df - dg, -1, -1):
+        c = f[k + dg] / g[dg]
+        q[k] = c
+        if c:
+            for j in range(dg + 1):
+                f[k + j] -= c * g[j]
+    if any(f) or any(c.denominator != 1 for c in q):
+        return None
+    return [int(c) for c in q]
+
+
+def _reference_find_dense_factor(f, combo_budget):
+    """The divisor search as it was before its integer-only rewrite."""
+    n = _deg(f)
+    max_d = n // 2
+    points, values = [], []
+    for x in signed_ints():
+        v = _eval_dense(f, x)
+        if v == 0:
+            return [-x, 1]
+        points.append(x)
+        values.append(v)
+        if len(points) > max_d:
+            break
+    combos = 0
+    for d in range(1, max_d + 1):
+        pts = points[: d + 1]
+        divlists = [
+            _signed_divisors(values[i], positive_only=(i == 0)) for i in range(d + 1)
+        ]
+        lead_f = f[n]
+        const_f = f[0]
+        chosen = [0] * (d + 1)
+
+        def search(level):
+            nonlocal combos
+            if level == d + 1:
+                combos += 1
+                if combos > combo_budget:
+                    raise BudgetError(
+                        f"kronecker oracle exceeded {combo_budget} interpolation candidates"
+                    )
+                cand = _reference_interp(pts, chosen)
+                if any(c.denominator != 1 for c in cand):
+                    return None
+                g = [int(c) for c in cand]
+                if _deg(g) != d:
+                    return None
+                if lead_f % g[d] != 0:
+                    return None
+                if g[0] != 0 and const_f % g[0] != 0:
+                    return None
+                if _reference_exact_div(f, g) is not None:
+                    return g
+                return None
+            for e in divlists[level]:
+                ok = True
+                for j in range(level):
+                    step = pts[level] - pts[j]
+                    if (e - chosen[j]) % step != 0:
+                        ok = False
+                        break
+                if ok:
+                    chosen[level] = e
+                    hit = search(level + 1)
+                    if hit is not None:
+                        return hit
+            return None
+
+        hit = search(0)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _random_dense(rng, deg, bound):
+    c = [rng.randint(-bound, bound) for _ in range(deg)]
+    return c + [rng.choice([-1, 1]) * rng.randint(1, bound)]
+
+
+def _mul_dense(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _outcome(search, f, budget):
+    try:
+        return search(f, budget)
+    except BudgetError as exc:
+        return str(exc)
+
+
+def test_search_matches_lagrange_reference():
+    rng = random.Random(20251)
+    other = random.Random(7)
+    outcomes = set()
+    for _ in range(40):
+        deg = rng.randint(2, 10)
+        if rng.random() < 0.4:
+            a = rng.randint(1, deg - 1)
+            left = _random_dense(rng, a, 4)
+            f = _mul_dense(left, _random_dense(rng, deg - a, 4))
+        else:
+            left = None
+            f = _random_dense(rng, deg, 20)
+        for budget in (100, 2000):
+            want = _outcome(_reference_find_dense_factor, f, budget)
+            assert _outcome(_find_dense_factor, f, budget) == want, (f, budget)
+            outcomes.add(type(want))
+        # exact division by a known factor and by an unrelated polynomial
+        for g in (left, _random_dense(other, other.randint(1, deg), 4)):
+            if g is not None:
+                assert _dense_exact_div(f, g) == _reference_exact_div(f, g), (f, g)
+    # the inputs reach factors, irreducible verdicts and budget exits alike
+    assert outcomes == {list, type(None), str}
 
 
 # -- certificates -----------------------------------------------------

@@ -93,6 +93,15 @@ def test_degree_of_product(a, b):
         assert a.total_degree() + b.total_degree() == (a * b).total_degree()
 
 
+@given(polys, st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_power_is_repeated_product(a, n):
+    expected = MPoly.const(REG, 1)
+    for _ in range(n):
+        expected = expected * a
+    assert a**n == expected
+
+
 def test_registry_mismatch():
     with pytest.raises(RegistryMismatch):
         P("T") + parse_poly("T", ("T",))
