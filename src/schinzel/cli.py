@@ -20,7 +20,6 @@ from .coprime import coprime_search
 from .factorlab import BudgetError, is_irreducible_q, is_irreducible_z, kronecker_factor
 from .fixdiv import BudgetExceeded, fixed_prime_divisors
 from .hilbert import density_report, hilbert_search
-from .numutil import UnprovedPrimeError
 from .polyring import ParseError, PolyError, VarSplit, parse_poly
 from .polyschinzel import (
     SchinzelRefusal,
@@ -428,7 +427,7 @@ def run(argv):
     start = time.monotonic()
     try:
         code = _COMMANDS[args.command](args, rep)
-    except (BudgetExceeded, BudgetError, UnprovedPrimeError) as exc:
+    except (BudgetExceeded, BudgetError) as exc:
         rep.add("budget_exceeded", True)
         rep.add("detail", str(exc))
         code = EXIT_BUDGET

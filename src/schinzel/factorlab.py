@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numutil import UnprovedPrimeError, divisors, is_prime, signed_ints, spiral
-from .polyring import MPoly, PolyError, ResiduePoly
+from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
+from .polyring import MPoly, PolyError
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
+_SCHEDULE_PRIMES = primes_upto(100)  # counted on past only for a lead divisible by 16 of them
 
 
 class BudgetError(PolyError):
@@ -130,54 +131,67 @@ def _dense_exact_div(f, g):
 # -- finite field univariate -----------------------------------------
 
 
-def _fp_trim(c, p):
-    c = [a % p for a in c]
-    return _trim(c)
+def _fp_rem(a, b, p):
+    """Remainder of the integer list a by b in F_p[x], reduced and trimmed.
 
-
-def _fp_monic(c, p):
-    c = _fp_trim(c, p)
-    inv = pow(c[-1], -1, p)
-    return [a * inv % p for a in c]
-
-
-def _fp_mod(a, m, p):
-    a = _fp_trim(a, p)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        da = len(a) - 1
-        c = a[-1]
-        for j in range(dm + 1):
-            a[da - dm + j] = (a[da - dm + j] - c * m[j]) % p
-        a = _trim(a)
-    return a
+    p must not divide b's leading coefficient.  a is used as scratch space:
+    its coefficients accumulate in plain integers, each reduced once, when
+    it leads.
+    """
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
+        if c:
+            s = k - db
+            a[s:k] = [x - c * y for x, y in zip(a[s:k], low)]
+    r = [x % p for x in a[:db]]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _fp_mulmod(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    """a * b mod m in F_p[x]."""
+    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_mod(out, m, p)
+            out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
+    return _fp_rem(out, m, p)
 
 
-def _fp_powmod(a, e, m, p):
-    result = [1]
-    base = _fp_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
+def _fp_irreducible(f, p):
+    """Distinct-degree test for the integer list f in F_p[x], p prime.
 
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(a, p), _fp_trim(b, p)
-    while b:
-        a, b = b, _fp_mod(a, _fp_monic(b, p), p)
-    return _fp_monic(a, p) if a else []
+    p must not divide f's leading coefficient.  True iff f mod p is
+    irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2.
+    """
+    d = len(f) - 1
+    if d == 1:
+        return True
+    inv = pow(f[-1], -1, p)
+    m = [c * inv % p for c in f]
+    bits = bin(p)[3:]
+    h = [0, 1]  # x^(p^i) mod m, left-to-right powering
+    for _ in range(d // 2):
+        base = h
+        for bit in bits:
+            h = _fp_mulmod(h, h, m, p)
+            if bit == "1":
+                h = _fp_mulmod(h, base, m, p)
+        b = h + [0] * (2 - len(h))
+        b[1] = (b[1] - 1) % p
+        while b and not b[-1]:
+            b.pop()
+        # Euclid on (m, h - x) only until the gcd's degree is known
+        a = list(m)
+        while len(b) > 1:
+            a, b = b, _fp_rem(a, b, p)
+        if not b:
+            return False
+    return True
 
 
 def is_irreducible_fp(rp):
@@ -192,28 +206,10 @@ def is_irreducible_fp(rp):
     names = rp.variables()
     if len(names) != 1:
         raise PolyError("univariate polynomial required")
-    name = names[0]
-    i = rp.registry.index(name)
-    f = [0] * (rp.degree_in(name) + 1)
-    for expo, coeff in rp.terms.items():
-        f[expo[i]] += coeff
-    f = _fp_monic(f, p)
-    d = len(f) - 1
-    if d < 1:
+    f = _dense(rp, names[0])
+    if len(f) < 2:
         raise PolyError("constant polynomial")
-    if d == 1:
-        return True
-    frob = [0, 1]  # x
-    for i in range(1, d // 2 + 1):
-        frob = _fp_powmod(frob, p, f, p)
-        diff = list(frob)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(f, diff, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    return _fp_irreducible(f, p)
 
 
 # -- Kronecker oracle ------------------------------------------------
@@ -528,24 +524,21 @@ def _kronecker_multivar(pp, names, combo_budget):
 
 def _prime_schedule(lead, tries=MODP_TRIES):
     """First `tries` primes not dividing the leading coefficient."""
-    out = []
-    p = 2
+    out = [p for p in _SCHEDULE_PRIMES if lead % p][:tries]
+    p = _SCHEDULE_PRIMES[-1]
     while len(out) < tries:
-        if is_prime(p) and lead % p != 0:
-            out.append(p)
         p += 1
+        if is_prime(p) and lead % p:
+            out.append(p)
     return out
 
 
 def _univar_certificate(P, name, combo_budget=2_000_000):
     """Irreducibility of a primitive univariate over Q: mod-p first, oracle after."""
     dense = _dense(P, name)
-    d = _deg(dense)
-    for p in _prime_schedule(dense[d]):
-        rp = ResiduePoly(p, P.registry, P.terms)
-        if rp.degree_in(name) != d:
-            continue
-        if is_irreducible_fp(rp):
+    # p does not divide the leading coefficient, so f mod p keeps its degree
+    for p in _prime_schedule(dense[-1]):
+        if _fp_irreducible(dense, p):
             return IrredCertificate("irreducible", "mod-p", prime=p)
     fac = kronecker_factor(P, combo_budget=combo_budget)
     if len(fac.factors) == 1 and fac.factors[0][1] == 1:

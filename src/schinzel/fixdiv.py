@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .numutil import prime_factors, prime_powers_upto, primes_upto
+from .numutil import UnprovedPrimeError, prime_factors, prime_powers_upto, primes_upto
 from .polyring import PolyError, reduce_mod
 
 EXHAUSTION_BUDGET = 10**6
@@ -18,6 +18,14 @@ EXHAUSTION_BUDGET = 10**6
 
 class BudgetExceeded(PolyError):
     pass
+
+
+def proved_prime_factors(n):
+    """prime_factors(n); a cofactor that cannot be proved prime is a budget exit."""
+    try:
+        return prime_factors(n)
+    except UnprovedPrimeError as exc:
+        raise BudgetExceeded(str(exc)) from exc
 
 
 def _params_of(split_or_params):
@@ -49,7 +57,7 @@ def candidate_fixed_primes(P, split):
         raise PolyError("zero polynomial has every divisor fixed")
     params = _params_of(split)
     delta = max((P.degree_in(t) for t in params), default=0)
-    cands = set(primes_upto(delta)) | set(prime_factors(P.content()))
+    cands = set(primes_upto(delta)) | set(proved_prime_factors(P.content()))
     return sorted(cands)
 
 

@@ -85,10 +85,9 @@ def specialization_check(polys, split, t):
     """Full membership evidence for one parameter point."""
     bindings = dict(zip(split.params, t))
     certificates = []
-    content = 1
+    content = 1  # of the product: content(fg) = content(f) * content(g) (Gauss)
     member = True
     reason = None
-    product = MPoly.const(polys[0].registry, 1)
     for i, P in enumerate(polys):
         S = P.substitute(bindings)
         if S.is_zero() or S.is_constant():
@@ -101,11 +100,10 @@ def specialization_check(polys, split, t):
             )
         cert = is_irreducible_q(S)
         certificates.append(cert)
-        product = product * S
+        content *= S.content()
         if not cert.irreducible and member:
             member = False
             reason = f"reducible: polynomial #{i + 1}"
-    content = product.content()
     if member and content != 1:
         member = False
         reason = f"content {content}"

@@ -159,9 +159,9 @@ class MPoly:
     def primitive_part(self):
         """self // content; zero stays zero."""
         c = self.content()
-        if c == 0:
+        if c <= 1:
             return self
-        return MPoly(self.registry, {e: v // c for e, v in self.terms.items()})
+        return MPoly._make(self.registry, {e: v // c for e, v in self.terms.items()})
 
     # -- arithmetic ---------------------------------------------------
 

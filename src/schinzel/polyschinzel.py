@@ -20,8 +20,9 @@ from .fixdiv import (
     FixedDivisorReport,
     candidate_fixed_primes,
     fixed_prime_divisors,
+    proved_prime_factors,
 )
-from .numutil import crt, prime_factors, primes_upto, spiral
+from .numutil import crt, primes_upto, spiral
 from .polyring import MPoly, PolyError, VarSplit, reduce_mod
 from .schinzelcore import HypothesisError
 
@@ -441,7 +442,7 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
     i1 = product.registry.index(t1)
     a_r = sum(c for e, c in product.terms.items() if e[i1] == r)
     delta = r * sum(d)
-    S = sorted(set(primes_upto(delta)) | set(prime_factors(abs(a_r))))
+    S = sorted(set(primes_upto(delta)) | set(proved_prime_factors(abs(a_r))))
 
     residues, mods = [], []
     for p in S:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .fixdiv import fixed_prime_divisors
+from .fixdiv import fixed_prime_divisors, proved_prime_factors
 from .factorlab import is_primitive_wrt
-from .numutil import crt, prime_factors, primes_upto
+from .numutil import crt, primes_upto
 from .polyring import MPoly, PolyError, VarSplit, reduce_mod
 
 
@@ -159,8 +159,8 @@ def bad_prime_set(P, split, delta):
     split.check_registry(P.registry)
     big_delta = max((P.degree_in(t) for t in split.params), default=0)
     out = set(primes_upto(big_delta))
-    out |= set(prime_factors(delta))
-    out |= set(prime_factors(P.content()))
+    out |= set(proved_prime_factors(delta))
+    out |= set(proved_prime_factors(P.content()))
     return sorted(out)
 
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schinzel.factorlab import (
+    MODP_TRIES,
+    _SCHEDULE_PRIMES,
     BudgetError,
     _deg,
     _dense_exact_div,
     _eval_dense,
     _find_dense_factor,
+    _prime_schedule,
     _signed_divisors,
     gcd_q,
     is_irreducible_fp,
@@ -21,7 +25,7 @@ from schinzel.factorlab import (
     is_primitive_wrt,
     kronecker_factor,
 )
-from schinzel.numutil import signed_ints
+from schinzel.numutil import is_prime, primes_upto, signed_ints
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
 
 REG = ("T", "Y")
@@ -49,6 +53,83 @@ def test_fp_linear_and_errors():
     assert is_irreducible_fp(reduce_mod(U("x + 1"), 5))
     with pytest.raises(PolyError):
         is_irreducible_fp(reduce_mod(U("x^2 + 1"), 4))
+
+
+FP_PRIMES = primes_upto(101)
+
+
+def _poly_from(coeffs):
+    return MPoly(X, {(e,): c for e, c in enumerate(coeffs) if c})
+
+
+def _fp_cases(seed, count):
+    """Seeded (coefficients, p) pairs: degree 1-12, p in 2..101, p not dividing the lead."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        p = rng.choice(FP_PRIMES)
+        c = [rng.randint(-60, 60) for _ in range(rng.randint(1, 12))]
+        c.append(rng.choice([1, -1, rng.randint(2, 999)]))
+        if c[-1] % p:
+            cases.append((c, p))
+    # squares and products with a repeated factor
+    for expr, p in [("(x^2+1)^2", 3), ("(x^2+1)^2", 7), ("(x^2+x+1)^2", 2),
+                    ("(x^3+x+1)^2*(x+1)", 2), ("(x^2+2)^3", 5), ("(x^4+1)^2", 11)]:
+        f = U(expr)
+        cases.append(([f.terms.get((e,), 0) for e in range(f.degree_in("x") + 1)], p))
+    return cases
+
+
+def test_fp_irreducible_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    seen = set()
+    for c, p in _fp_cases(41, 600):
+        want = sympy.Poly(list(reversed(c)), x, modulus=p).is_irreducible
+        assert is_irreducible_fp(reduce_mod(_poly_from(c), p)) == want, (c, p)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_prime_schedule_matches_counting_loop():
+    def counting(lead, tries=MODP_TRIES):
+        out, p = [], 2
+        while len(out) < tries:
+            if is_prime(p) and lead % p != 0:
+                out.append(p)
+            p += 1
+        return out
+
+    primorial = math.prod(primes_upto(_SCHEDULE_PRIMES[-1] + 50))
+    nxt = next(p for p in range(_SCHEDULE_PRIMES[-1] + 51, 10**4) if is_prime(p))
+    for lead in (1, 6, -6, primorial, primorial * nxt, -primorial * nxt):
+        assert _prime_schedule(lead) == counting(lead), lead
+    assert _prime_schedule(primorial)[0] > _SCHEDULE_PRIMES[-1]
+
+
+def test_modp_certificate_is_first_schedule_prime_sympy_accepts():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43)
+    routes = set()
+    for _ in range(150):
+        c = [rng.randint(-20, 20) for _ in range(rng.randint(2, 10))]
+        c.append(rng.choice([1, 2, 3, 6, 30, -1, rng.randint(1, 200)]))
+        g = math.gcd(*c)
+        pc = [a // g for a in reversed(c)]  # primitive, leading coefficient first
+        first = next((p for p in _prime_schedule(pc[0])
+                      if sympy.Poly(pc, x, modulus=p).is_irreducible), None)
+        try:
+            cert = is_irreducible_q(_poly_from(c), combo_budget=2000)
+        except BudgetError:
+            assert first is None
+            continue
+        routes.add(cert.method)
+        if first is None:
+            assert cert.method == "kronecker", c
+        else:
+            assert (cert.method, cert.prime) == ("mod-p", first), c
+    assert routes == {"mod-p", "kronecker"}
 
 
 # -- Kronecker oracle -------------------------------------------------

@@ -9,6 +9,7 @@ from schinzel.fixdiv import (
     removal_scalar,
 )
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
+from schinzel.schinzelcore import bad_prime_set
 
 REG = ("T", "Y")
 SPLIT = VarSplit(("T",), ("Y",))
@@ -87,3 +88,12 @@ def test_gamma_b_witness():
         for p in (2, 3, 5, 7, 11):
             if p <= B:
                 assert a % p == 0
+
+
+def test_unproved_prime_content_is_a_budget_exit():
+    # the content is a prime above the exact Miller-Rabin bound
+    q = P("3317044064679887385962123*T*Y + 3317044064679887385962123")
+    with pytest.raises(BudgetExceeded, match="exact-primality bound"):
+        fixed_prime_divisors(q, SPLIT)
+    with pytest.raises(BudgetExceeded, match="exact-primality bound"):
+        bad_prime_set(P("T*Y + 2"), SPLIT, 3317044064679887385962123)

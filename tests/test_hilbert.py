@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schinzel.fixdiv import BudgetExceeded
 from schinzel.hilbert import (
@@ -7,7 +9,7 @@ from schinzel.hilbert import (
     hypotheses_check,
     specialization_check,
 )
-from schinzel.polyring import PolyError, VarSplit, parse_poly
+from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
 
 REG = ("T", "Y")
 SPLIT = VarSplit(("T",), ("Y",))
@@ -49,6 +51,43 @@ def test_specialization_content():
     # (t^2+t)Y + 2: at t=1 gives 2Y+2, content 2
     sp = specialization_check([P("(T^2+T)*Y + 2")], SPLIT, (1,))
     assert not sp.member and "content" in sp.reason
+
+
+def _member(pairs):
+    terms = {}
+    for expo, c in pairs:
+        terms[expo] = terms.get(expo, 0) + c
+    return MPoly(REG, terms)
+
+
+# members of degree 1-3 in Y, times a scalar so the content is often not 1
+members = st.builds(
+    lambda pairs, lead, k: k * _member(pairs + [((0, lead[0]), lead[1])]),
+    st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-6, 6)),
+             max_size=3),
+    st.tuples(st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    st.sampled_from([1, 1, 2, 3, 6]),
+)
+families = st.one_of(
+    st.lists(members, min_size=1, max_size=3),
+    st.just([P("2*Y^2 - 4*T")]),
+    st.just([P("2*Y^2 - 4*T"), P("3*Y + 3*T^2")]),
+)
+
+
+@given(families, st.integers(-6, 6))
+@settings(max_examples=120, deadline=None)
+def test_specialization_content_is_content_of_product(polys, t):
+    sp = specialization_check(polys, SPLIT, (t,))
+    images = [q.substitute({"T": t}) for q in polys]
+    if any(q.is_constant() for q in images):
+        assert sp.content == 0 and sp.reason.startswith("degenerate")
+        return
+    product = MPoly.const(REG, 1)
+    for q in images:
+        product = product * q
+    assert sp.content == product.content()
+    assert not sp.member or sp.content == 1
 
 
 def test_search_first_member_is_minus_one():

@@ -212,6 +212,19 @@ def test_results_are_canonical(a, b, t, q):
     assert hash(a - a) == hash(MPoly.zero(REG3))
 
 
+@given(polys3, st.integers(-6, 6))
+@settings(max_examples=150, deadline=None)
+def test_primitive_part_is_canonical(a, k):
+    for q in (a, k * a):
+        pp = q.primitive_part()
+        assert all(type(v) is int and v != 0 for v in pp.terms.values())
+        rebuilt = MPoly(pp.registry, pp.terms)
+        assert rebuilt == pp and hash(rebuilt) == hash(pp)
+        if not q.is_zero():
+            assert pp.content() == 1
+            assert q.content() * pp == q
+
+
 def test_cancellation_leaves_no_zero_term():
     x = parse_poly("x", ("x",))
     assert (x - x).terms == {}
