@@ -11,16 +11,17 @@ Exit codes: 0 verdict-true / success, 1 verdict-false / refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 
 from . import __version__
 from .coprime import coprime_search
-from .factorlab import BudgetError, is_irreducible_q, is_irreducible_z, kronecker_factor
-from .fixdiv import BudgetExceeded, fixed_prime_divisors
+from .factorlab import is_irreducible_q, is_irreducible_z, kronecker_factor
+from .fixdiv import fixed_prime_divisors
 from .hilbert import density_report, hilbert_search
-from .polyring import ParseError, PolyError, VarSplit, parse_poly
+from .polyring import BudgetExceeded, ParseError, PolyError, VarSplit, identifiers, parse_poly
 from .polyschinzel import (
     SchinzelRefusal,
     iterated_composition,
@@ -87,6 +88,7 @@ def _load_job(path):
     return tokens
 
 
+@functools.cache  # built on the first run, not at import; parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="schinzel", description="Fixed divisors, Hilbert specializations "
@@ -147,6 +149,11 @@ def _registry(args):
     return params, variables, params + variables
 
 
+def _inferred_registry(exprs, params=()):
+    """`params` if given, else every name in the expressions, sorted."""
+    return params or tuple(sorted({name for e in exprs for name in identifiers(e)}))
+
+
 def _polys(args, registry):
     return [parse_poly(expr, registry) for expr in args.polys]
 
@@ -189,10 +196,7 @@ def _cmd_fixdiv(args, rep):
 
 
 def _cmd_irred(args, rep):
-    exprs = args.polys
-    registry = sorted({name for expr in exprs
-                       for name in _identifiers(expr)})
-    P = parse_poly(exprs[0], tuple(registry))
+    P = parse_poly(args.polys[0], _inferred_registry(args.polys))
     cert_q = is_irreducible_q(P)
     _cert_lines(rep, "q", cert_q)
     flag, cert_z = is_irreducible_z(P)
@@ -205,20 +209,6 @@ def _cmd_irred(args, rep):
             rep.add(f"factorization.f{i + 1}", f"({f})^{mult}")
     rep.add("verdict", flag)
     return EXIT_OK if flag else EXIT_FALSE
-
-
-def _identifiers(expr):
-    out, cur = [], ""
-    for ch in expr:
-        if ch.isalnum() and not (not cur and ch.isdigit()):
-            cur += ch
-        else:
-            if cur and not cur.isdigit():
-                out.append(cur)
-            cur = ""
-    if cur and not cur.isdigit():
-        out.append(cur)
-    return out
 
 
 def _cmd_hilbert(args, rep):
@@ -287,10 +277,8 @@ def _cmd_schinzel(args, rep):
 
 
 def _cmd_strong(args, rep):
-    params, variables, registry = _registry(args)
-    registry = params or tuple(sorted({n for e in args.polys
-                                       for n in _identifiers(e)}))
-    polys = [parse_poly(expr, registry) for expr in args.polys]
+    params, variables, _ = _registry(args)
+    polys = _polys(args, _inferred_registry(args.polys, params))
     variables = variables or ("Y",)
     d = _parse_d(args.d)[0]
     budget = args.budget or 2000
@@ -316,8 +304,7 @@ def _cmd_strong(args, rep):
 
 
 def _cmd_compose(args, rep):
-    registry = tuple(sorted({n for e in args.polys for n in _identifiers(e)}))
-    polys = [parse_poly(expr, registry) for expr in args.polys]
+    polys = _polys(args, _inferred_registry(args.polys))
     degrees = _parse_d(args.d)[0] if args.d.strip() else ()
     budget = args.budget or 2000
     plan = iterated_composition(polys, degrees, budget=budget, monic=args.monic)
@@ -349,10 +336,7 @@ def _cmd_counterexample(args, rep):
 
 
 def _cmd_coprime(args, rep):
-    params, variables, registry = _registry(args)
-    registry = params or tuple(sorted({n for e in args.polys
-                                       for n in _identifiers(e)}))
-    Qs = [parse_poly(expr, registry) for expr in args.polys]
+    Qs = _polys(args, _inferred_registry(args.polys, _split_csv(args.params)))
     budget = args.budget or 10**5
     try:
         report = coprime_search(Qs, budget=budget)
@@ -427,7 +411,7 @@ def run(argv):
     start = time.monotonic()
     try:
         code = _COMMANDS[args.command](args, rep)
-    except (BudgetExceeded, BudgetError) as exc:
+    except BudgetExceeded as exc:
         rep.add("budget_exceeded", True)
         rep.add("detail", str(exc))
         code = EXIT_BUDGET

@@ -10,9 +10,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .factorlab import gcd_q
-from .fixdiv import BudgetExceeded, candidate_fixed_primes
-from .polyring import PolyError
+from .factorlab import gcd_q_fold
+from .fixdiv import candidate_fixed_primes
+from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
 
 
@@ -55,11 +55,7 @@ def check_copsch_local(Qs, k=None):
     if len(Qs) < 2:
         raise PolyError("at least two polynomials required")
     params = _params(Qs, k)
-    g = Qs[0]
-    for Q in Qs[1:]:
-        g = gcd_q(g, Q)
-        if g.is_constant():
-            break
+    g = gcd_q_fold(Qs)
     if not g.is_constant():
         raise PolyError(f"inputs share the rational factor {g}")
 
@@ -82,7 +78,7 @@ def check_copsch_local(Qs, k=None):
     return CopschReport(not violations, tuple(candidates), refuted, tuple(violations))
 
 
-def coprime_search(Qs, k=None, enumeration="spiral", budget=10**5):
+def coprime_search(Qs, k=None, budget=10**5):
     """First point (spiral order) where the values have gcd 1."""
     params = _params(Qs, k)
     local = check_copsch_local(Qs, k)
@@ -91,8 +87,6 @@ def coprime_search(Qs, k=None, enumeration="spiral", budget=10**5):
             f"local condition fails at prime {local.violations[0]}: "
             "no point can make the values coprime"
         )
-    if enumeration != "spiral":
-        raise PolyError(f"unknown enumeration {enumeration!r}")
     tried = 0
     for m in spiral(len(params)):
         if tried >= budget:

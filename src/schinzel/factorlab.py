@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
-from .polyring import MPoly, PolyError
+from .polyring import BudgetExceeded, MPoly, PolyError, dense
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
 _SCHEDULE_PRIMES = primes_upto(100)  # counted on past only for a lead divisible by 16 of them
 
 
-class BudgetError(PolyError):
-    """Raised when an exhaustive search exceeds its configured budget."""
+BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
 
 
 @dataclass(frozen=True)
@@ -57,22 +56,13 @@ class Factorization:
             if not self.factors:
                 raise PolyError("registry required for a factorless product")
             registry = self.factors[0][0].registry
-        out = MPoly.const(registry, self.unit * self.content)
-        for f, m in self.factors:
-            out = out * f**m
-        return out
+        return math.prod(
+            (f**m for f, m in self.factors),
+            start=MPoly.const(registry, self.unit * self.content),
+        )
 
 
 # -- dense univariate helpers over Z ---------------------------------
-
-
-def _dense(P, name):
-    i = P.registry.index(name)
-    d = P.degree_in(name)
-    out = [0] * (d + 1)
-    for expo, coeff in P.terms.items():
-        out[expo[i]] += coeff
-    return out
 
 
 def _undense(coeffs, registry, name):
@@ -206,7 +196,7 @@ def is_irreducible_fp(rp):
     names = rp.variables()
     if len(names) != 1:
         raise PolyError("univariate polynomial required")
-    f = _dense(rp, names[0])
+    f = dense(rp, names[0])
     if len(f) < 2:
         raise PolyError("constant polynomial")
     return _fp_irreducible(f, p)
@@ -219,7 +209,7 @@ def _signed_divisors(v, positive_only=False):
     try:
         ds = divisors(v)
     except UnprovedPrimeError as exc:
-        raise BudgetError(f"kronecker oracle cannot list the divisors of {v}: {exc}")
+        raise BudgetExceeded(f"kronecker oracle cannot list the divisors of {v}: {exc}")
     if positive_only:
         return ds
     return [d for a in ds for d in (a, -a)]
@@ -273,7 +263,7 @@ def _search_degree(f, pts, divlists, combos, combo_budget):
     integer, no polynomial in Z[x] takes the chosen values, and the
     candidates below are counted without arithmetic.  Returns the first
     candidate that divides f exactly, or None, with the updated count;
-    raises BudgetError once the count passes combo_budget.
+    raises BudgetExceeded once the count passes combo_budget.
     """
     d = len(pts) - 1
     lead = f[_deg(f)]
@@ -307,7 +297,7 @@ def _search_degree(f, pts, divlists, combos, combo_budget):
                 return g, combos + i + 1
         combos += len(nxt)
         if combos > combo_budget:
-            raise BudgetError(
+            raise BudgetExceeded(
                 f"kronecker oracle exceeded {combo_budget} interpolation candidates"
             )
     return None, combos
@@ -408,7 +398,7 @@ def kronecker_factor(P, max_total_degree=12, max_vars=3, combo_budget=2_000_000)
     Returns Factorization(unit, content, factors).  Multivariate inputs are
     packed into one variable by Kronecker substitution, the image is
     factored by divisor interpolation, and candidate factors are lifted
-    back with exact division checks.  Raises BudgetError beyond desk scale.
+    back with exact division checks.  Raises BudgetExceeded beyond desk scale.
     """
     if P.is_zero():
         raise PolyError("cannot factor the zero polynomial")
@@ -422,20 +412,20 @@ def kronecker_factor(P, max_total_degree=12, max_vars=3, combo_budget=2_000_000)
     if not names:
         return Factorization(unit, content, ())
     if len(names) > max_vars:
-        raise BudgetError(f"{len(names)} variables exceeds the {max_vars}-variable budget")
+        raise BudgetExceeded(f"{len(names)} variables exceeds the {max_vars}-variable budget")
     if pp.total_degree() > max_total_degree:
-        raise BudgetError(
+        raise BudgetExceeded(
             f"total degree {pp.total_degree()} exceeds the degree-{max_total_degree} budget"
         )
 
     try:
         if len(names) == 1:
             name = names[0]
-            dense_factors = _factor_dense(_dense(pp, name), combo_budget)
+            dense_factors = _factor_dense(dense(pp, name), combo_budget)
             collected = [_undense(df, P.registry, name) for df in dense_factors]
         else:
             collected = _kronecker_multivar(pp, names, combo_budget)
-    except BudgetError as exc:
+    except BudgetExceeded as exc:
         detail = str(exc)
     else:
         counted = {}
@@ -446,7 +436,7 @@ def kronecker_factor(P, max_total_degree=12, max_vars=3, combo_budget=2_000_000)
         )
         return Factorization(unit, content, tuple(ordered))
     # raised here, once the search has unwound, so the traceback holds no search state
-    raise BudgetError(detail)
+    raise BudgetExceeded(detail)
 
 
 def _kronecker_multivar(pp, names, combo_budget):
@@ -535,10 +525,10 @@ def _prime_schedule(lead, tries=MODP_TRIES):
 
 def _univar_certificate(P, name, combo_budget=2_000_000):
     """Irreducibility of a primitive univariate over Q: mod-p first, oracle after."""
-    dense = _dense(P, name)
+    f = dense(P, name)
     # p does not divide the leading coefficient, so f mod p keeps its degree
-    for p in _prime_schedule(dense[-1]):
-        if _fp_irreducible(dense, p):
+    for p in _prime_schedule(f[-1]):
+        if _fp_irreducible(f, p):
             return IrredCertificate("irreducible", "mod-p", prime=p)
     fac = kronecker_factor(P, combo_budget=combo_budget)
     if len(fac.factors) == 1 and fac.factors[0][1] == 1:
@@ -564,12 +554,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
     # main variable: largest degree, ties broken by registry order
     main = max(names, key=lambda n: pp.degree_in(n))
     others = [n for n in names if n != main]
-    coeffs = _coefficients_wrt(pp, main)
-    g = None
-    for c in coeffs:
-        g = c if g is None else gcd_q(g, c)
-        if g.is_constant():
-            break
+    g = content_q(pp, (main,))
     if not g.is_constant():
         return IrredCertificate(
             "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
@@ -619,26 +604,10 @@ def is_irreducible_z(P, **opts):
 # -- gcd over the rationals ------------------------------------------
 
 
-def _coefficients_wrt(P, name):
-    """Nonzero coefficients of P viewed as a univariate in `name`."""
-    i = P.registry.index(name)
-    groups = {}
-    for expo, coeff in P.terms.items():
-        rest = tuple(0 if j == i else e for j, e in enumerate(expo))
-        groups.setdefault(expo[i], {})[rest] = (
-            groups.get(expo[i], {}).get(rest, 0) + coeff
-        )
-    return [MPoly(P.registry, terms) for _, terms in sorted(groups.items())]
-
-
 def _dense_wrt(P, name):
-    i = P.registry.index(name)
-    d = P.degree_in(name)
-    out = [MPoly.zero(P.registry) for _ in range(d + 1)]
-    for expo, coeff in P.terms.items():
-        rest = tuple(0 if j == i else e for j, e in enumerate(expo))
-        out[expo[i]] = out[expo[i]] + MPoly(P.registry, {rest: coeff})
-    return out
+    coeffs = P.coefficients((name,))
+    zero = MPoly.zero(P.registry)
+    return [coeffs.get((e,), zero) for e in range(P.degree_in(name) + 1)]
 
 
 def _from_dense_wrt(coeffs, registry, name):
@@ -647,16 +616,6 @@ def _from_dense_wrt(coeffs, registry, name):
     for e, c in enumerate(coeffs):
         out = out + c * x**e
     return out
-
-
-def _content_wrt(P, name):
-    cs = [c for c in _dense_wrt(P, name) if not c.is_zero()]
-    g = None
-    for c in cs:
-        g = c if g is None else _gcd_q_raw(g, c)
-        if g.is_constant():
-            return MPoly.const(P.registry, 1)
-    return g
 
 
 def _prem(A, B, name):
@@ -691,8 +650,8 @@ def _gcd_q_raw(A, B):
     if A.degree_in(name) == 0 or B.degree_in(name) == 0:
         # one side is free of the main variable: recurse into the content
         free, other = (A, B) if A.degree_in(name) == 0 else (B, A)
-        return _gcd_q_raw(_content_wrt(other, name), free)
-    contA, contB = _content_wrt(A, name), _content_wrt(B, name)
+        return _gcd_q_raw(content_q(other, (name,)), free)
+    contA, contB = content_q(A, (name,)), content_q(B, (name,))
     ppA = exact_div(A, contA)
     ppB = exact_div(B, contB)
     cg = _gcd_q_raw(contA, contB)
@@ -701,10 +660,10 @@ def _gcd_q_raw(A, B):
         if R.is_zero():
             ppA, ppB = ppB, R
         else:
-            ppA, ppB = ppB, exact_div(R, _content_wrt(R, name)).primitive_part()
+            ppA, ppB = ppB, exact_div(R, content_q(R, (name,))).primitive_part()
     if ppA.is_constant():
         return cg if not cg.is_constant() else MPoly.const(A.registry, 1)
-    result = cg * exact_div(ppA, _content_wrt(ppA, name))
+    result = cg * exact_div(ppA, content_q(ppA, (name,)))
     return result.primitive_part()
 
 
@@ -723,23 +682,28 @@ def gcd_q(P, Q):
     return _normalize_sign(_gcd_q_raw(P, Q).primitive_part())
 
 
+def gcd_q_fold(polys):
+    """gcd over Q of nonzero polynomials, folded left to right with gcd_q.
+
+    The constant 1 as soon as the gcd is a constant; a single polynomial
+    comes back as it is.
+    """
+    g = None
+    for c in polys:
+        g = c if g is None else gcd_q(g, c)
+        if g.is_constant():
+            return MPoly.const(g.registry, 1)
+    return g
+
+
+def content_q(P, names):
+    """Q-content of P as a polynomial in `names`: the gcd of its coefficients."""
+    return gcd_q_fold(P.coefficients(names).values())
+
+
 def is_primitive_wrt(P, split):
     """True iff the variable-monomial coefficients of P have unit gcd over Q."""
     if P.is_zero():
         raise PolyError("primitivity undefined for the zero polynomial")
     split.check_registry(P.registry)
-    vidx = [P.registry.index(n) for n in split.variables]
-    groups = {}
-    for expo, coeff in P.terms.items():
-        key = tuple(expo[i] for i in vidx)
-        rest = tuple(0 if i in vidx else e for i, e in enumerate(expo))
-        groups.setdefault(key, {})
-        groups[key][rest] = groups[key].get(rest, 0) + coeff
-    coeffs = [MPoly(P.registry, t) for t in groups.values()]
-    coeffs = [c for c in coeffs if not c.is_zero()]
-    g = None
-    for c in coeffs:
-        g = c if g is None else gcd_q(g, c)
-        if g.is_constant():
-            return True
-    return g.is_constant()
+    return content_q(P, split.variables).is_constant()

@@ -8,16 +8,13 @@ P(t, Y) with integer t vanishes mod p.  Candidates are finite: p <= Delta
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .numutil import UnprovedPrimeError, prime_factors, prime_powers_upto, primes_upto
-from .polyring import PolyError, reduce_mod
+from .polyring import BudgetExceeded, PolyError, reduce_mod
 
 EXHAUSTION_BUDGET = 10**6
-
-
-class BudgetExceeded(PolyError):
-    pass
 
 
 def proved_prime_factors(n):
@@ -103,11 +100,7 @@ def fixed_prime_divisors(P, split, budget=EXHAUSTION_BUDGET):
 
 def removal_scalar(P, split, budget=EXHAUSTION_BUDGET):
     """Product of the confirmed fixed primes; P has no fixed prime over Z[1/phi]."""
-    report = fixed_prime_divisors(P, split, budget=budget)
-    phi = 1
-    for p in report.confirmed:
-        phi *= p
-    return phi
+    return math.prod(fixed_prime_divisors(P, split, budget=budget).confirmed)
 
 
 def gamma_b_witness(B):
@@ -118,7 +111,4 @@ def gamma_b_witness(B):
     """
     if B < 1:
         raise PolyError("B must be >= 1")
-    a = 1
-    for q in prime_powers_upto(B):
-        a *= 2**q - 2
-    return a
+    return math.prod(2**q - 2 for q in prime_powers_upto(B))

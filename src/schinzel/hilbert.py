@@ -8,11 +8,12 @@ unit content.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .factorlab import IrredCertificate, exact_div, gcd_q, is_irreducible_q, is_primitive_wrt
-from .fixdiv import BudgetExceeded, fixed_prime_divisors
-from .polyring import MPoly, PolyError
+from .factorlab import content_q, exact_div, is_irreducible_q, is_primitive_wrt
+from .fixdiv import fixed_prime_divisors
+from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
 
 
@@ -44,20 +45,7 @@ def _irred_over_param_field(P, split):
     """Irreducibility in Q(T)[Y], via the primitive part w.r.t. the parameters."""
     if P.total_degree(split.variables) < 1:
         return False, "degree 0 in the variables"
-    vidx = [P.registry.index(n) for n in split.variables]
-    groups = {}
-    for expo, coeff in P.terms.items():
-        key = tuple(expo[i] for i in vidx)
-        rest = tuple(0 if i in vidx else e for i, e in enumerate(expo))
-        bucket = groups.setdefault(key, {})
-        bucket[rest] = bucket.get(rest, 0) + coeff
-    coeffs = [MPoly(P.registry, t) for t in groups.values()]
-    coeffs = [c for c in coeffs if not c.is_zero()]
-    g = None
-    for c in coeffs:
-        g = c if g is None else gcd_q(g, c)
-        if g.is_constant():
-            break
+    g = content_q(P, split.variables)
     core = P if g.is_constant() else exact_div(P, g)
     if core is None or core.is_constant():
         return False, "degenerate after removing the parameter content"
@@ -70,14 +58,12 @@ def hypotheses_check(polys, split):
     if not polys:
         raise PolyError("empty family")
     irred, prim = [], []
-    product = MPoly.const(polys[0].registry, 1)
     for P in polys:
         if P.is_zero():
             raise PolyError("zero polynomial in the family")
         irred.append(_irred_over_param_field(P, split))
         prim.append(is_primitive_wrt(P, split))
-        product = product * P
-    report = fixed_prime_divisors(product, split)
+    report = fixed_prime_divisors(math.prod(polys), split)
     return HypothesesReport(tuple(irred), tuple(prim), report)
 
 
@@ -110,25 +96,14 @@ def specialization_check(polys, split, t):
     return SpecializationPoint(tuple(t), tuple(certificates), content, member, reason)
 
 
-def _box_enum(k, budget):
-    side = max(int(budget ** (1.0 / k)) // 2, 0) if k else 0
-    return itertools.product(range(-side, side + 1), repeat=k)
-
-
-def hilbert_search(polys, split, enumeration="spiral", budget=10**6):
-    """Lazy stream of members in deterministic enumeration order.
+def hilbert_search(polys, split, budget=10**6):
+    """Lazy stream of members in spiral order.
 
     Raises BudgetExceeded when the budget runs out before the first member.
     """
-    if enumeration == "spiral":
-        points = spiral(split.k)
-    elif enumeration == "box":
-        points = _box_enum(split.k, budget)
-    else:
-        raise PolyError(f"unknown enumeration {enumeration!r}")
     found = 0
     examined = 0
-    for t in points:
+    for t in spiral(split.k):
         if examined >= budget:
             break
         examined += 1

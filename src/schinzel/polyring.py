@@ -16,6 +16,10 @@ class PolyError(Exception):
     pass
 
 
+class BudgetExceeded(PolyError):
+    """Raised when a search or an enumeration runs out of its configured budget."""
+
+
 class RegistryMismatch(PolyError):
     pass
 
@@ -162,6 +166,21 @@ class MPoly:
         if c <= 1:
             return self
         return MPoly._make(self.registry, {e: v // c for e, v in self.terms.items()})
+
+    def coefficients(self, names):
+        """This polynomial as one in `names` with coefficients in the other names.
+
+        Returns {exponent tuple over `names`: coefficient}, ascending by key.
+        Each coefficient keeps this registry and has degree 0 in `names`; the
+        zero polynomial has no coefficients.
+        """
+        idx = [self.registry.index(n) for n in names]
+        keep = [int(name not in names) for name in self.registry]
+        groups = {}
+        for expo, coeff in self.terms.items():
+            key = tuple(expo[i] for i in idx)
+            groups.setdefault(key, {})[tuple(map(mul, expo, keep))] = coeff
+        return {key: MPoly._make(self.registry, groups[key]) for key in sorted(groups)}
 
     # -- arithmetic ---------------------------------------------------
 
@@ -450,6 +469,19 @@ class ResiduePoly:
     __repr__ = __str__
 
 
+def dense(P, name):
+    """Coefficient list of P in one name, constant term first; [] for zero.
+
+    Terms are summed over the other names, so P should involve no other.
+    Works for MPoly and ResiduePoly alike.
+    """
+    i = P.registry.index(name)
+    out = [0] * (P.degree_in(name) + 1)
+    for expo, coeff in P.terms.items():
+        out[expo[i]] += coeff
+    return out
+
+
 def reduce_mod(P, m):
     """Coefficientwise reduction of an MPoly modulo m >= 2."""
     if m < 2:
@@ -520,6 +552,18 @@ class _Tokens:
         if self.pos == start:
             raise ParseError("expected identifier", start)
         return self.text[start : self.pos]
+
+
+def identifiers(text):
+    """Names in an expression, in order of appearance, as `parse_poly` reads them."""
+    toks = _Tokens(text)
+    out = []
+    while (c := toks.peek()) is not None:
+        if c.isalpha():
+            out.append(toks.take_ident())
+        else:
+            toks.pos += 1
+    return out
 
 
 def parse_poly(text, registry):

@@ -16,14 +16,13 @@ from math import prod
 from .factorlab import is_irreducible_q, is_irreducible_z
 from .fixdiv import (
     EXHAUSTION_BUDGET,
-    BudgetExceeded,
     FixedDivisorReport,
     candidate_fixed_primes,
     fixed_prime_divisors,
     proved_prime_factors,
 )
 from .numutil import crt, primes_upto, spiral
-from .polyring import MPoly, PolyError, VarSplit, reduce_mod
+from .polyring import BudgetExceeded, MPoly, PolyError, VarSplit, dense, reduce_mod
 from .schinzelcore import HypothesisError
 
 
@@ -170,9 +169,7 @@ def verify_no_fixed_divisor_generic(gs, budget=EXHAUSTION_BUDGET):
     selection whose product is nonzero mod p refutes p without exhausting
     the p^|Lambda| residue tuples.
     """
-    product = MPoly.const(gs.registry, 1)
-    for F in gs.Fs:
-        product = product * F
+    product = prod(gs.Fs)
     lam = gs.lam_flat
     candidates = candidate_fixed_primes(product, lam)
     delta = max((product.degree_in(name) for name in lam), default=0)
@@ -264,9 +261,7 @@ def solve_polynomial_schinzel(polys, split, d, budget=5000, exact_degree=True,
             raise SchinzelRefusal(
                 "Irred", f"polynomial #{i + 1} is reducible over the rationals"
             )
-    product = MPoly.const(polys[0].registry, 1)
-    for P in polys:
-        product = product * P
+    product = prod(polys)
     if product.content() != 1:
         raise SchinzelRefusal("Prim", f"product has content {product.content()}")
 
@@ -380,9 +375,7 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
             raise HypothesisError(
                 "Irred", f"polynomial #{i + 1} is reducible over the rationals"
             )
-    product = MPoly.const(polys[0].registry, 1)
-    for P in polys:
-        product = product * P
+    product = prod(polys)
     in_report = fixed_prime_divisors(product, (t1,))
     if in_report.confirmed:
         raise HypothesisError(
@@ -405,10 +398,7 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
             certs.append(cert)
             if not flag:
                 return None
-        composed = MPoly.const(var_reg, 1)
-        for c in comps:
-            composed = composed * c
-        rep = fixed_prime_divisors(composed, variables)
+        rep = fixed_prime_divisors(prod(comps), variables)
         if rep.confirmed:
             return None
         return certs, rep
@@ -438,9 +428,8 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
                 )
         raise BudgetExceeded(f"no monic plan within {tried} coefficient tuples")
 
+    a_r = dense(product, t1)[-1]
     r = product.degree_in(t1)
-    i1 = product.registry.index(t1)
-    a_r = sum(c for e, c in product.terms.items() if e[i1] == r)
     delta = r * sum(d)
     S = sorted(set(primes_upto(delta)) | set(proved_prime_factors(abs(a_r))))
 
@@ -456,7 +445,7 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
         residues.append(found)
         mods.append(p)
     theta = crt(residues, mods) if mods else 0
-    omega = prod(S) if S else 1
+    omega = prod(S)
 
     tried = 0
     free = len(monomials) - 1
@@ -509,18 +498,16 @@ def iterated_composition(polys, degrees, budget=2000, monic=False):
     for stage, dm in enumerate(degrees, start=1):
         try:
             plan = strong_pipeline(current, (yname,), (dm,), budget=budget, monic=monic)
-        except (HypothesisError, BudgetExceeded) as exc:
+        except HypothesisError as exc:
             raise PolyError(f"stage {stage}: {exc}") from exc
         M = plan.Ms[0].rename(reg, {yname: t1})
         # invariant re-check on the freshly composed family
         new_family = [P.substitute({t1: M}) for P in current]
-        composed = MPoly.const(reg, 1)
         for i, Q in enumerate(new_family):
             flag, _ = is_irreducible_z(Q)
             if not flag:
                 raise PolyError(f"stage {stage}: composition #{i + 1} not irreducible")
-            composed = composed * Q
-        rep = fixed_prime_divisors(composed, (t1,))
+        rep = fixed_prime_divisors(prod(new_family), (t1,))
         if rep.confirmed:
             raise PolyError(f"stage {stage}: fixed prime {rep.confirmed[0]} reappeared")
         stages.append(plan)
@@ -559,9 +546,7 @@ def sharpness_counterexample(d, m_budget=200, samples=100, coeff_bound=10, seed=
     family = []
     for bits in itertools.product((0, 1), repeat=d + 1):
         family.append(MPoly(reg, {(0, j): b for j, b in enumerate(bits) if b}))
-    P0 = MPoly.const(reg, 1)
-    for p in family:
-        P0 = P0 * (T - p)
+    P0 = prod(T - p for p in family)
 
     chosen = None
     for m in range(1, m_budget + 1):

@@ -10,12 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .fixdiv import fixed_prime_divisors, proved_prime_factors
 from .factorlab import is_primitive_wrt
 from .numutil import crt, primes_upto
-from .polyring import MPoly, PolyError, VarSplit, reduce_mod
+from .polyring import PolyError, VarSplit, dense, reduce_mod
 
 
 class HypothesisError(PolyError):
@@ -118,25 +118,15 @@ def bezout_constant(coeffs):
     if len(names) > 1:
         raise PolyError(f"coefficients involve several variables: {sorted(names)}")
     name = names.pop() if names else None
-    dense = []
-    for c in coeffs:
-        if name is None:
-            dense.append([Fraction(c.constant_value())] if not c.is_zero() else [])
-        else:
-            d = c.degree_in(name)
-            i = c.registry.index(name)
-            row = [Fraction(0)] * (d + 1) if d >= 0 else []
-            for expo, coeff in c.terms.items():
-                row[expo[i]] += coeff
-            dense.append(_q_trim(row))
-    dense = [d for d in dense if d]
-    if not dense:
+    rows = [dense(c, name) if name is not None else [c.constant_value()] for c in coeffs]
+    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    if not rows:
         raise PolyError("all coefficients are zero")
 
-    g = dense[0]
-    combo = [[Fraction(1)]] + [[] for _ in dense[1:]]
-    for i in range(1, len(dense)):
-        g2, s, t = _q_ext_gcd(g, dense[i])
+    g = rows[0]
+    combo = [[Fraction(1)]] + [[] for _ in rows[1:]]
+    for i in range(1, len(rows)):
+        g2, s, t = _q_ext_gcd(g, rows[i])
         combo = [_q_mul(s, u) for u in combo]
         combo[i] = t
         g = g2
@@ -197,19 +187,6 @@ def nonvanishing_point(P, split, primes):
     return tuple(coords)
 
 
-def _t1_coefficients(P, split):
-    """Coefficients of P in Z[T1], viewing P in the remaining names."""
-    t1 = split.params[0]
-    i = P.registry.index(t1)
-    groups = {}
-    for expo, coeff in P.terms.items():
-        key = tuple(0 if j == i else e for j, e in enumerate(expo))
-        only_t1 = tuple(expo[i] if j == i else 0 for j in range(len(expo)))
-        bucket = groups.setdefault(key, {})
-        bucket[only_t1] = bucket.get(only_t1, 0) + coeff
-    return [MPoly(P.registry, terms) for _, terms in sorted(groups.items())]
-
-
 def progression_witness(polys, split):
     """Arithmetic progression for T1 preserving primitivity and NoFixDiv.
 
@@ -220,7 +197,6 @@ def progression_witness(polys, split):
         raise PolyError("at least one parameter required")
     if not polys:
         raise PolyError("empty family")
-    product = MPoly.const(polys[0].registry, 1)
     for i, P in enumerate(polys):
         if P.is_zero():
             raise HypothesisError("Nonzero", f"polynomial #{i + 1} is zero")
@@ -228,19 +204,19 @@ def progression_witness(polys, split):
             raise HypothesisError(
                 "Prim/Q[T]", f"polynomial #{i + 1} is not primitive w.r.t. Q[T]"
             )
-        product = product * P
+    product = prod(polys)
     report = fixed_prime_divisors(product, split)
     if report.confirmed:
         raise HypothesisError(
             "NoFixDiv",
             f"fixed prime divisor {report.confirmed[0]} of the product",
         )
-    delta = bezout_constant(_t1_coefficients(product, split))
+    # the coefficients in Z[T1] of the product viewed in the remaining names
+    others = [n for n in product.registry if n != split.params[0]]
+    delta = bezout_constant(list(product.coefficients(others).values()))
     bad = bad_prime_set(product, split, delta)
     v = nonvanishing_point(product, split, bad)
-    omega = 1
-    for p in bad:
-        omega *= p
+    omega = prod(bad)
     constrained = {}
     for p in bad:
         constrained[p] = tuple(c % p for c in v)
@@ -265,16 +241,14 @@ def verify_progression(polys, split, witness, ell_values):
         t1 = witness.omega * ell + witness.base_point[0]
         failures = []
         specialized = [P.substitute({t1_name: t1}) for P in polys]
-        product = MPoly.const(polys[0].registry, 1)
         for i, S in enumerate(specialized):
             if S.is_zero():
                 failures.append(("Nonzero", f"polynomial #{i + 1} vanishes"))
                 continue
             if reduced is not None and not is_primitive_wrt(S, reduced):
                 failures.append(("Prim/Q[T']", f"polynomial #{i + 1}"))
-            product = product * S
         if not any(f[0] == "Nonzero" for f in failures):
-            report = fixed_prime_divisors(product, rest_params)
+            report = fixed_prime_divisors(prod(specialized), rest_params)
             if report.confirmed:
                 failures.append(
                     ("NoFixDiv", f"fixed prime {report.confirmed[0]}")

@@ -1,6 +1,11 @@
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schinzel import cli, factorlab, fixdiv
 from schinzel.cli import run
+from schinzel.polyring import identifiers
 
 
 def invoke(capsys, *argv):
@@ -161,6 +166,57 @@ def test_unproved_prime_budget_exit(capsys):
     assert "exact-primality bound" in kv(out)["detail"]
 
 
+def test_one_budget_exception():
+    assert factorlab.BudgetError is fixdiv.BudgetExceeded
+
+
+def test_compose_stage_without_plan_is_budget_exit(capsys):
+    # the one monic shape within the budget, M = Y^2, composes T into Y^2: reducible
+    code, out = invoke(capsys, "compose", "--poly", "T", "--d", "2", "--monic",
+                       "--budget", "1")
+    assert code == 3
+    d = kv(out)
+    assert d["budget_exceeded"] == "true"
+    assert d["detail"] == "no monic plan within 1 coefficient tuples"
+
+
+# -- registry inference -----------------------------------------------
+
+
+def _reference_identifiers(expr):
+    out, cur = [], ""
+    for ch in expr:
+        if ch.isalnum() and not (not cur and ch.isdigit()):
+            cur += ch
+        else:
+            if cur and not cur.isdigit():
+                out.append(cur)
+            cur = ""
+    if cur and not cur.isdigit():
+        out.append(cur)
+    return out
+
+
+# letters, digits, the operators and any other text; numerals that are
+# neither letters nor digits (categories Nl, No: "½", "Ⅷ") are not
+# names in the grammar, and the old scanner took them for name starts
+exprs = st.text(st.one_of(
+    st.sampled_from("TYx1T20 \t+-*^()"),
+    st.characters(exclude_categories=("Nl", "No", "Cs")),
+), max_size=20)
+
+
+@given(st.lists(exprs, min_size=1, max_size=3), st.sampled_from(["", "T", "T,U"]))
+@settings(max_examples=300, deadline=None)
+def test_registry_inference_matches_reference(texts, params):
+    for text in texts:
+        assert identifiers(text) == _reference_identifiers(text)
+    names = tuple(sorted({n for e in texts for n in _reference_identifiers(e)}))
+    assert cli._inferred_registry(texts) == names
+    given_params = cli._split_csv(params)
+    assert cli._inferred_registry(texts, given_params) == (given_params or names)
+
+
 # -- determinism and artifacts ---------------------------------------
 
 
@@ -177,6 +233,40 @@ def test_out_file(tmp_path, capsys):
     code, out = invoke(capsys, "irred", "--poly", "Y^2+1", "--out", str(path))
     assert code == 0
     assert path.read_text() == out
+
+
+JOBS = [
+    ["fixdiv", "--poly", "(T^2-T)*Y + T^2 - T - 2", "--params", "T", "--vars", "Y"],
+    ["irred", "--poly", "Y^2 - Y - 1", "--factor"],
+    ["hilbert", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--limit", "3"],
+    ["progression", "--polys", "T*Y + 2", "--params", "T", "--vars", "Y"],
+    ["schinzel", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--d", "1"],
+    ["strong", "--poly", "T^2+1", "--poly", "T^2+T+1", "--params", "T", "--vars", "Y",
+     "--d", "1"],
+    ["compose", "--poly", "T^2+1", "--d", "1,1"],
+    ["counterexample", "--d", "1"],
+    ["coprime", "--polys", "T1", "--polys", "T1+2", "--params", "T1"],
+    ["density", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--N", "10"],
+    ["frobnicate"],
+    ["irred"],
+    ["irred", "--poly", "Y +* 2"],
+    [],
+]
+
+
+def test_repeated_runs_match_first_runs(capsys):
+    def job(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, mask(captured.out), captured.err
+
+    first = []
+    for argv in JOBS:
+        cli._build_parser.cache_clear()  # as in a fresh process
+        first.append(job(argv))
+    for order in (JOBS, JOBS[::-1]):
+        again = {tuple(argv): job(argv) for argv in order}
+        assert [again[tuple(argv)] for argv in JOBS] == first
 
 
 def test_job_file_roundtrip(tmp_path, capsys):

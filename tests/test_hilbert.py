@@ -9,7 +9,7 @@ from schinzel.hilbert import (
     hypotheses_check,
     specialization_check,
 )
-from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
+from schinzel.polyring import MPoly, VarSplit, parse_poly
 
 REG = ("T", "Y")
 SPLIT = VarSplit(("T",), ("Y",))
@@ -112,16 +112,6 @@ def test_search_budget_exhaustion():
     gen = hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=1)
     with pytest.raises(BudgetExceeded):
         next(gen)
-
-
-def test_box_enumeration():
-    gen = hilbert_search([P("Y^2 - T")], SPLIT, enumeration="box", budget=100)
-    assert next(gen).member
-
-
-def test_unknown_enumeration():
-    with pytest.raises(PolyError):
-        next(hilbert_search([P("Y^2 - T")], SPLIT, enumeration="hex"))
 
 
 def test_density_exact_small():

@@ -9,6 +9,7 @@ from schinzel.polyring import (
     RegistryMismatch,
     VarSplit,
     degree_profile,
+    dense,
     parse_poly,
     reduce_mod,
 )
@@ -260,6 +261,31 @@ def test_degree_profile():
     assert prof.deg_vars == 3
     with pytest.raises(PolyError):
         degree_profile(MPoly.zero(REG), s)
+
+
+# -- coefficient view -------------------------------------------------
+
+
+@given(polys3, st.lists(st.sampled_from(REG3), unique=True))
+@settings(max_examples=200, deadline=None)
+def test_coefficients_reassemble(a, names):
+    view = a.coefficients(names)
+    assert list(view) == sorted(view)
+    total = MPoly.zero(REG3)
+    for key, c in view.items():
+        assert c.registry == REG3 and not c.is_zero()
+        assert all(c.degree_in(n) == 0 for n in names)
+        expo = tuple(key[names.index(n)] if n in names else 0 for n in REG3)
+        total = total + c * MPoly(REG3, {expo: 1})
+    assert total == a
+    assert a.coefficients(()) == ({(): a} if not a.is_zero() else {})
+
+
+def test_dense():
+    assert dense(P("3*Y^2 - 1"), "Y") == [-1, 0, 3]
+    assert dense(P("5"), "Y") == [5]
+    assert dense(MPoly.zero(REG), "Y") == []
+    assert dense(reduce_mod(P("3*Y^2 - 1"), 3), "Y") == [2]
 
 
 # -- residues ---------------------------------------------------------
