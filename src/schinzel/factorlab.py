@@ -523,18 +523,33 @@ def _prime_schedule(lead, tries=MODP_TRIES):
     return out
 
 
+def _modp_certificate(lead, irreducible_mod):
+    """Mod-p certificate from the first scheduled prime that proves irreducibility.
+
+    `lead` is the leading coefficient of a primitive univariate f over Z;
+    `irreducible_mod(p)` says whether f mod p is irreducible, for a prime p
+    not dividing `lead`.  None when every scheduled prime fails.
+    """
+    for p in _prime_schedule(lead):
+        if irreducible_mod(p):
+            return IrredCertificate("irreducible", "mod-p", prime=p)
+    return None
+
+
 def _univar_certificate(P, name, combo_budget=2_000_000):
     """Irreducibility of a primitive univariate over Q: mod-p first, oracle after."""
     f = dense(P, name)
     # p does not divide the leading coefficient, so f mod p keeps its degree
-    for p in _prime_schedule(f[-1]):
-        if _fp_irreducible(f, p):
-            return IrredCertificate("irreducible", "mod-p", prime=p)
-    fac = kronecker_factor(P, combo_budget=combo_budget)
+    cert = _modp_certificate(f[-1], lambda p: _fp_irreducible(f, p))
+    return cert or _kronecker_certificate(P, combo_budget=combo_budget)
+
+
+def _kronecker_certificate(P, **oracle_opts):
+    """Verdict of the Kronecker oracle, with a factor as the reducible witness."""
+    fac = kronecker_factor(P, **oracle_opts)
     if len(fac.factors) == 1 and fac.factors[0][1] == 1:
         return IrredCertificate("irreducible", "kronecker")
-    witness = fac.factors[0][0]
-    return IrredCertificate("reducible", "kronecker", factor=witness)
+    return IrredCertificate("reducible", "kronecker", factor=fac.factors[0][0])
 
 
 def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
@@ -579,10 +594,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
                 detail=f"image method {inner.method}",
             )
         # reducible image is inconclusive for the multivariate input
-    fac = kronecker_factor(pp, **oracle_opts)
-    if len(fac.factors) == 1 and fac.factors[0][1] == 1:
-        return IrredCertificate("irreducible", "kronecker")
-    return IrredCertificate("reducible", "kronecker", factor=fac.factors[0][0])
+    return _kronecker_certificate(pp, **oracle_opts)
 
 
 def is_irreducible_z(P, **opts):

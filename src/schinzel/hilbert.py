@@ -11,7 +11,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .factorlab import content_q, exact_div, is_irreducible_q, is_primitive_wrt
+from .factorlab import (
+    _fp_irreducible,
+    _kronecker_certificate,
+    _modp_certificate,
+    content_q,
+    exact_div,
+    is_irreducible_q,
+    is_primitive_wrt,
+)
 from .fixdiv import fixed_prime_divisors
 from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
@@ -67,16 +75,18 @@ def hypotheses_check(polys, split):
     return HypothesesReport(tuple(irred), tuple(prim), report)
 
 
-def specialization_check(polys, split, t):
-    """Full membership evidence for one parameter point."""
-    bindings = dict(zip(split.params, t))
+def _point(t, images):
+    """Membership evidence from one (content, certificate) pair per member.
+
+    `images` is evaluated lazily, member by member; None stands for a
+    member that is constant at t.
+    """
     certificates = []
     content = 1  # of the product: content(fg) = content(f) * content(g) (Gauss)
     member = True
     reason = None
-    for i, P in enumerate(polys):
-        S = P.substitute(bindings)
-        if S.is_zero() or S.is_constant():
+    for i, image in enumerate(images):
+        if image is None:
             return SpecializationPoint(
                 tuple(t),
                 tuple(certificates),
@@ -84,9 +94,9 @@ def specialization_check(polys, split, t):
                 False,
                 f"degenerate: polynomial #{i + 1} is constant at t",
             )
-        cert = is_irreducible_q(S)
+        c, cert = image
         certificates.append(cert)
-        content *= S.content()
+        content *= c
         if not cert.irreducible and member:
             member = False
             reason = f"reducible: polynomial #{i + 1}"
@@ -96,18 +106,97 @@ def specialization_check(polys, split, t):
     return SpecializationPoint(tuple(t), tuple(certificates), content, member, reason)
 
 
+def _image(S):
+    if S.is_zero() or S.is_constant():
+        return None
+    return S.content(), is_irreducible_q(S)
+
+
+def specialization_check(polys, split, t):
+    """Full membership evidence for one parameter point."""
+    bindings = dict(zip(split.params, t))
+    return _point(t, (_image(P.substitute(bindings)) for P in polys))
+
+
+def _residue_class_check(polys, split):
+    """A `specialization_check(polys, split, t)` that shares F_p verdicts.
+
+    For one variable Y, P(t, Y) mod p depends only on t mod p and on its
+    Y-degree, and scaling by a unit mod p does not change irreducibility
+    mod p.  So one distinct-degree verdict per (member, p, Y-degree + 1,
+    t mod p) serves every point of that residue class: a mod-p certificate
+    covers a whole progression.  The prime schedule is the one
+    `is_irreducible_q` builds for the primitive part of P(t, Y), primes
+    dividing its content test that primitive part directly, and a point
+    that no scheduled prime certifies goes to the same Kronecker oracle,
+    so results are identical.  The verdicts live as long as the returned
+    function.
+    """
+    names = split.params + split.variables
+    if (
+        split.n != 1
+        or len(set(names)) != len(names)
+        or any(
+            not set(names) <= set(P.registry) or not set(P.variables()) <= set(names)
+            for P in polys
+        )
+    ):
+        return lambda t: specialization_check(polys, split, t)
+
+    # per member and Y-degree, the coefficient as [(integer, monomial index)];
+    # monos numbers the parameter monomials, evaluated once per point
+    monos = {}
+    members = []
+    for P in polys:
+        rows = [[] for _ in range(P.degree_in(split.variables[0]) + 1)]
+        for expo, C in P.coefficients(names).items():
+            j = monos.setdefault(expo[:-1], len(monos))
+            rows[expo[-1]].append((C.constant_value(), j))
+        members.append(rows)
+    verdicts = {}
+
+    def images(t):
+        values = [math.prod(map(pow, t, m)) for m in monos]
+        for i, rows in enumerate(members):
+            f = [sum([c * values[j] for c, j in row]) for row in rows]
+            while f and not f[-1]:
+                f.pop()
+            if len(f) < 2:
+                yield None
+                return
+            c = math.gcd(*f)
+
+            def irreducible_mod(p):
+                if c % p == 0:
+                    return _fp_irreducible([x // c for x in f], p)
+                key = (i, p, len(f), tuple([x % p for x in t]))
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = _fp_irreducible(f, p)
+                return verdict
+
+            cert = _modp_certificate(f[-1] // c, irreducible_mod)
+            if cert is None:  # as in is_irreducible_q, the oracle decides
+                S = polys[i].substitute(dict(zip(split.params, t)))
+                cert = _kronecker_certificate(S)
+            yield c, cert
+
+    return lambda t: _point(t, images(t))
+
+
 def hilbert_search(polys, split, budget=10**6):
     """Lazy stream of members in spiral order.
 
     Raises BudgetExceeded when the budget runs out before the first member.
     """
+    check = _residue_class_check(polys, split)
     found = 0
     examined = 0
     for t in spiral(split.k):
         if examined >= budget:
             break
         examined += 1
-        sp = specialization_check(polys, split, t)
+        sp = check(t)
         if sp.member:
             found += 1
             yield sp
@@ -133,8 +222,9 @@ def density_report(polys, split, N, budget=10**7):
         raise BudgetExceeded(f"{total} points exceed the budget {budget}")
     members = 0
     reasons = {}
+    check = _residue_class_check(polys, split)
     for t in itertools.product(range(-N, N + 1), repeat=split.k):
-        sp = specialization_check(polys, split, t)
+        sp = check(t)
         if sp.member:
             members += 1
         else:

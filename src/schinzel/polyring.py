@@ -509,6 +509,7 @@ def degree_profile(P, split):
 # -- parser ----------------------------------------------------------
 
 _WHITESPACE = " \t\r\n"
+_DIGITS = "0123456789"  # str.isdigit also accepts "²" and "٣"
 
 
 class _Tokens:
@@ -536,7 +537,7 @@ class _Tokens:
     def take_int(self):
         self._skip()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected integer", start)
@@ -626,7 +627,7 @@ def parse_poly(text, registry):
         if c == "-":
             toks.take_op("-")
             return -parse_factor()
-        if c.isdigit():
+        if c in _DIGITS:
             return MPoly.const(registry, toks.take_int())
         if c.isalpha():
             pos = toks.pos

@@ -144,6 +144,14 @@ def test_usage_error_bad_expression(capsys):
     assert code == 2
 
 
+def test_non_ascii_digits_are_usage_errors(capsys):
+    for expr in ["x^²+1", "x^2+1٣"]:
+        assert run(["irred", "--poly", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error = ")
+
+
 def test_budget_exit_code(capsys):
     code, out = invoke(capsys, "hilbert", "--polys", "(T^2+T)*Y + 2",
                        "--params", "T", "--vars", "Y", "--budget", "1")

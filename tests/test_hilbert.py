@@ -1,14 +1,21 @@
+import itertools
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schinzel.factorlab import _prime_schedule
 from schinzel.fixdiv import BudgetExceeded
 from schinzel.hilbert import (
+    _residue_class_check,
     density_report,
     hilbert_search,
     hypotheses_check,
     specialization_check,
 )
+from schinzel.numutil import primes_upto, spiral
 from schinzel.polyring import MPoly, VarSplit, parse_poly
 
 REG = ("T", "Y")
@@ -53,16 +60,16 @@ def test_specialization_content():
     assert not sp.member and "content" in sp.reason
 
 
-def _member(pairs):
+def _poly(reg, pairs):
     terms = {}
     for expo, c in pairs:
         terms[expo] = terms.get(expo, 0) + c
-    return MPoly(REG, terms)
+    return MPoly(reg, terms)
 
 
 # members of degree 1-3 in Y, times a scalar so the content is often not 1
 members = st.builds(
-    lambda pairs, lead, k: k * _member(pairs + [((0, lead[0]), lead[1])]),
+    lambda pairs, lead, k: k * _poly(REG, pairs + [((0, lead[0]), lead[1])]),
     st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-6, 6)),
              max_size=3),
     st.tuples(st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3])),
@@ -90,20 +97,141 @@ def test_specialization_content_is_content_of_product(polys, t):
     assert not sp.member or sp.content == 1
 
 
+# -- the per-call residue-class table against a pointwise reference --------
+
+REG2 = ("T", "U", "Y")
+SPLIT2 = VarSplit(("T", "U"), ("Y",))
+PRIMORIAL_16 = math.prod(primes_upto(53))  # 16 primes <= 100: the schedule passes 100
+
+
+def _reference_density(polys, split, N):
+    points = [specialization_check(polys, split, t)
+              for t in itertools.product(range(-N, N + 1), repeat=split.k)]
+    members = sum(sp.member for sp in points)
+    reasons = Counter(sp.reason.split(":")[0] for sp in points if not sp.member)
+    return members, len(points) - members, dict(reasons)
+
+
+def _reference_search(polys, split, L, budget):
+    found = []
+    for t in itertools.islice(spiral(split.k), budget):
+        sp = specialization_check(polys, split, t)
+        if sp.member:
+            found.append(sp)
+            if len(found) == L:
+                break
+    return found
+
+
+def _search(polys, split, L, budget):
+    try:
+        return list(itertools.islice(hilbert_search(polys, split, budget=budget), L))
+    except BudgetExceeded:  # no member within the budget
+        return []
+
+
+def _assert_matches_reference(polys, split, N, L, budget=60):
+    # every point, certificates of non-members included
+    check = _residue_class_check(polys, split)
+    for t in itertools.product(range(-N, N + 1), repeat=split.k):
+        assert check(t) == specialization_check(polys, split, t)
+    rep = density_report(polys, split, N)
+    assert (rep.members, rep.non_members, rep.reasons) == _reference_density(polys, split, N)
+    assert _search(polys, split, L, budget) == _reference_search(polys, split, L, budget)
+
+
+one_param_families = st.one_of(
+    st.lists(members, min_size=1, max_size=3),
+    st.sampled_from([
+        [P("(T^2-T)*Y^2 + 3*T*Y + T + 1")],  # the lead vanishes at t = 0 and 1
+        [P("Y^2 - T"), P("T*Y + 1")],  # Kronecker, then degenerate at t = 0
+        [P("(T^2+T)*Y + 2")],  # content 2 at every t, and 2 is often scheduled
+        [P("2*Y^2 - 4*T"), P("3*Y + 3*T^2")],
+        [P("6*Y^3 - 6*T*Y + 12*T^2")],
+        [P("T + 1"), P("Y^2 - T")],  # a member without Y: always degenerate
+        [P(f"{PRIMORIAL_16}*Y^2 + Y - T^2 - 1")],
+        [P(f"{PRIMORIAL_16}*Y^3 + 2*Y - T"), P("Y^2 - 2*T")],
+    ]),
+)
+
+# members of Y-degree 1-3 in two parameters, scaled so the content is often not 1
+two_param_members = st.builds(
+    lambda pairs, lead, k: k * _poly(REG2, pairs + [((0, 0, lead[0]), lead[1])]),
+    st.lists(st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)),
+                       st.integers(-4, 4)), max_size=3),
+    st.tuples(st.integers(1, 3), st.sampled_from([-2, -1, 1, 3])),
+    st.sampled_from([1, 1, 2, 6]),
+)
+two_param_families = st.one_of(
+    st.lists(two_param_members, min_size=1, max_size=2),
+    st.sampled_from([
+        [P("(T-U)*Y^2 + T*Y + U + 1", REG2)],  # the lead vanishes on the diagonal
+        [P("Y^2 - T*U", REG2), P("T*Y + U", REG2)],  # degenerate at (0, 0)
+        [P("2*Y^2 - 2*T - 4*U", REG2)],  # content 2 at every point: no member
+        [P(f"{PRIMORIAL_16}*Y^2 - T - U", REG2)],
+    ]),
+)
+
+
+@given(one_param_families, st.integers(0, 6), st.integers(1, 4))
+@settings(max_examples=50, deadline=None)
+def test_residue_table_matches_pointwise_reference(polys, N, L):
+    _assert_matches_reference(polys, SPLIT, N, L)
+
+
+@given(two_param_families, st.integers(0, 2), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_residue_table_matches_pointwise_reference_two_params(polys, N, L):
+    _assert_matches_reference(polys, SPLIT2, N, L)
+
+
+def test_residue_table_serves_lead_divisible_by_sixteen_primes():
+    assert _prime_schedule(PRIMORIAL_16)[-1] > 100
+    polys = [P(f"{PRIMORIAL_16}*Y^2 + Y - T^2 - 1")]
+    _assert_matches_reference(polys, SPLIT, 12, 6, budget=150)
+    primes = {c.prime for sp in _search(polys, SPLIT, 6, 150) for c in sp.certificates}
+    assert primes and min(primes) > 53
+
+
+def test_other_names_keep_the_pointwise_route():
+    # Z is neither a parameter nor a variable: P(t, Y, Z) is bivariate
+    reg = ("T", "Y", "Z")
+    polys = [P("Y^2 - T*Z", reg)]
+    found = _search(polys, SPLIT, 4, 150)
+    assert found == _reference_search(polys, SPLIT, 4, 150)
+    assert {c.method for sp in found for c in sp.certificates} == {"evaluation"}
+    assert density_report(polys, SPLIT, 6).members == _reference_density(polys, SPLIT, 6)[0]
+
+
+def test_repeated_parameter_keeps_the_pointwise_route():
+    # the binding of a repeated name is its last value: t = (a, b) means T = b
+    split = VarSplit(("T", "T"), ("Y",))
+    _assert_matches_reference([P("Y^2 - T - 3"), P("T*Y + 2")], split, 3, 3)
+
+
+def test_two_variables_keep_the_pointwise_route():
+    reg = ("T", "X", "Y")
+    split = VarSplit(("T",), ("X", "Y"))
+    polys = [P("X^2 + Y^2 - T", reg), P("X*Y + T", reg)]
+    _assert_matches_reference(polys, split, 5, 3)
+    found = _search(polys, split, 3, 150)
+    assert found and all(c.method != "mod-p" for sp in found for c in sp.certificates)
+
+
 def test_search_first_member_is_minus_one():
     first = next(hilbert_search([P("Y^2 - T")], SPLIT))
     assert first.t == (-1,)
 
 
 def test_search_pair():
-    first = next(hilbert_search([P("Y^2 - T"), P("Y^2 - T - 1")], SPLIT))
-    # spiral order 0, -1, 1, ...: t=0 gives Y^2 reducible, t=-1 gives
-    # Y^2+1 and Y^2 (reducible), t=1 gives Y^2-1 reducible... first hit
-    # is the least t in spiral order with both irreducible
-    for Q in (P("Y^2 - T"), P("Y^2 - T - 1")):
-        S = Q.substitute({"T": first.t[0]})
-        assert specialization_check([Q], SPLIT, first.t).member or True
+    pair = [P("Y^2 - T"), P("Y^2 - T - 1")]
+    first = next(hilbert_search(pair, SPLIT))
+    # spiral order 0, -1, 1, -2: t = 0, -1 and 1 each make one of T, T+1 a
+    # square, so Y^2 + 2 and Y^2 + 1 at t = -2 are the first pair
+    assert first.t == (-2,)
     assert first.member
+    for Q in pair:
+        assert specialization_check([Q], SPLIT, first.t).member
 
 
 def test_search_budget_exhaustion():

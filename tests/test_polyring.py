@@ -47,6 +47,14 @@ def test_parse_unknown_name():
         P("T + Z")
 
 
+def test_parse_ascii_digits_only():
+    # "²" and the Arabic-Indic "٣" pass str.isdigit but are not integers here
+    for expr in ["T^²", "T^2 + 1٣", "٣ + T", "T^٣"]:
+        with pytest.raises(ParseError):
+            P(expr)
+    assert P("T^2 + 13") == P("13 + T*T")
+
+
 def test_parse_power():
     assert P("(T+1)^3") == P("T^3 + 3*T^2 + 3*T + 1")
 
