@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .factorlab import gcd_q_fold
-from .fixdiv import candidate_fixed_primes
+from .fixdiv import _nonzero_mod, candidate_fixed_primes
 from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
 
@@ -62,15 +62,9 @@ def check_copsch_local(Qs, k=None):
     candidates = candidate_fixed_primes(Qs[0], params)
     refuted, violations = {}, []
     for p in candidates:
-        witness = None
-        for tup in itertools.product(range(p), repeat=len(params)):
-            point = dict(zip(params, tup))
-            for i, Q in enumerate(Qs):
-                if Q.evaluate(point) % p:
-                    witness = (tup, i)
-                    break
-            if witness:
-                break
+        nonzero = _nonzero_mod(Qs, params, p)
+        scan = ((t, nonzero(t)) for t in itertools.product(range(p), repeat=len(params)))
+        witness = next((w for w in scan if w[1] is not None), None)
         if witness is None:
             violations.append(p)
         else:

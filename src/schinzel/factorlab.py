@@ -513,14 +513,10 @@ def _kronecker_multivar(pp, names, combo_budget):
 
 
 def _prime_schedule(lead, tries=MODP_TRIES):
-    """First `tries` primes not dividing the leading coefficient."""
-    out = [p for p in _SCHEDULE_PRIMES if lead % p][:tries]
-    p = _SCHEDULE_PRIMES[-1]
-    while len(out) < tries:
-        p += 1
-        if is_prime(p) and lead % p:
-            out.append(p)
-    return out
+    """First `tries` primes not dividing the leading coefficient, lazily."""
+    later = filter(is_prime, itertools.count(_SCHEDULE_PRIMES[-1] + 1))
+    primes = itertools.chain(_SCHEDULE_PRIMES, later)
+    return itertools.islice((p for p in primes if lead % p), tries)
 
 
 def _modp_certificate(lead, irreducible_mod):

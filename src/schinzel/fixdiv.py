@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .numutil import UnprovedPrimeError, prime_factors, prime_powers_upto, primes_upto
-from .polyring import BudgetExceeded, PolyError, reduce_mod
+from .polyring import BudgetExceeded, PolyError
 
 EXHAUSTION_BUDGET = 10**6
 
@@ -30,6 +30,49 @@ def _params_of(split_or_params):
     if hasattr(split_or_params, "params"):
         return tuple(split_or_params.params)
     return tuple(split_or_params)
+
+
+def _nonzero_mod(polys, params, p):
+    """The residue scan: which member stays nonzero mod p at a parameter tuple.
+
+    One pass over each member's terms groups them by their exponents in the
+    other names and reduces each coefficient mod p, so P(t, .) vanishes mod
+    p iff every group sums to 0 mod p.  The distinct parameter monomials are
+    numbered once and evaluated once per tuple.  Returns `first(t)`, the
+    index of the first member that is nonzero mod p at the residue tuple t,
+    or None.  As in `substitute`, a repeated parameter takes its last value.
+    """
+    where = {name: j for j, name in enumerate(params)}
+    monos, members = {}, []
+    for P in polys:
+        for name in where:
+            if name not in P.registry:
+                raise PolyError(f"unknown variable {name!r} in substitution")
+        slots = [where.get(name) for name in P.registry]
+        groups = {}
+        for expo, c in P.terms.items():
+            c %= p
+            if c:
+                mono, rest = [0] * len(params), []
+                for j, e in zip(slots, expo):
+                    if j is None:
+                        rest.append(e)
+                    else:
+                        mono[j] += e
+                m = monos.setdefault(tuple(mono), len(monos))
+                groups.setdefault(tuple(rest), []).append((c, m))
+        members.append(list(groups.values()))
+    mods = (p,) * len(params)
+
+    def first(t):
+        values = [math.prod(map(pow, t, m, mods)) for m in monos]
+        for i, groups in enumerate(members):
+            for g in groups:
+                if sum([c * values[m] for c, m in g]) % p:
+                    return i
+        return None
+
+    return first
 
 
 @dataclass(frozen=True)
@@ -71,11 +114,10 @@ def is_fixed_prime(P, split, p, budget=EXHAUSTION_BUDGET):
     k = len(params)
     if p**k > budget:
         raise BudgetExceeded(f"{p}^{k} residue tuples exceed the budget {budget}")
-    for tup in itertools.product(range(p), repeat=k):
-        value = P.substitute(dict(zip(params, tup)))
-        if not reduce_mod(value, p).is_zero():
-            return False, tup
-    return True, None
+    nonzero = _nonzero_mod([P], params, p)
+    tuples = itertools.product(range(p), repeat=k)
+    witness = next((t for t in tuples if nonzero(t) is not None), None)
+    return witness is None, witness
 
 
 def fixed_prime_divisors(P, split, budget=EXHAUSTION_BUDGET):

@@ -133,13 +133,9 @@ def _residue_class_check(polys, split):
     function.
     """
     names = split.params + split.variables
-    if (
-        split.n != 1
-        or len(set(names)) != len(names)
-        or any(
-            not set(names) <= set(P.registry) or not set(P.variables()) <= set(names)
-            for P in polys
-        )
+    if split.n != 1 or any(
+        not set(names) <= set(P.registry) or not set(P.variables()) <= set(names)
+        for P in polys
     ):
         return lambda t: specialization_check(polys, split, t)
 

@@ -375,6 +375,15 @@ class MPoly:
         return f"MPoly({self})"
 
 
+def _distinct(names):
+    """`names` as a tuple; a repeated name is a PolyError."""
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise PolyError(f"repeated name {name!r}")
+    return names
+
+
 @dataclass(frozen=True)
 class VarSplit:
     """Ordered partition of a registry into parameters and variables."""
@@ -387,6 +396,7 @@ class VarSplit:
         object.__setattr__(self, "variables", tuple(self.variables))
         if set(self.params) & set(self.variables):
             raise PolyError("parameter and variable names overlap")
+        _distinct(self.params + self.variables)
         if not self.variables:
             raise PolyError("at least one variable is required")
 
@@ -452,16 +462,6 @@ class ResiduePoly:
     def __hash__(self):
         return hash((self.modulus, self.registry, frozenset(self.terms.items())))
 
-    def __mul__(self, other):
-        if self.modulus != other.modulus or self.registry != other.registry:
-            raise RegistryMismatch("moduli or registries differ")
-        terms = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = (terms.get(e, 0) + v1 * v2) % self.modulus
-        return ResiduePoly(self.modulus, self.registry, terms)
-
     def __str__(self):
         lifted = MPoly(self.registry, self.terms)
         return f"({lifted}) mod {self.modulus}"
@@ -487,23 +487,6 @@ def reduce_mod(P, m):
     if m < 2:
         raise PolyError("modulus must be >= 2")
     return ResiduePoly(m, P.registry, P.terms)
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    per_name: dict
-    delta: int
-    deg_vars: int
-
-
-def degree_profile(P, split):
-    """Per-name degrees, Delta = max parameter degree, total degree in variables."""
-    if P.is_zero():
-        raise PolyError("degree profile of the zero polynomial")
-    split.check_registry(P.registry)
-    per = {name: P.degree_in(name) for name in split.params + split.variables}
-    delta = max((per[t] for t in split.params), default=0)
-    return DegreeProfile(per, delta, P.total_degree(split.variables))
 
 
 # -- parser ----------------------------------------------------------
@@ -571,9 +554,9 @@ def parse_poly(text, registry):
     """Parse an expression into canonical MPoly form.
 
     Grammar: integers, registered identifiers, + - * ^ and parentheses.
-    Multiplication is always explicit.
+    Multiplication is always explicit.  The registry names must be distinct.
     """
-    registry = tuple(registry)
+    registry = _distinct(registry)
     toks = _Tokens(text)
 
     def parse_expr():

@@ -17,12 +17,13 @@ from .factorlab import is_irreducible_q, is_irreducible_z
 from .fixdiv import (
     EXHAUSTION_BUDGET,
     FixedDivisorReport,
+    _nonzero_mod,
     candidate_fixed_primes,
     fixed_prime_divisors,
     proved_prime_factors,
 )
 from .numutil import crt, primes_upto, spiral
-from .polyring import BudgetExceeded, MPoly, PolyError, VarSplit, dense, reduce_mod
+from .polyring import BudgetExceeded, MPoly, PolyError, VarSplit, dense
 from .schinzelcore import HypothesisError
 
 
@@ -174,25 +175,18 @@ def verify_no_fixed_divisor_generic(gs, budget=EXHAUSTION_BUDGET):
     candidates = candidate_fixed_primes(product, lam)
     delta = max((product.degree_in(name) for name in lam), default=0)
 
-    # index of every lambda name inside the flat tuple
-    offset = {}
-    pos = 0
-    for row in gs.lam_names:
-        for name in row:
-            offset[name] = pos
-            pos += 1
+    # per lambda row, the 0/1 blocks picking one of its monomials; the rows
+    # are consecutive blocks of the flat tuple
+    units = [
+        [tuple(int(l == pick) for l in range(len(row))) for pick in range(len(row))]
+        for row in gs.lam_names
+    ]
 
     confirmed, witnesses = [], {}
     for p in candidates:
-        witness = None
-        for picks in itertools.product(*(range(len(row)) for row in gs.lam_names)):
-            tup = [0] * len(lam)
-            for i, l in enumerate(picks):
-                tup[offset[gs.lam_names[i][l]]] = 1
-            value = product.substitute(dict(zip(lam, tup)))
-            if not reduce_mod(value, p).is_zero():
-                witness = tuple(tup)
-                break
+        nonzero = _nonzero_mod([product], lam, p)
+        selections = (sum(picks, ()) for picks in itertools.product(*units))
+        witness = next((t for t in selections if nonzero(t) is not None), None)
         if witness is not None:
             witnesses[p] = witness
             continue
@@ -201,11 +195,8 @@ def verify_no_fixed_divisor_generic(gs, budget=EXHAUSTION_BUDGET):
                 f"prime {p} survived the monomial-selection shortcut and "
                 f"{p}^{len(lam)} residue tuples exceed the budget {budget}"
             )
-        for tup in itertools.product(range(p), repeat=len(lam)):
-            value = product.substitute(dict(zip(lam, tup)))
-            if not reduce_mod(value, p).is_zero():
-                witness = tup
-                break
+        tuples = itertools.product(range(p), repeat=len(lam))
+        witness = next((t for t in tuples if nonzero(t) is not None), None)
         if witness is None:
             confirmed.append(p)
         else:
@@ -433,18 +424,14 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
     delta = r * sum(d)
     S = sorted(set(primes_upto(delta)) | set(proved_prime_factors(abs(a_r))))
 
-    residues, mods = [], []
+    residues = []
     for p in S:
-        found = None
-        for t in range(p):
-            if product.evaluate({t1: t}) % p:
-                found = t
-                break
+        nonzero = _nonzero_mod([product], (t1,), p)
+        found = next((t for t in range(p) if nonzero((t,)) is not None), None)
         if found is None:
             raise HypothesisError("NoFixDiv", f"fixed prime {p} in input")
         residues.append(found)
-        mods.append(p)
-    theta = crt(residues, mods) if mods else 0
+    theta = crt(residues, S) if S else 0
     omega = prod(S)
 
     tried = 0

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .fixdiv import fixed_prime_divisors, proved_prime_factors
+from .fixdiv import _nonzero_mod, fixed_prime_divisors, proved_prime_factors
 from .factorlab import is_primitive_wrt
 from .numutil import crt, primes_upto
-from .polyring import PolyError, VarSplit, dense, reduce_mod
+from .polyring import PolyError, VarSplit, dense
 
 
 class HypothesisError(PolyError):
@@ -164,19 +164,16 @@ def nonvanishing_point(P, split, primes):
     k = split.k
     constrained = {}
     for p in primes:
-        witness = None
-        all_good = True
-        for tup in itertools.product(range(p), repeat=k):
-            value = P.substitute(dict(zip(split.params, tup)))
-            if reduce_mod(value, p).is_zero():
-                all_good = False
-            elif witness is None:
-                witness = tup
+        nonzero = _nonzero_mod([P], split.params, p)
+        tuples = itertools.product(range(p), repeat=k)
+        good = (t for t in tuples if nonzero(t) is not None)
+        witness = next(good, None)
         if witness is None:
             raise HypothesisError(
                 "NoFixDiv", f"prime {p} is a fixed prime of the product"
             )
-        if not all_good:
+        # p constrains the point unless every residue tuple is good
+        if 1 + sum(1 for _ in good) < p**k:
             constrained[p] = witness
     if not constrained:
         return (0,) * k

@@ -152,6 +152,17 @@ def test_non_ascii_digits_are_usage_errors(capsys):
         assert captured.err.startswith("error = ")
 
 
+def test_repeated_names_are_usage_errors(capsys):
+    for argv in (
+        ["hilbert", "--polys", "Y^2 - T", "--params", "T,T", "--vars", "Y", "--limit", "3"],
+        ["coprime", "--polys", "T", "--polys", "T+1", "--params", "T,T"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error = repeated name 'T'\n"
+
+
 def test_budget_exit_code(capsys):
     code, out = invoke(capsys, "hilbert", "--polys", "(T^2+T)*Y + 2",
                        "--params", "T", "--vars", "Y", "--budget", "1")

@@ -103,8 +103,8 @@ def test_prime_schedule_matches_counting_loop():
     primorial = math.prod(primes_upto(_SCHEDULE_PRIMES[-1] + 50))
     nxt = next(p for p in range(_SCHEDULE_PRIMES[-1] + 51, 10**4) if is_prime(p))
     for lead in (1, 6, -6, primorial, primorial * nxt, -primorial * nxt):
-        assert _prime_schedule(lead) == counting(lead), lead
-    assert _prime_schedule(primorial)[0] > _SCHEDULE_PRIMES[-1]
+        assert list(_prime_schedule(lead)) == counting(lead), lead
+    assert list(_prime_schedule(primorial))[0] > _SCHEDULE_PRIMES[-1]
 
 
 def test_modp_certificate_is_first_schedule_prime_sympy_accepts():

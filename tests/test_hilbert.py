@@ -16,7 +16,7 @@ from schinzel.hilbert import (
     specialization_check,
 )
 from schinzel.numutil import primes_upto, spiral
-from schinzel.polyring import MPoly, VarSplit, parse_poly
+from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
 
 REG = ("T", "Y")
 SPLIT = VarSplit(("T",), ("Y",))
@@ -186,7 +186,7 @@ def test_residue_table_matches_pointwise_reference_two_params(polys, N, L):
 
 
 def test_residue_table_serves_lead_divisible_by_sixteen_primes():
-    assert _prime_schedule(PRIMORIAL_16)[-1] > 100
+    assert list(_prime_schedule(PRIMORIAL_16))[-1] > 100
     polys = [P(f"{PRIMORIAL_16}*Y^2 + Y - T^2 - 1")]
     _assert_matches_reference(polys, SPLIT, 12, 6, budget=150)
     primes = {c.prime for sp in _search(polys, SPLIT, 6, 150) for c in sp.certificates}
@@ -203,10 +203,10 @@ def test_other_names_keep_the_pointwise_route():
     assert density_report(polys, SPLIT, 6).members == _reference_density(polys, SPLIT, 6)[0]
 
 
-def test_repeated_parameter_keeps_the_pointwise_route():
-    # the binding of a repeated name is its last value: t = (a, b) means T = b
-    split = VarSplit(("T", "T"), ("Y",))
-    _assert_matches_reference([P("Y^2 - T - 3"), P("T*Y + 2")], split, 3, 3)
+def test_repeated_parameter_is_rejected():
+    # no split binds one name to two coordinates of t
+    with pytest.raises(PolyError, match="repeated name 'T'"):
+        VarSplit(("T", "T"), ("Y",))
 
 
 def test_two_variables_keep_the_pointwise_route():

@@ -8,7 +8,6 @@ from schinzel.polyring import (
     PolyError,
     RegistryMismatch,
     VarSplit,
-    degree_profile,
     dense,
     parse_poly,
     reduce_mod,
@@ -261,14 +260,11 @@ def test_varsplit_invariants():
         VarSplit(("T",), ("T",))
 
 
-def test_degree_profile():
-    s = VarSplit(("T",), ("Y",))
-    prof = degree_profile(P("T^2*Y - Y^3"), s)
-    assert prof.per_name == {"T": 2, "Y": 3}
-    assert prof.delta == 2
-    assert prof.deg_vars == 3
-    with pytest.raises(PolyError):
-        degree_profile(MPoly.zero(REG), s)
+def test_repeated_names_are_rejected():
+    with pytest.raises(PolyError, match="repeated name 'Y'"):
+        VarSplit(("T",), ("Y", "Y"))
+    with pytest.raises(PolyError, match="repeated name 'T'"):
+        parse_poly("T + Y", ("T", "Y", "T"))
 
 
 # -- coefficient view -------------------------------------------------

@@ -1,0 +1,220 @@
+"""The one residue scan (`fixdiv._nonzero_mod`) against a brute-force reference.
+
+Every reference here specializes with `MPoly.substitute` and reduces with
+`reduce_mod`, tuple by tuple in lexicographic order: the definition, with
+no coefficient table.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from schinzel.coprime import check_copsch_local
+from schinzel.factorlab import gcd_q_fold
+from schinzel.fixdiv import BudgetExceeded, candidate_fixed_primes, is_fixed_prime
+from schinzel.numutil import crt
+from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
+from schinzel.polyschinzel import generic_substitution, verify_no_fixed_divisor_generic
+from schinzel.schinzelcore import HypothesisError, nonvanishing_point
+
+# "A" is in every registry but in no split
+REG = ("A", "T", "U", "Y", "Z")
+PRIMES = (2, 3, 5, 7)
+
+
+def _vanishes(Q, params, t, p):
+    return reduce_mod(Q.substitute(dict(zip(params, t))), p).is_zero()
+
+
+def _reference_first(polys, params, p, tuples):
+    """(tuple, member index) of the first nonvanishing member, or None."""
+    for t in tuples:
+        for i, Q in enumerate(polys):
+            if not _vanishes(Q, params, t, p):
+                return t, i
+    return None
+
+
+def _lex(p, k):
+    return itertools.product(range(p), repeat=k)
+
+
+def _poly(names, max_deg=3, max_terms=5, bound=6):
+    """Small polynomials in `names` over REG, some with a forced fixed prime."""
+    idx = [REG.index(n) for n in names]
+
+    def build(terms):
+        out = {}
+        for expo, c in terms.items():
+            full = [0] * len(REG)
+            for i, e in zip(idx, expo):
+                full[i] = e
+            out[tuple(full)] = c
+        return MPoly(REG, out)
+
+    expo = st.tuples(*[st.integers(0, max_deg)] * len(names))
+    plain = st.dictionaries(expo, st.integers(-bound, bound), min_size=1,
+                            max_size=max_terms).map(build)
+    # (T^q - T)*A + q*B vanishes mod q at every t when T is a parameter
+    T = MPoly.var(REG, "T")
+    forced = st.tuples(st.sampled_from((2, 3)), plain, plain).map(
+        lambda x: (T ** x[0] - T) * x[1] + x[0] * x[2])
+    return st.one_of(plain, forced).filter(lambda Q: not Q.is_zero())
+
+
+splits = st.sampled_from([
+    VarSplit((), ("Y",)),
+    VarSplit(("T",), ("Y",)),
+    VarSplit(("T",), ("Y", "Z")),
+    VarSplit(("T", "U"), ("Y",)),
+    VarSplit(("U", "T"), ("Y", "Z")),
+])
+
+
+@st.composite
+def split_and_poly(draw):
+    split = draw(splits)
+    names = ("A", "T") + split.params + split.variables
+    return split, draw(_poly(tuple(dict.fromkeys(names))))
+
+
+@given(split_and_poly(), st.sampled_from(PRIMES))
+@settings(max_examples=150, deadline=None)
+def test_is_fixed_prime_matches_reference(case, p):
+    split, Q = case
+    hit = _reference_first([Q], split.params, p, _lex(p, split.k))
+    want = (True, None) if hit is None else (False, hit[0])
+    assert is_fixed_prime(Q, split, p) == want
+    assert is_fixed_prime(Q, split.params, p) == want
+
+
+def _reference_point(Q, split, primes):
+    constrained = {}
+    for p in primes:
+        good = [t for t in _lex(p, split.k) if not _vanishes(Q, split.params, t, p)]
+        if not good:
+            return p
+        if len(good) < p**split.k:
+            constrained[p] = good[0]
+    mods = sorted(constrained)
+    if not mods:
+        return (0,) * split.k
+    return tuple(crt([constrained[p][i] for p in mods], mods) for i in range(split.k))
+
+
+@given(split_and_poly(), st.lists(st.sampled_from(PRIMES), unique=True, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_nonvanishing_point_matches_reference(case, primes):
+    split, Q = case
+    want = _reference_point(Q, split, primes)
+    if isinstance(want, int):
+        with pytest.raises(HypothesisError, match=f"prime {want} is a fixed prime"):
+            nonvanishing_point(Q, split, primes)
+    else:
+        assert nonvanishing_point(Q, split, primes) == want
+
+
+copsch_registries = st.sampled_from([("T",), ("T", "U"), ("U", "T")])
+
+
+@st.composite
+def copsch_family(draw):
+    reg = draw(copsch_registries)
+    names = tuple(n for n in REG if n in reg)
+    Qs = draw(st.lists(_poly(names, max_deg=2, max_terms=4), min_size=2, max_size=3))
+    return [Q.rename(reg) for Q in Qs]
+
+
+@given(copsch_family())
+@settings(max_examples=80, deadline=None)
+def test_check_copsch_local_matches_reference(Qs):
+    assume(gcd_q_fold(Qs).is_constant())
+    reg = Qs[0].registry
+    refuted, violations = {}, []
+    for p in candidate_fixed_primes(Qs[0], reg):
+        hit = _reference_first(Qs, reg, p, _lex(p, len(reg)))
+        if hit is None:
+            violations.append(p)
+        else:
+            refuted[p] = hit
+    report = check_copsch_local(Qs)
+    assert report.refuted == refuted
+    assert report.violations == tuple(violations)
+    assert report.verdict == (not violations)
+
+
+def _reference_generic(gs, budget):
+    product = math.prod(gs.Fs)
+    lam = gs.lam_flat
+    confirmed, witnesses = [], {}
+    for p in candidate_fixed_primes(product, lam):
+        picks = []
+        for choice in itertools.product(*gs.lam_names):
+            picks.append(tuple(int(name in choice) for name in lam))
+        hit = _reference_first([product], lam, p, picks)
+        if hit is None:
+            if p ** len(lam) > budget:
+                return "budget", p
+            hit = _reference_first([product], lam, p, _lex(p, len(lam)))
+        if hit is None:
+            confirmed.append(p)
+        else:
+            witnesses[p] = hit[0]
+    return tuple(confirmed), witnesses
+
+
+generic_cases = st.sampled_from([
+    (VarSplit(("T",), ("Y",)), ((1,),)),
+    (VarSplit(("T",), ("Y",)), ((2,),)),
+    (VarSplit(("T",), ("Y", "Z")), ((1, 1),)),
+    (VarSplit(("T", "U"), ("Y",)), ((0,), (1,))),
+    (VarSplit(("U", "T"), ("Y",)), ((1,), (1,))),
+])
+
+
+@given(generic_cases, st.data(), st.sampled_from([10**6, 20]))
+@settings(max_examples=80, deadline=None)
+def test_verify_no_fixed_divisor_generic_matches_reference(case, data, budget):
+    split, d = case
+    names = split.params + split.variables
+    polys = data.draw(st.lists(_poly(names, max_deg=2, max_terms=4), min_size=1,
+                               max_size=2))
+    gs = generic_substitution(polys, split, d)
+    lam = gs.lam_flat
+    # keep the exhaustive reference small
+    assume(all(p ** len(lam) <= 3000
+               for p in candidate_fixed_primes(math.prod(gs.Fs), lam)))
+    want = _reference_generic(gs, budget)
+    if want[0] == "budget":
+        with pytest.raises(BudgetExceeded, match=f"prime {want[1]} survived"):
+            verify_no_fixed_divisor_generic(gs, budget=budget)
+    else:
+        report = verify_no_fixed_divisor_generic(gs, budget=budget)
+        assert (report.confirmed, report.witnesses) == want
+
+
+def test_budget_messages():
+    split = VarSplit(("T",), ("Y",))
+    Q = parse_poly("2*T*Y + 2", split.params + split.variables)
+    with pytest.raises(BudgetExceeded) as exc:
+        is_fixed_prime(Q, split, 5, budget=4)
+    assert str(exc.value) == "5^1 residue tuples exceed the budget 4"
+    gs = generic_substitution([Q], split, ((1,),))
+    with pytest.raises(BudgetExceeded) as exc:
+        verify_no_fixed_divisor_generic(gs, budget=1)
+    assert str(exc.value) == (
+        "prime 2 survived the monomial-selection shortcut and "
+        "2^2 residue tuples exceed the budget 1"
+    )
+
+
+def test_bare_parameter_tuples():
+    Q = parse_poly("T*Y + T", ("T", "Y"))
+    # a repeated name takes its last value, as `substitute` binds it
+    assert _reference_first([Q], ("T", "T"), 2, _lex(2, 2)) == ((0, 1), 0)
+    assert is_fixed_prime(Q, ("T", "T"), 2) == (False, (0, 1))
+    with pytest.raises(PolyError, match="unknown variable 'U' in substitution"):
+        is_fixed_prime(Q, ("T", "U"), 2)
