@@ -6,12 +6,11 @@ and finds integer points where the values are globally coprime.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .factorlab import gcd_q_fold
-from .fixdiv import _nonzero_mod, candidate_fixed_primes
+from .fixdiv import _nonzero_mod, _residue_tuples, candidate_fixed_primes
 from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
 
@@ -63,7 +62,7 @@ def check_copsch_local(Qs, k=None):
     refuted, violations = {}, []
     for p in candidates:
         nonzero = _nonzero_mod(Qs, params, p)
-        scan = ((t, nonzero(t)) for t in itertools.product(range(p), repeat=len(params)))
+        scan = ((t, nonzero(t)) for t in _residue_tuples(p, len(params)))
         witness = next((w for w in scan if w[1] is not None), None)
         if witness is None:
             violations.append(p)

@@ -7,13 +7,15 @@ desk-scale ground truth for everything the certificates claim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
-from .polyring import BudgetExceeded, MPoly, PolyError, dense
+from .polyring import BudgetExceeded, MPoly, PolyError, dense, undense
+from .upoly import evaluate, exact_quotient, fp_irreducible, mul, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
@@ -62,126 +64,7 @@ class Factorization:
         )
 
 
-# -- dense univariate helpers over Z ---------------------------------
-
-
-def _undense(coeffs, registry, name):
-    i = tuple(registry).index(name)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            expo = [0] * len(registry)
-            expo[i] = e
-            terms[tuple(expo)] = c
-    return MPoly(registry, terms)
-
-
-def _deg(c):
-    d = len(c) - 1
-    while d >= 0 and c[d] == 0:
-        d -= 1
-    return d
-
-
-def _eval_dense(c, x):
-    v = 0
-    for a in reversed(c):
-        v = v * x + a
-    return v
-
-
-def _trim(c):
-    d = _deg(c)
-    return c[: d + 1]
-
-
-def _dense_exact_div(f, g):
-    """f/g for dense integer lists, or None if not an exact Z-divisor."""
-    f = _trim(f)
-    g = _trim(g)
-    if not g:
-        raise PolyError("division by zero")
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return None
-    q = [0] * (df - dg + 1)
-    for k in range(df - dg, -1, -1):
-        c, r = divmod(f[k + dg], g[dg])
-        if r:
-            return None
-        q[k] = c
-        if c:
-            for j in range(dg + 1):
-                f[k + j] -= c * g[j]
-    if any(f):
-        return None
-    return q
-
-
 # -- finite field univariate -----------------------------------------
-
-
-def _fp_rem(a, b, p):
-    """Remainder of the integer list a by b in F_p[x], reduced and trimmed.
-
-    p must not divide b's leading coefficient.  a is used as scratch space:
-    its coefficients accumulate in plain integers, each reduced once, when
-    it leads.
-    """
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    low = b[:-1]
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] * inv % p
-        if c:
-            s = k - db
-            a[s:k] = [x - c * y for x, y in zip(a[s:k], low)]
-    r = [x % p for x in a[:db]]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _fp_mulmod(a, b, m, p):
-    """a * b mod m in F_p[x]."""
-    out = [0] * (len(a) + len(b) - 1)
-    n = len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
-    return _fp_rem(out, m, p)
-
-
-def _fp_irreducible(f, p):
-    """Distinct-degree test for the integer list f in F_p[x], p prime.
-
-    p must not divide f's leading coefficient.  True iff f mod p is
-    irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2.
-    """
-    d = len(f) - 1
-    if d == 1:
-        return True
-    inv = pow(f[-1], -1, p)
-    m = [c * inv % p for c in f]
-    bits = bin(p)[3:]
-    h = [0, 1]  # x^(p^i) mod m, left-to-right powering
-    for _ in range(d // 2):
-        base = h
-        for bit in bits:
-            h = _fp_mulmod(h, h, m, p)
-            if bit == "1":
-                h = _fp_mulmod(h, base, m, p)
-        b = h + [0] * (2 - len(h))
-        b[1] = (b[1] - 1) % p
-        while b and not b[-1]:
-            b.pop()
-        # Euclid on (m, h - x) only until the gcd's degree is known
-        a = list(m)
-        while len(b) > 1:
-            a, b = b, _fp_rem(a, b, p)
-        if not b:
-            return False
-    return True
 
 
 def is_irreducible_fp(rp):
@@ -199,7 +82,7 @@ def is_irreducible_fp(rp):
     f = dense(rp, names[0])
     if len(f) < 2:
         raise PolyError("constant polynomial")
-    return _fp_irreducible(f, p)
+    return fp_irreducible(f, p)
 
 
 # -- Kronecker oracle ------------------------------------------------
@@ -266,7 +149,7 @@ def _search_degree(f, pts, divlists, combos, combo_budget):
     raises BudgetExceeded once the count passes combo_budget.
     """
     d = len(pts) - 1
-    lead = f[_deg(f)]
+    lead = f[-1]
     chosen = [0] * d
     rows = [None] * d  # Newton row per level, None below a fractional entry
     opts = [divlists[0]] + [None] * (d - 1)
@@ -293,7 +176,7 @@ def _search_degree(f, pts, divlists, combos, combo_budget):
             if row is None or row[-1] == 0 or lead % row[-1]:
                 continue
             g = _from_newton([r[-1] for r in rows] + [row[-1]], pts)
-            if _dense_exact_div(f, g) is not None:
+            if exact_quotient(f, g) is not None:
                 return g, combos + i + 1
         combos += len(nxt)
         if combos > combo_budget:
@@ -309,12 +192,11 @@ def _find_dense_factor(f, combo_budget):
     Divisor interpolation: a degree-d factor is determined by its values at
     d+1 points, and those values divide the values of f there.
     """
-    n = _deg(f)
-    max_d = n // 2
+    max_d = (len(f) - 1) // 2
     # gather sample points, splitting off roots immediately
     points, values = [], []
     for x in signed_ints():
-        v = _eval_dense(f, x)
+        v = evaluate(f, x)
         if v == 0:
             return [-x, 1]
         points.append(x)
@@ -337,10 +219,10 @@ def _find_dense_factor(f, combo_budget):
 def _factor_dense(f, combo_budget):
     """Irreducible factors (with multiplicity) of a primitive dense poly."""
     out = []
-    cur = _trim(list(f))
+    cur = trim(list(f))
     if cur[-1] < 0:
         cur = [-a for a in cur]
-    while _deg(cur) >= 1:
+    while len(cur) > 1:
         g = _find_dense_factor(cur, combo_budget)
         if g is None:
             out.append(cur)
@@ -350,7 +232,7 @@ def _factor_dense(f, combo_budget):
         c = math.gcd(*g)
         g = [a // c for a in g]
         out.append(g)
-        cur = _dense_exact_div(cur, g)
+        cur = exact_quotient(cur, g)
     out.sort(key=lambda c: (len(c), c))
     return out
 
@@ -422,7 +304,7 @@ def kronecker_factor(P, max_total_degree=12, max_vars=3, combo_budget=2_000_000)
         if len(names) == 1:
             name = names[0]
             dense_factors = _factor_dense(dense(pp, name), combo_budget)
-            collected = [_undense(df, P.registry, name) for df in dense_factors]
+            collected = [undense(df, P.registry, name) for df in dense_factors]
         else:
             collected = _kronecker_multivar(pp, names, combo_budget)
     except BudgetExceeded as exc:
@@ -482,14 +364,7 @@ def _kronecker_multivar(pp, names, combo_budget):
     while pool and not remaining.is_constant():
         found = False
         for combo in itertools.combinations(pool, size):
-            prod = [1]
-            for i in combo:
-                nxt = [0] * (len(prod) + len(image_factors[i]) - 1)
-                for a, x in enumerate(prod):
-                    for b, y in enumerate(image_factors[i]):
-                        nxt[a + b] += x * y
-                prod = nxt
-            cand = unpack(prod)
+            cand = unpack(functools.reduce(mul, (image_factors[i] for i in combo), [1]))
             if cand is None or cand.is_constant():
                 continue
             cand = _normalize_sign(cand.primitive_part())
@@ -536,7 +411,7 @@ def _univar_certificate(P, name, combo_budget=2_000_000):
     """Irreducibility of a primitive univariate over Q: mod-p first, oracle after."""
     f = dense(P, name)
     # p does not divide the leading coefficient, so f mod p keeps its degree
-    cert = _modp_certificate(f[-1], lambda p: _fp_irreducible(f, p))
+    cert = _modp_certificate(f[-1], lambda p: fp_irreducible(f, p))
     return cert or _kronecker_certificate(P, combo_budget=combo_budget)
 
 

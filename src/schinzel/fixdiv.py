@@ -7,9 +7,9 @@ P(t, Y) with integer t vanishes mod p.  Candidates are finite: p <= Delta
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .numutil import UnprovedPrimeError, prime_factors, prime_powers_upto, primes_upto
 from .polyring import BudgetExceeded, PolyError
@@ -75,6 +75,16 @@ def _nonzero_mod(polys, params, p):
     return first
 
 
+def _residue_tuples(p, k):
+    """The residue tuples mod p of length k, lexicographically and lazily.
+
+    `product` turns range(p) into a tuple before its first tuple, which
+    costs O(p) even when t = 0 settles a prime; for one parameter `zip`
+    yields the 1-tuples without it.
+    """
+    return zip(range(p)) if k == 1 else product(range(p), repeat=k)
+
+
 @dataclass(frozen=True)
 class FixedDivisorReport:
     candidates: tuple
@@ -115,8 +125,7 @@ def is_fixed_prime(P, split, p, budget=EXHAUSTION_BUDGET):
     if p**k > budget:
         raise BudgetExceeded(f"{p}^{k} residue tuples exceed the budget {budget}")
     nonzero = _nonzero_mod([P], params, p)
-    tuples = itertools.product(range(p), repeat=k)
-    witness = next((t for t in tuples if nonzero(t) is not None), None)
+    witness = next((t for t in _residue_tuples(p, k) if nonzero(t) is not None), None)
     return witness is None, witness
 
 

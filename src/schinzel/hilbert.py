@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .factorlab import (
-    _fp_irreducible,
     _kronecker_certificate,
     _modp_certificate,
     content_q,
@@ -23,6 +22,7 @@ from .factorlab import (
 from .fixdiv import fixed_prime_divisors
 from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
+from .upoly import fp_irreducible, trim
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,7 @@ def _residue_class_check(polys, split):
     def images(t):
         values = [math.prod(map(pow, t, m)) for m in monos]
         for i, rows in enumerate(members):
-            f = [sum([c * values[j] for c, j in row]) for row in rows]
-            while f and not f[-1]:
-                f.pop()
+            f = trim([sum([c * values[j] for c, j in row]) for row in rows])
             if len(f) < 2:
                 yield None
                 return
@@ -164,11 +162,11 @@ def _residue_class_check(polys, split):
 
             def irreducible_mod(p):
                 if c % p == 0:
-                    return _fp_irreducible([x // c for x in f], p)
+                    return fp_irreducible([x // c for x in f], p)
                 key = (i, p, len(f), tuple([x % p for x in t]))
                 verdict = verdicts.get(key)
                 if verdict is None:
-                    verdict = verdicts[key] = _fp_irreducible(f, p)
+                    verdict = verdicts[key] = fp_irreducible(f, p)
                 return verdict
 
             cert = _modp_certificate(f[-1] // c, irreducible_mod)
@@ -212,7 +210,9 @@ class DensityReport:
 
 
 def density_report(polys, split, N, budget=10**7):
-    """Exact member counts over the box [-N, N]^k."""
+    """Exact member counts over the box [-N, N]^k, N >= 0."""
+    if N < 0:
+        raise PolyError(f"box half-width N = {N} is negative")
     total = (2 * N + 1) ** split.k
     if total > budget:
         raise BudgetExceeded(f"{total} points exceed the budget {budget}")

@@ -434,21 +434,9 @@ class ResiduePoly:
     def __setattr__(self, name, value):
         raise AttributeError("ResiduePoly is immutable")
 
-    def is_zero(self):
-        return not self.terms
-
-    def degree_in(self, name):
-        if not self.terms:
-            return -1
-        i = self.registry.index(name)
-        return max(e[i] for e in self.terms)
-
-    def variables(self):
-        out = []
-        for i, name in enumerate(self.registry):
-            if any(e[i] > 0 for e in self.terms):
-                out.append(name)
-        return out
+    is_zero = MPoly.is_zero
+    degree_in = MPoly.degree_in
+    variables = MPoly.variables
 
     def __eq__(self, other):
         if not isinstance(other, ResiduePoly):
@@ -480,6 +468,18 @@ def dense(P, name):
     for expo, coeff in P.terms.items():
         out[expo[i]] += coeff
     return out
+
+
+def undense(coeffs, registry, name):
+    """The MPoly in `name` with coefficient list `coeffs`; the inverse of `dense`."""
+    i = tuple(registry).index(name)
+    terms = {}
+    for e, c in enumerate(coeffs):
+        if c:
+            expo = [0] * len(registry)
+            expo[i] = e
+            terms[tuple(expo)] = c
+    return MPoly(registry, terms)
 
 
 def reduce_mod(P, m):

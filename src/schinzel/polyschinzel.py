@@ -18,6 +18,7 @@ from .fixdiv import (
     EXHAUSTION_BUDGET,
     FixedDivisorReport,
     _nonzero_mod,
+    _residue_tuples,
     candidate_fixed_primes,
     fixed_prime_divisors,
     proved_prime_factors,
@@ -195,7 +196,7 @@ def verify_no_fixed_divisor_generic(gs, budget=EXHAUSTION_BUDGET):
                 f"prime {p} survived the monomial-selection shortcut and "
                 f"{p}^{len(lam)} residue tuples exceed the budget {budget}"
             )
-        tuples = itertools.product(range(p), repeat=len(lam))
+        tuples = _residue_tuples(p, len(lam))
         witness = next((t for t in tuples if nonzero(t) is not None), None)
         if witness is None:
             confirmed.append(p)

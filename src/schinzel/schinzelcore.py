@@ -7,15 +7,15 @@ arithmetic progression along which the first parameter can be specialized.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .fixdiv import _nonzero_mod, fixed_prime_divisors, proved_prime_factors
+from .fixdiv import _nonzero_mod, _residue_tuples, fixed_prime_divisors, proved_prime_factors
 from .factorlab import is_primitive_wrt
 from .numutil import crt, primes_upto
 from .polyring import PolyError, VarSplit, dense
+from .upoly import ext_gcd, mul
 
 
 class HypothesisError(PolyError):
@@ -44,65 +44,6 @@ class ProgressionWitness:
 # -- Bezout constant over Q[T] ---------------------------------------
 
 
-def _q_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _q_divmod(a, b):
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for j in range(len(b)):
-            a[k + j] -= c * b[j]
-        _q_trim(a)
-    return q, a
-
-
-def _q_sub_mul(a, q, b):
-    # a - q*b
-    out = list(a) + [Fraction(0)] * max(0, len(q) + len(b) - 1 - len(a))
-    for i, qi in enumerate(q):
-        if qi:
-            for j, bj in enumerate(b):
-                out[i + j] -= qi * bj
-    return _q_trim(out)
-
-
-def _q_ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r0, r1 = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    _q_trim(r0)
-    _q_trim(r1)
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _q_sub_mul(s0, q, s1)
-        t0, t1 = t1, _q_sub_mul(t0, q, t1)
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
-
-
-def _q_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _q_trim(out)
-
-
 def bezout_constant(coeffs):
     """Nonzero integer in the ideal generated by univariate polynomials.
 
@@ -126,8 +67,8 @@ def bezout_constant(coeffs):
     g = rows[0]
     combo = [[Fraction(1)]] + [[] for _ in rows[1:]]
     for i in range(1, len(rows)):
-        g2, s, t = _q_ext_gcd(g, rows[i])
-        combo = [_q_mul(s, u) for u in combo]
+        g2, s, t = ext_gcd(g, rows[i])
+        combo = [mul(s, u) for u in combo]
         combo[i] = t
         g = g2
     if len(g) != 1:
@@ -165,8 +106,7 @@ def nonvanishing_point(P, split, primes):
     constrained = {}
     for p in primes:
         nonzero = _nonzero_mod([P], split.params, p)
-        tuples = itertools.product(range(p), repeat=k)
-        good = (t for t in tuples if nonzero(t) is not None)
+        good = (t for t in _residue_tuples(p, k) if nonzero(t) is not None)
         witness = next(good, None)
         if witness is None:
             raise HypothesisError(

@@ -1,0 +1,163 @@
+"""Dense univariate polynomials as coefficient lists.
+
+A polynomial is a list of integers (or of Fractions), constant term first.
+A list is trimmed when it is empty (the zero polynomial) or its last entry
+is nonzero, so a trimmed f has degree len(f) - 1.  Every function here
+expects trimmed lists and returns trimmed lists.  The F_p functions work on
+integer lists and reduce mod p only where it keeps the numbers small.
+"""
+
+from __future__ import annotations
+
+from itertools import zip_longest
+
+from .polyring import PolyError
+
+
+def trim(f):
+    """Drop the trailing zeros of f, in place; returns f."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def mul(a, b):
+    """The product a * b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
+    return out
+
+
+def evaluate(f, x):
+    """f(x) by Horner's rule."""
+    v = 0
+    for a in reversed(f):
+        v = v * x + a
+    return v
+
+
+def exact_quotient(f, g):
+    """f / g over Z, or None if g does not divide f in Z[x]."""
+    if not g:
+        raise PolyError("division by zero")
+    f = list(f)  # the remainder is computed in place
+    df, dg = len(f) - 1, len(g) - 1
+    if df < dg:
+        return None if f else []
+    q = [0] * (df - dg + 1)
+    for k in range(df - dg, -1, -1):
+        c, r = divmod(f[k + dg], g[dg])
+        if r:
+            return None
+        q[k] = c
+        if c:
+            for j in range(dg + 1):
+                f[k + j] -= c * g[j]
+    if any(f):
+        return None
+    return q
+
+
+# -- extended Euclid over Q ------------------------------------------
+
+
+def _divmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b, over a field; b nonzero."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for j in range(len(b)):
+            a[k + j] -= c * b[j]
+        trim(a)
+    return q, a
+
+
+def _sub_mul(a, q, b):
+    """a - q*b."""
+    return trim([x - y for x, y in zip_longest(a, mul(q, b), fillvalue=0)])
+
+
+def ext_gcd(a, b):
+    """(g, s, t) with s*a + t*b = g, g monic (or zero); Fraction coefficients."""
+    r0, r1 = a, b
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mul(s0, q, s1)
+        t0, t1 = t1, _sub_mul(t0, q, t1)
+    if r0:
+        lead = r0[-1]
+        r0 = [c / lead for c in r0]
+        s0 = [c / lead for c in s0]
+        t0 = [c / lead for c in t0]
+    return r0, s0, t0
+
+
+# -- F_p --------------------------------------------------------------
+
+
+def fp_rem(a, b, p):
+    """Remainder of the integer list a by b in F_p[x], reduced and trimmed.
+
+    p must not divide b's leading coefficient.  a is used as scratch space:
+    its coefficients accumulate in plain integers, each reduced once, when
+    it leads.
+    """
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
+        if c:
+            s = k - db
+            a[s:k] = [x - c * y for x, y in zip(a[s:k], low)]
+    r = [x % p for x in a[:db]]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def fp_mulmod(a, b, m, p):
+    """a * b mod m in F_p[x]."""
+    return fp_rem(mul(a, b), m, p)
+
+
+def fp_irreducible(f, p):
+    """Distinct-degree test for the integer list f in F_p[x], p prime.
+
+    p must not divide f's leading coefficient.  True iff f mod p is
+    irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2.
+    """
+    d = len(f) - 1
+    if d == 1:
+        return True
+    inv = pow(f[-1], -1, p)
+    m = [c * inv % p for c in f]
+    bits = bin(p)[3:]
+    h = [0, 1]  # x^(p^i) mod m, left-to-right powering
+    for _ in range(d // 2):
+        base = h
+        for bit in bits:
+            h = fp_mulmod(h, h, m, p)
+            if bit == "1":
+                h = fp_mulmod(h, base, m, p)
+        b = h + [0] * (2 - len(h))
+        b[1] = (b[1] - 1) % p
+        trim(b)
+        # Euclid on (m, h - x) only until the gcd's degree is known
+        a = list(m)
+        while len(b) > 1:
+            a, b = b, fp_rem(a, b, p)
+        if not b:
+            return False
+    return True

@@ -163,6 +163,15 @@ def test_repeated_names_are_usage_errors(capsys):
         assert captured.err == "error = repeated name 'T'\n"
 
 
+def test_density_negative_half_width_is_a_usage_error(capsys):
+    code = run(["density", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y",
+                "--N", "-2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error = box half-width N = -2 is negative\n"
+
+
 def test_budget_exit_code(capsys):
     code, out = invoke(capsys, "hilbert", "--polys", "(T^2+T)*Y + 2",
                        "--params", "T", "--vars", "Y", "--budget", "1")

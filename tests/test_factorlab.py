@@ -12,9 +12,6 @@ from schinzel.factorlab import (
     MODP_TRIES,
     _SCHEDULE_PRIMES,
     BudgetError,
-    _deg,
-    _dense_exact_div,
-    _eval_dense,
     _find_dense_factor,
     _prime_schedule,
     _signed_divisors,
@@ -27,6 +24,9 @@ from schinzel.factorlab import (
 )
 from schinzel.numutil import is_prime, primes_upto, signed_ints
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
+from schinzel.upoly import evaluate as _eval_dense
+from schinzel.upoly import exact_quotient as _dense_exact_div
+from schinzel.upoly import trim
 
 REG = ("T", "Y")
 X = ("x",)
@@ -38,6 +38,11 @@ def U(expr):
 
 def P(expr):
     return parse_poly(expr, REG)
+
+
+def _deg(c):
+    """Degree of a coefficient list that may end in zeros; -1 for zero."""
+    return len(trim(list(c))) - 1
 
 
 # -- finite-field test ------------------------------------------------

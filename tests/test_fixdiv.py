@@ -1,13 +1,18 @@
+import itertools
+import time
+
 import pytest
 
 from schinzel.fixdiv import (
     BudgetExceeded,
+    _residue_tuples,
     candidate_fixed_primes,
     fixed_prime_divisors,
     gamma_b_witness,
     is_fixed_prime,
     removal_scalar,
 )
+from schinzel.numutil import primes_upto
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
 from schinzel.schinzelcore import bad_prime_set
 
@@ -97,3 +102,22 @@ def test_unproved_prime_content_is_a_budget_exit():
         fixed_prime_divisors(q, SPLIT)
     with pytest.raises(BudgetExceeded, match="exact-primality bound"):
         bad_prime_set(P("T*Y + 2"), SPLIT, 3317044064679887385962123)
+
+
+def test_residue_tuples_match_product():
+    for p in (2, 3, 5, 7):
+        for k in range(4):
+            assert list(_residue_tuples(p, k)) == list(itertools.product(range(p), repeat=k))
+
+
+def test_large_candidate_primes_cost_their_first_tuple_only():
+    # 9,592 candidate primes up to 10^5; t = 0 refutes every odd one, so no
+    # residue tuple list of length p may be built
+    q = P("T^100000*Y + T*Y + 2")
+    start = time.monotonic()
+    report = fixed_prime_divisors(q, SPLIT)
+    elapsed = time.monotonic() - start
+    assert report.candidates == tuple(primes_upto(100000))
+    assert report.confirmed == (2,)
+    assert report.witnesses == {p: (0,) for p in report.candidates[1:]}
+    assert elapsed < 2.0, elapsed

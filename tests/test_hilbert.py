@@ -254,3 +254,11 @@ def test_density_exact_small():
 def test_density_budget():
     with pytest.raises(BudgetExceeded):
         density_report([P("Y^2 - T")], SPLIT, 10**9)
+
+
+def test_density_rejects_a_negative_half_width():
+    for N in (-1, -2):
+        with pytest.raises(PolyError, match="negative"):
+            density_report([P("Y^2 - T")], SPLIT, N)
+    with pytest.raises(PolyError, match="negative"):
+        density_report([P("Y^2 - T*U", ("T", "U", "Y"))], VarSplit(("T", "U"), ("Y",)), -1)

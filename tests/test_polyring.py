@@ -11,6 +11,7 @@ from schinzel.polyring import (
     dense,
     parse_poly,
     reduce_mod,
+    undense,
 )
 
 REG = ("T", "Y")
@@ -290,6 +291,8 @@ def test_dense():
     assert dense(P("5"), "Y") == [5]
     assert dense(MPoly.zero(REG), "Y") == []
     assert dense(reduce_mod(P("3*Y^2 - 1"), 3), "Y") == [2]
+    for f in ("3*Y^2 - 1", "5", "0", "Y^7 - 2*Y^3"):
+        assert undense(dense(P(f), "Y"), REG, "Y") == P(f)
 
 
 # -- residues ---------------------------------------------------------
@@ -300,6 +303,11 @@ def test_reduce_mod():
     r = reduce_mod(q, 2)
     assert r.terms == {(0, 0): 1}
     assert reduce_mod(P("2*T"), 2).is_zero()
+    # the queries see the reduced terms only: 4*Y vanishes mod 2
+    assert r.variables() == [] and r.degree_in("Y") == 0
+    r = reduce_mod(P("3*T^2 + 4*Y + 1"), 3)
+    assert r.variables() == ["Y"] and r.degree_in("T") == 0 and r.degree_in("Y") == 1
+    assert reduce_mod(P("2*T"), 2).degree_in("T") == -1
 
 
 def test_reduce_mod_invalid_modulus():

@@ -1,0 +1,145 @@
+"""The dense univariate kernel (`schinzel.upoly`) against sympy's `Poly`.
+
+Every operation is checked over Z, over Q or over F_p (`modulus=p`), on
+Hypothesis-drawn coefficient lists, constant term first.
+"""
+
+from fractions import Fraction
+from itertools import zip_longest
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schinzel.numutil import primes_upto
+from schinzel.upoly import (
+    evaluate,
+    exact_quotient,
+    ext_gcd,
+    fp_irreducible,
+    fp_mulmod,
+    fp_rem,
+    mul,
+    trim,
+)
+
+sympy = pytest.importorskip("sympy")
+x = sympy.Symbol("x")
+
+PRIMES = primes_upto(60)
+INTS = st.integers(-40, 40)
+RATS = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+def _lists(coeff, max_size=8):
+    return st.lists(coeff, max_size=max_size).map(trim)
+
+
+def _nonzero(coeff, max_size=8):
+    return _lists(coeff, max_size).filter(bool)
+
+
+def _poly(f, **opts):
+    return sympy.Poly(list(reversed(f)), x, **opts)
+
+
+def _ints(poly):
+    return trim([int(c) for c in reversed(poly.all_coeffs())])
+
+
+def _rats(poly):
+    return trim([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+def _mod(poly, p):
+    return trim([int(c) % p for c in reversed(poly.all_coeffs())])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=8))
+def test_trim_matches_sympy_in_place(f):
+    before = list(f)
+    out = trim(f)
+    assert out is f
+    assert out == _ints(_poly(before, domain="ZZ"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS), _lists(INTS))
+def test_mul_over_z(a, b):
+    assert mul(a, b) == _ints(_poly(a, domain="ZZ") * _poly(b, domain="ZZ"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lists(RATS, 6), _lists(RATS, 6))
+def test_mul_over_q(a, b):
+    assert mul(a, b) == _rats(_poly(a, domain="QQ") * _poly(b, domain="QQ"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS), st.integers(-30, 30))
+def test_evaluate_over_z(f, v):
+    assert evaluate(f, v) == int(_poly(f, domain="ZZ").eval(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS, 6), _nonzero(st.integers(-6, 6), 4), _lists(st.integers(-2, 2), 3),
+       st.booleans())
+def test_exact_quotient_over_z(a, g, noise, multiple):
+    # half the dividends are multiples of g, so both outcomes are reached
+    f = mul(a, g)
+    if not multiple:
+        f = trim([x + y for x, y in zip_longest(f, noise, fillvalue=0)])
+    snapshot = list(f)
+    q, r = _poly(f, domain="QQ").div(_poly(g, domain="QQ"))
+    want = _rats(q)
+    if not r.is_zero or any(c.denominator != 1 for c in want):
+        want = None
+    assert exact_quotient(f, g) == want
+    assert f == snapshot  # the dividend is not changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonzero(RATS, 6), _nonzero(RATS, 6), _lists(RATS, 3))
+def test_ext_gcd_over_q(a, b, common):
+    # a common factor makes the gcd nontrivial in a share of the cases
+    a, b = mul(a, common) or a, mul(b, common) or b
+    g, s, t = ext_gcd(a, b)
+    want_s, want_t, want_g = _poly(a, domain="QQ").gcdex(_poly(b, domain="QQ"))
+    assert g == _rats(want_g)
+    assert s == _rats(want_s)
+    assert t == _rats(want_t)
+
+
+@st.composite
+def _fp_divisor(draw):
+    """(p, integer list whose leading coefficient p does not divide)."""
+    p = draw(st.sampled_from(PRIMES))
+    b = draw(_nonzero(INTS, 7))
+    lead = draw(INTS.filter(lambda c: c % p))
+    return p, b[:-1] + [lead]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS, 12), _fp_divisor())
+def test_fp_rem_matches_sympy(a, pb):
+    p, b = pb
+    want = _mod(_poly(a, modulus=p).rem(_poly(b, modulus=p)), p)
+    assert fp_rem(list(a), b, p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS), _lists(INTS), _fp_divisor())
+def test_fp_mulmod_matches_sympy(a, b, pm):
+    p, m = pm
+    want = _mod((_poly(a, modulus=p) * _poly(b, modulus=p)).rem(_poly(m, modulus=p)), p)
+    assert fp_mulmod(a, b, m, p) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fp_divisor())
+def test_fp_irreducible_matches_sympy(pf):
+    p, f = pf
+    if len(f) < 2:
+        f = [1] + f
+    assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
