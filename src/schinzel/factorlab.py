@@ -15,11 +15,13 @@ from fractions import Fraction
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, dense, undense
-from .upoly import evaluate, exact_quotient, fp_irreducible, mul, trim
+from .upoly import evaluate, exact_quotient, fp_coprime, fp_irreducible, mul, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
 _SCHEDULE_PRIMES = primes_upto(100)  # counted on past only for a lead divisible by 16 of them
+_IMAGE_PRIME = 10007  # gcd_q's coprimality image lives in F_p[x] for this p
+_IMAGE_POINTS = 4  # spiral points tried for one where both leading coefficients survive
 
 
 BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
@@ -407,12 +409,12 @@ def _modp_certificate(lead, irreducible_mod):
     return None
 
 
-def _univar_certificate(P, name, combo_budget=2_000_000):
+def _univar_certificate(P, name, **oracle_opts):
     """Irreducibility of a primitive univariate over Q: mod-p first, oracle after."""
     f = dense(P, name)
     # p does not divide the leading coefficient, so f mod p keeps its degree
     cert = _modp_certificate(f[-1], lambda p: fp_irreducible(f, p))
-    return cert or _kronecker_certificate(P, combo_budget=combo_budget)
+    return cert or _kronecker_certificate(P, **oracle_opts)
 
 
 def _kronecker_certificate(P, **oracle_opts):
@@ -522,6 +524,23 @@ def _prem(A, B, name):
     return _from_dense_wrt(a, A.registry, name)
 
 
+def _coprime_image(A, B, name, others):
+    """True if one F_p image proves that gcd(A, B) has degree 0 in `name`.
+
+    `others` are the other variables of A and B.  They are bound at the
+    first of a few spiral points where both leading coefficients in `name`
+    survive mod p.  A common factor of positive degree in `name` keeps its
+    degree there and divides both images, so coprime images exclude it.
+    False is inconclusive.
+    """
+    for point in itertools.islice(spiral(len(others)), _IMAGE_POINTS):
+        bindings = dict(zip(others, point))
+        a, b = ([c % _IMAGE_PRIME for c in dense(P.substitute(bindings), name)] for P in (A, B))
+        if len(a) == A.degree_in(name) + 1 and len(b) == B.degree_in(name) + 1 and a[-1] and b[-1]:
+            return fp_coprime(a, b, _IMAGE_PRIME)
+    return False
+
+
 def _gcd_q_raw(A, B):
     """gcd up to units in Q[registry]; constants are treated as units."""
     A = A.primitive_part()
@@ -529,11 +548,14 @@ def _gcd_q_raw(A, B):
     if A.is_constant() or B.is_constant():
         return MPoly.const(A.registry, 1)
     present = set(A.variables()) | set(B.variables())
-    name = [n for n in A.registry if n in present][-1]
+    *others, name = [n for n in A.registry if n in present]
     if A.degree_in(name) == 0 or B.degree_in(name) == 0:
         # one side is free of the main variable: recurse into the content
         free, other = (A, B) if A.degree_in(name) == 0 else (B, A)
         return _gcd_q_raw(content_q(other, (name,)), free)
+    if _coprime_image(A, B, name, others):
+        # the gcd is free of the main variable, so it is cg, the gcd of the contents
+        return _gcd_q_raw(content_q(A, (name,)), content_q(B, (name,)))
     contA, contB = content_q(A, (name,)), content_q(B, (name,))
     ppA = exact_div(A, contA)
     ppB = exact_div(B, contB)

@@ -106,14 +106,15 @@ def nonvanishing_point(P, split, primes):
     constrained = {}
     for p in primes:
         nonzero = _nonzero_mod([P], split.params, p)
-        good = (t for t in _residue_tuples(p, k) if nonzero(t) is not None)
-        witness = next(good, None)
+        tuples = _residue_tuples(p, k)
+        witness = next((t for t in tuples if nonzero(t) is not None), None)
         if witness is None:
             raise HypothesisError(
                 "NoFixDiv", f"prime {p} is a fixed prime of the product"
             )
-        # p constrains the point unless every residue tuple is good
-        if 1 + sum(1 for _ in good) < p**k:
+        # p constrains the point iff some residue tuple vanishes: one before
+        # the witness (so the witness is not the zero tuple) or one after it
+        if any(witness) or any(nonzero(t) is None for t in tuples):
             constrained[p] = witness
     if not constrained:
         return (0,) * k

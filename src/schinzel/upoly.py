@@ -132,17 +132,38 @@ def fp_mulmod(a, b, m, p):
     return fp_rem(mul(a, b), m, p)
 
 
+def fp_coprime(a, b, p):
+    """True iff gcd(a, b) in F_p[x] is a nonzero constant, for integer lists.
+
+    p must not divide b's leading coefficient.  a and b are not changed.
+    """
+    a, b = list(a), list(b)  # fp_rem works in place on its dividend
+    while len(b) > 1:
+        a, b = b, fp_rem(a, b, p)
+    return bool(b)
+
+
+_ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, the powering O(log p) products per step
+
+
 def fp_irreducible(f, p):
     """Distinct-degree test for the integer list f in F_p[x], p prime.
 
     p must not divide f's leading coefficient.  True iff f mod p is
     irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2.
+    For small p a root scan comes first: a root mod p is a linear factor,
+    and a polynomial of degree 2 or 3 without one is irreducible.
     """
     d = len(f) - 1
     if d == 1:
         return True
     inv = pow(f[-1], -1, p)
     m = [c * inv % p for c in f]
+    if p < _ROOT_SCAN_BELOW:
+        if any(evaluate(m, x) % p == 0 for x in range(p)):
+            return False
+        if d <= 3:
+            return True
     bits = bin(p)[3:]
     h = [0, 1]  # x^(p^i) mod m, left-to-right powering
     for _ in range(d // 2):
@@ -153,11 +174,7 @@ def fp_irreducible(f, p):
                 h = fp_mulmod(h, base, m, p)
         b = h + [0] * (2 - len(h))
         b[1] = (b[1] - 1) % p
-        trim(b)
-        # Euclid on (m, h - x) only until the gcd's degree is known
-        a = list(m)
-        while len(b) > 1:
-            a, b = b, fp_rem(a, b, p)
-        if not b:
+        # gcd(m, h - x) decides whether m has a factor of degree dividing i
+        if not fp_coprime(m, trim(b), p):
             return False
     return True

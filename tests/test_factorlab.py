@@ -12,6 +12,7 @@ from schinzel.factorlab import (
     MODP_TRIES,
     _SCHEDULE_PRIMES,
     BudgetError,
+    _coprime_image,
     _find_dense_factor,
     _prime_schedule,
     _signed_divisors,
@@ -170,6 +171,16 @@ def test_oracle_multivariate():
 def test_oracle_budget():
     with pytest.raises(BudgetError):
         kronecker_factor(U("x^13 + x + 1"))
+
+
+@pytest.mark.parametrize("expr, reg", [
+    ("(x^2+1)*(x^2+2)", ("x",)),
+    ("(x^2+y)*(x^2+y+1)", ("x", "y")),
+])
+def test_oracle_options_reach_the_oracle(expr, reg):
+    # no prime certifies a reducible input, so the oracle runs with the caller's budget
+    with pytest.raises(BudgetError, match="total degree 4 exceeds the degree-3 budget"):
+        is_irreducible_q(parse_poly(expr, reg), max_total_degree=3)
 
 
 def test_oracle_unproved_prime_is_a_budget_exit():
@@ -433,6 +444,96 @@ def test_gcd_divides_both(e, a, b):
     f2 = g * U("x^2 + 1")
     d = gcd_q(f1, f2)
     assert d.degree_in("x") >= g.primitive_part().degree_in("x") or g.is_constant()
+
+
+def test_gcd_inconclusive_image_falls_back():
+    # x and x + 10007 agree mod the image prime, so the image proves nothing
+    a, b = U("x"), U("x + 10007")
+    assert not _coprime_image(a, b, "x", [])
+    assert gcd_q(a, b) == U("1")
+
+
+@pytest.mark.parametrize("reg, a, b, g", [
+    # at y = 0 the common factor drops to 1 and the images x + 2, x + 3 are coprime
+    (("y", "x"), "(x*y + 1)*(x + 2)", "(x*y + 1)*(x + 3)", "x*y + 1"),
+    # mod 10007 the common factor drops to 1
+    (("x",), "(10007*x + 1)*(x + 2)", "(10007*x + 1)*(x + 3)", "10007*x + 1"),
+])
+def test_gcd_image_keeps_both_leading_coefficients(reg, a, b, g):
+    a, b = parse_poly(a, reg), parse_poly(b, reg)
+    assert not _coprime_image(a, b, "x", [n for n in reg if n != "x"])
+    assert gcd_q(a, b) == parse_poly(g, reg)
+
+
+def test_gcd_dense_bivariate_coprime_pair_is_fast():
+    rng = random.Random(3)
+    reg = ("x", "y")
+
+    def dense(deg):
+        return MPoly(reg, {(i, j): rng.randint(-9, 9)
+                           for i in range(deg + 1) for j in range(deg + 1 - i)})
+
+    a, b = dense(9), dense(9)
+    t0 = time.perf_counter()
+    g = gcd_q(a, b)
+    assert time.perf_counter() - t0 < 0.5
+    assert g == MPoly.const(reg, 1)
+
+
+GCD_REG = ("x", "y", "z")
+
+
+def _small_poly(names, max_terms=3):
+    idx = [GCD_REG.index(n) for n in names]
+
+    def build(terms):
+        out = {}
+        for expo, c in terms.items():
+            full = [0] * len(GCD_REG)
+            for i, e in zip(idx, expo):
+                full[i] = e
+            out[tuple(full)] = c
+        return MPoly(GCD_REG, out)
+
+    expo = st.tuples(*[st.integers(0, 2)] * len(names))
+    return st.dictionaries(expo, st.integers(-4, 4).filter(bool), min_size=1,
+                           max_size=max_terms).map(build)
+
+
+@st.composite
+def _gcd_pair(draw):
+    """(A, B) in 1-3 of the names: coprime, with a planted common factor, or
+    with a common factor only in the names other than the last one, which
+    is gcd_q's main variable."""
+    names = GCD_REG[: draw(st.integers(1, 3))]
+    a, b = draw(_small_poly(names)), draw(_small_poly(names))
+    kind = draw(st.sampled_from(["coprime", "planted", "content"]))
+    if kind == "planted":
+        c = draw(_small_poly(names))
+    elif kind == "content" and len(names) > 1:
+        c = draw(_small_poly(names[:-1]))
+    else:
+        c = MPoly.const(GCD_REG, 1)
+    return a * c, b * c
+
+
+def _to_sympy(f, syms):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Add(*[c * sympy.Mul(*[s**e for s, e in zip(syms, expo)])
+                       for expo, c in f.terms.items()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_pair())
+def test_gcd_q_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    syms = sympy.symbols(GCD_REG)
+    g = sympy.Poly(sympy.gcd(_to_sympy(a, syms), _to_sympy(b, syms)), *syms)
+    want = MPoly(GCD_REG, {e: int(c) for e, c in g.terms()}).primitive_part()
+    if want.leading_coefficient() < 0:
+        want = -want
+    assert gcd_q(a, b) == want
 
 
 # -- primitivity ------------------------------------------------------

@@ -105,8 +105,23 @@ def _reference_point(Q, split, primes):
     return tuple(crt([constrained[p][i] for p in mods], mods) for i in range(split.k))
 
 
-@given(split_and_poly(), st.lists(st.sampled_from(PRIMES), unique=True, max_size=3))
-@settings(max_examples=120, deadline=None)
+@st.composite
+def vanishing_family(draw):
+    """(split, Q) with Q = (Y + b) * prod (param - a) + c.
+
+    Q vanishes mod p exactly at the residues of the roots a when p | c, so
+    the zero tuple can be the witness while a later tuple vanishes.
+    """
+    split = draw(st.sampled_from([VarSplit(("T",), ("Y",)), VarSplit(("T", "U"), ("Y",))]))
+    Q = MPoly.var(REG, "Y") + MPoly.const(REG, draw(st.integers(-3, 3)))
+    for name in draw(st.lists(st.sampled_from(split.params), max_size=3)):
+        Q = Q * (MPoly.var(REG, name) - MPoly.const(REG, draw(st.integers(-7, 7))))
+    return split, Q + MPoly.const(REG, draw(st.sampled_from([0, 2, 3, 6, 35])))
+
+
+@given(st.one_of(split_and_poly(), vanishing_family()),
+       st.lists(st.sampled_from(PRIMES), unique=True, max_size=3))
+@settings(max_examples=200, deadline=None)
 def test_nonvanishing_point_matches_reference(case, primes):
     split, Q = case
     want = _reference_point(Q, split, primes)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from schinzel.polyring import PolyError, VarSplit, parse_poly
@@ -79,6 +81,14 @@ def test_nonvanishing_point_property():
     v = nonvanishing_point(q, SPLIT, [2, 3, 5])
     for p in (2, 3, 5):
         assert not reduce_mod(q.substitute({"T": v[0]}), p).is_zero()
+
+
+def test_nonvanishing_point_large_prime_is_fast():
+    # t = 0 vanishes, so t = 1 is the witness and p constrains the point
+    # without a count of the other residues
+    t0 = time.perf_counter()
+    assert nonvanishing_point(P("T*Y + T - 1000003"), SPLIT, [1000003]) == (1,)
+    assert time.perf_counter() - t0 < 1
 
 
 # -- progressions -----------------------------------------------------

@@ -16,6 +16,7 @@ from schinzel.upoly import (
     evaluate,
     exact_quotient,
     ext_gcd,
+    fp_coprime,
     fp_irreducible,
     fp_mulmod,
     fp_rem,
@@ -27,6 +28,8 @@ sympy = pytest.importorskip("sympy")
 x = sympy.Symbol("x")
 
 PRIMES = primes_upto(60)
+# fp_irreducible scans for roots below 256 only; these primes take the powering alone
+LARGE_PRIMES = [257, 263, 509, 1009]
 INTS = st.integers(-40, 40)
 RATS = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 
@@ -112,9 +115,9 @@ def test_ext_gcd_over_q(a, b, common):
 
 
 @st.composite
-def _fp_divisor(draw):
+def _fp_divisor(draw, primes=PRIMES):
     """(p, integer list whose leading coefficient p does not divide)."""
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(primes))
     b = draw(_nonzero(INTS, 7))
     lead = draw(INTS.filter(lambda c: c % p))
     return p, b[:-1] + [lead]
@@ -143,3 +146,41 @@ def test_fp_irreducible_matches_sympy(pf):
     if len(f) < 2:
         f = [1] + f
     assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+
+
+@st.composite
+def _fp_poly(draw, degree):
+    """(p, integer list of the given degree whose leading coefficient p does not divide).
+
+    Half of them are products of two factors, so reducible cases are common
+    at every prime.
+    """
+    p = draw(st.sampled_from(PRIMES + LARGE_PRIMES))
+    lead = draw(INTS.filter(lambda c: c % p))
+    if degree > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, degree - 1))
+        g = draw(st.lists(INTS, min_size=k, max_size=k)) + [1]
+        h = draw(st.lists(INTS, min_size=degree - k, max_size=degree - k)) + [lead]
+        return p, mul(g, h)
+    return p, draw(st.lists(INTS, min_size=degree, max_size=degree)) + [lead]
+
+
+@pytest.mark.parametrize("degree", range(1, 11))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fp_irreducible_both_sides_of_the_root_scan(degree, data):
+    p, f = data.draw(_fp_poly(degree))
+    assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lists(INTS, 8), _fp_divisor(PRIMES + LARGE_PRIMES), _lists(INTS, 4))
+def test_fp_coprime_matches_sympy_gcd(a, pb, common):
+    p, b = pb
+    # p must not divide the common factor's lead, so it keeps off b's lead too
+    if common and common[-1] % p:
+        a, b = mul(a, common), mul(b, common)
+    a_in, b_in = list(a), list(b)
+    want = _poly(a, modulus=p).gcd(_poly(b, modulus=p)).degree() == 0
+    assert fp_coprime(a, b, p) == want
+    assert (a, b) == (a_in, b_in)  # the inputs are not changed
