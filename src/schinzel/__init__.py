@@ -18,6 +18,8 @@ from .fixdiv import (
     FixedDivisorReport,
     candidate_fixed_primes,
     is_fixed_prime,
+    least_witness,
+    vanishes_somewhere,
     fixed_prime_divisors,
     removal_scalar,
     gamma_b_witness,

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .factorlab import gcd_q_fold
-from .fixdiv import _nonzero_mod, _residue_tuples, candidate_fixed_primes
+from .fixdiv import candidate_fixed_primes, least_witness
 from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
 
@@ -32,19 +32,17 @@ class CoprimeReport:
     tried: int
 
 
-def _params(Qs, k):
+def _params(Qs):
     reg = Qs[0].registry
     for Q in Qs:
         if Q.registry != reg:
             raise PolyError("family members use different registries")
         if Q.is_zero():
             raise PolyError("zero polynomial in the family")
-    if k is not None and k != len(reg):
-        raise PolyError(f"k={k} does not match the {len(reg)}-name registry")
     return reg
 
 
-def check_copsch_local(Qs, k=None):
+def check_copsch_local(Qs):
     """Local condition: every candidate prime misses some value somewhere.
 
     A violating prime must be a fixed prime of every Q_i at once, so the
@@ -53,7 +51,7 @@ def check_copsch_local(Qs, k=None):
     """
     if len(Qs) < 2:
         raise PolyError("at least two polynomials required")
-    params = _params(Qs, k)
+    params = _params(Qs)
     g = gcd_q_fold(Qs)
     if not g.is_constant():
         raise PolyError(f"inputs share the rational factor {g}")
@@ -61,9 +59,7 @@ def check_copsch_local(Qs, k=None):
     candidates = candidate_fixed_primes(Qs[0], params)
     refuted, violations = {}, []
     for p in candidates:
-        nonzero = _nonzero_mod(Qs, params, p)
-        scan = ((t, nonzero(t)) for t in _residue_tuples(p, len(params)))
-        witness = next((w for w in scan if w[1] is not None), None)
+        witness = least_witness(Qs, params, p)
         if witness is None:
             violations.append(p)
         else:
@@ -71,10 +67,10 @@ def check_copsch_local(Qs, k=None):
     return CopschReport(not violations, tuple(candidates), refuted, tuple(violations))
 
 
-def coprime_search(Qs, k=None, budget=10**5):
+def coprime_search(Qs, budget=10**5):
     """First point (spiral order) where the values have gcd 1."""
-    params = _params(Qs, k)
-    local = check_copsch_local(Qs, k)
+    params = _params(Qs)
+    local = check_copsch_local(Qs)
     if not local.verdict:
         raise PolyError(
             f"local condition fails at prime {local.violations[0]}: "

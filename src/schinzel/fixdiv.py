@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .numutil import UnprovedPrimeError, prime_factors, prime_powers_upto, primes_upto
 from .polyring import BudgetExceeded, PolyError
-
-EXHAUSTION_BUDGET = 10**6
 
 
 def proved_prime_factors(n):
@@ -32,57 +29,95 @@ def _params_of(split_or_params):
     return tuple(split_or_params)
 
 
-def _nonzero_mod(polys, params, p):
-    """The residue scan: which member stays nonzero mod p at a parameter tuple.
+def _fermat_table(polys, params, p):
+    """The family mod p as a table with every parameter exponent below p.
 
-    One pass over each member's terms groups them by their exponents in the
-    other names and reduces each coefficient mod p, so P(t, .) vanishes mod
-    p iff every group sums to 0 mod p.  The distinct parameter monomials are
-    numbered once and evaluated once per tuple.  Returns `first(t)`, the
-    index of the first member that is nonzero mod p at the residue tuple t,
-    or None.  As in `substitute`, a repeated parameter takes its last value.
+    Keys are (group, parameter exponents), where a group numbers one
+    (member, exponents in the other names) pair; `owner[group]` is its
+    member.  Since t^e = t^(((e - 1) mod (p - 1)) + 1) for every t in F_p
+    and e >= 1, the reduction changes no value, and a polynomial whose
+    exponents are all below p vanishes on all of F_p^k only if every
+    coefficient is 0 mod p (Alon, Combinatorial Nullstellensatz).  So the
+    family vanishes at every tuple iff the table is empty.  As in
+    `substitute`, a repeated parameter takes its last value.
     """
     where = {name: j for j, name in enumerate(params)}
-    monos, members = {}, []
-    for P in polys:
+    table, groups = {}, {}
+    for i, P in enumerate(polys):
         for name in where:
             if name not in P.registry:
                 raise PolyError(f"unknown variable {name!r} in substitution")
         slots = [where.get(name) for name in P.registry]
-        groups = {}
         for expo, c in P.terms.items():
-            c %= p
-            if c:
-                mono, rest = [0] * len(params), []
-                for j, e in zip(slots, expo):
-                    if j is None:
-                        rest.append(e)
-                    else:
-                        mono[j] += e
-                m = monos.setdefault(tuple(mono), len(monos))
-                groups.setdefault(tuple(rest), []).append((c, m))
-        members.append(list(groups.values()))
-    mods = (p,) * len(params)
-
-    def first(t):
-        values = [math.prod(map(pow, t, m, mods)) for m in monos]
-        for i, groups in enumerate(members):
-            for g in groups:
-                if sum([c * values[m] for c, m in g]) % p:
-                    return i
-        return None
-
-    return first
+            if not c % p:
+                continue
+            mono, rest = [0] * len(params), []
+            for j, e in zip(slots, expo):
+                if j is None:
+                    rest.append(e)
+                else:
+                    mono[j] += e
+            mono = tuple([e if e < p else (e - 1) % (p - 1) + 1 for e in mono])
+            key = (groups.setdefault((i, tuple(rest)), len(groups)), mono)
+            table[key] = table.get(key, 0) + c
+    owner = [i for i, _ in groups]
+    return {key: c % p for key, c in table.items() if c % p}, owner
 
 
-def _residue_tuples(p, k):
-    """The residue tuples mod p of length k, lexicographically and lazily.
+def _fix_first(table, h, p):
+    """The table with its first remaining coordinate set to h, zeros dropped."""
+    out = {}
+    for (g, mono), c in table.items():
+        key = (g, mono[1:])
+        out[key] = (out.get(key, 0) + c * pow(h, mono[0], p)) % p
+    return {key: c for key, c in out.items() if c}
 
-    `product` turns range(p) into a tuple before its first tuple, which
-    costs O(p) even when t = 0 settles a prime; for one parameter `zip`
-    yields the 1-tuples without it.
+
+def least_witness(polys, params, p):
+    """The lex-least residue tuple mod p at which some member is nonzero.
+
+    Returns (t, i), with i the index of the first member that is nonzero
+    mod p at t, or None when p is fixed.  The descent fixes one coordinate
+    at a time at the least h whose specialization leaves a nonempty table.
+    Some h <= deg works: the table is nonzero as a polynomial, and a
+    nonzero coefficient of degree <= deg in the coordinate has at most deg
+    roots.
     """
-    return zip(range(p)) if k == 1 else product(range(p), repeat=k)
+    table, owner = _fermat_table(polys, params, p)
+    if not table:
+        return None
+    t = []
+    for _ in params:
+        for h in range(max(mono[0] for _, mono in table) + 1):
+            rest = _fix_first(table, h, p)
+            if rest:
+                break
+        t.append(h)
+        table = rest
+    return tuple(t), min(owner[g] for g, _ in table)
+
+
+def vanishes_somewhere(polys, params, p):
+    """True iff some residue tuple mod p makes every member vanish.
+
+    A depth-first walk with the descent's step, stopping at the first empty
+    table; a group whose polynomial no longer depends on the coordinates
+    left never vanishes, so its subtree is skipped, and a coordinate that
+    no term uses is fixed once.
+    """
+
+    def walk(table, left):
+        if not table:
+            return True
+        varying = {g for g, mono in table if any(mono)}
+        if any(g not in varying for g, _ in table):
+            return False
+        hs = range(p) if any(mono[0] for _, mono in table) else (0,)
+        if left == 1:
+            return any(not _fix_first(table, h, p) for h in hs)
+        return any(walk(_fix_first(table, h, p), left - 1) for h in hs)
+
+    return walk(_fermat_table(polys, params, p)[0], len(params))
 
 
 @dataclass(frozen=True)
@@ -111,8 +146,8 @@ def candidate_fixed_primes(P, split):
     return sorted(cands)
 
 
-def is_fixed_prime(P, split, p, budget=EXHAUSTION_BUDGET):
-    """Exhaustive check over all residue tuples mod p.
+def is_fixed_prime(P, split, p):
+    """Decide whether p is fixed, by `least_witness`.
 
     Returns (True, None) if p is fixed, else (False, witness) with the
     lexicographically least residue tuple where P(t, Y) does not vanish
@@ -120,16 +155,11 @@ def is_fixed_prime(P, split, p, budget=EXHAUSTION_BUDGET):
     """
     if P.is_zero():
         raise PolyError("zero polynomial")
-    params = _params_of(split)
-    k = len(params)
-    if p**k > budget:
-        raise BudgetExceeded(f"{p}^{k} residue tuples exceed the budget {budget}")
-    nonzero = _nonzero_mod([P], params, p)
-    witness = next((t for t in _residue_tuples(p, k) if nonzero(t) is not None), None)
-    return witness is None, witness
+    hit = least_witness([P], _params_of(split), p)
+    return (True, None) if hit is None else (False, hit[0])
 
 
-def fixed_prime_divisors(P, split, budget=EXHAUSTION_BUDGET):
+def fixed_prime_divisors(P, split):
     """Full report: candidates, confirmed fixed primes, per-prime witnesses.
 
     Over Z an empty confirmed set is equivalent to having no fixed divisor
@@ -139,7 +169,7 @@ def fixed_prime_divisors(P, split, budget=EXHAUSTION_BUDGET):
     delta = max((P.degree_in(t) for t in _params_of(split)), default=0)
     confirmed, witnesses = [], {}
     for p in candidates:
-        fixed, witness = is_fixed_prime(P, split, p, budget=budget)
+        fixed, witness = is_fixed_prime(P, split, p)
         if fixed:
             confirmed.append(p)
         else:
@@ -149,9 +179,9 @@ def fixed_prime_divisors(P, split, budget=EXHAUSTION_BUDGET):
     )
 
 
-def removal_scalar(P, split, budget=EXHAUSTION_BUDGET):
+def removal_scalar(P, split):
     """Product of the confirmed fixed primes; P has no fixed prime over Z[1/phi]."""
-    return math.prod(fixed_prime_divisors(P, split, budget=budget).confirmed)
+    return math.prod(fixed_prime_divisors(P, split).confirmed)
 
 
 def gamma_b_witness(B):

@@ -30,12 +30,10 @@ class ParseError(PolyError):
         self.position = position
 
 
-def _grlex_key(registry):
-    # graded lexicographic by registry order, largest first when sorting descending
-    def key(expo):
-        return (sum(expo), expo)
-
-    return key
+def _grlex_key(term):
+    """Graded-lex key of an (exponents, coefficient) term, by registry order."""
+    expo = term[0]
+    return sum(expo), expo
 
 
 def _mul_terms(t1, t2):
@@ -147,14 +145,13 @@ class MPoly:
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
-        key = _grlex_key(self.registry)
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=_grlex_key, reverse=True)
 
     def leading_coefficient(self):
         """Coefficient of the graded-lex leading term (0 for the zero poly)."""
         if not self.terms:
             return 0
-        return self.sorted_terms()[0][1]
+        return max(self.terms.items(), key=_grlex_key)[1]
 
     def content(self):
         """gcd of all coefficients; 0 for the zero polynomial."""

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .factorlab import is_irreducible_q, is_irreducible_z
-from .fixdiv import (
-    EXHAUSTION_BUDGET,
-    FixedDivisorReport,
-    _nonzero_mod,
-    _residue_tuples,
-    candidate_fixed_primes,
-    fixed_prime_divisors,
-    proved_prime_factors,
-)
+from .fixdiv import fixed_prime_divisors, least_witness, proved_prime_factors
 from .numutil import crt, primes_upto, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, VarSplit, dense
 from .schinzelcore import HypothesisError
@@ -163,48 +155,9 @@ def generic_substitution(polys, split, d, lam_budget=64):
     )
 
 
-def verify_no_fixed_divisor_generic(gs, budget=EXHAUSTION_BUDGET):
-    """Fixed-prime report of prod(F_i) with Lambda as the parameter tuple.
-
-    Candidate primes are first attacked with monomial-selection points:
-    each lambda row set to a 0/1 vector picking a single monomial.  A
-    selection whose product is nonzero mod p refutes p without exhausting
-    the p^|Lambda| residue tuples.
-    """
-    product = prod(gs.Fs)
-    lam = gs.lam_flat
-    candidates = candidate_fixed_primes(product, lam)
-    delta = max((product.degree_in(name) for name in lam), default=0)
-
-    # per lambda row, the 0/1 blocks picking one of its monomials; the rows
-    # are consecutive blocks of the flat tuple
-    units = [
-        [tuple(int(l == pick) for l in range(len(row))) for pick in range(len(row))]
-        for row in gs.lam_names
-    ]
-
-    confirmed, witnesses = [], {}
-    for p in candidates:
-        nonzero = _nonzero_mod([product], lam, p)
-        selections = (sum(picks, ()) for picks in itertools.product(*units))
-        witness = next((t for t in selections if nonzero(t) is not None), None)
-        if witness is not None:
-            witnesses[p] = witness
-            continue
-        if p ** len(lam) > budget:
-            raise BudgetExceeded(
-                f"prime {p} survived the monomial-selection shortcut and "
-                f"{p}^{len(lam)} residue tuples exceed the budget {budget}"
-            )
-        tuples = _residue_tuples(p, len(lam))
-        witness = next((t for t in tuples if nonzero(t) is not None), None)
-        if witness is None:
-            confirmed.append(p)
-        else:
-            witnesses[p] = witness
-    return FixedDivisorReport(
-        tuple(candidates), tuple(confirmed), witnesses, delta, product.content()
-    )
+def verify_no_fixed_divisor_generic(gs):
+    """Fixed-prime report of prod(F_i) with Lambda as the parameter tuple."""
+    return fixed_prime_divisors(prod(gs.Fs), gs.lam_flat)
 
 
 # -- the solver -------------------------------------------------------
@@ -351,8 +304,10 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
     polynomials.  The composed product's fixed-prime set w.r.t. the
     variables is recomputed from scratch, not assumed.
 
-    With monic=True the construction is bypassed in favor of a direct search
-    over monic M; this mode is heuristic and may exhaust the budget.
+    With monic=True the construction runs with no bad primes (S empty,
+    theta 0, omega 1), so M ranges over the monic shapes themselves; nothing
+    then rules out fixed primes of the compositions, so this mode may
+    exhaust the budget.
     """
     variables = tuple(variables)
     d = tuple(d)
@@ -395,43 +350,20 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
             return None
         return certs, rep
 
-    if monic:
-        tried = 0
-        free = len(monomials) - 1
-        top = {monomials[-1]: 1}
-        for v in spiral(free):
-            if tried >= budget:
-                break
-            tried += 1
-            terms = dict(top)
-            for coeff, mon in zip(v, monomials[:-1]):
-                if coeff:
-                    terms[mon] = terms.get(mon, 0) + coeff
-            M = MPoly(var_reg, terms)
-            hit = check(M)
-            if hit is not None:
-                certs, rep = hit
-                return SubstitutionPlan(
-                    theta=(tuple(v) + (1,),),
-                    Ms=(M,),
-                    certificates=tuple(certs),
-                    fixdiv_report=rep,
-                    tried=tried,
-                )
-        raise BudgetExceeded(f"no monic plan within {tried} coefficient tuples")
-
-    a_r = dense(product, t1)[-1]
-    r = product.degree_in(t1)
-    delta = r * sum(d)
-    S = sorted(set(primes_upto(delta)) | set(proved_prime_factors(abs(a_r))))
+    # monic mode is the construction with no bad primes: theta 0, omega 1
+    S = []
+    if not monic:
+        a_r = dense(product, t1)[-1]
+        r = product.degree_in(t1)
+        delta = r * sum(d)
+        S = sorted(set(primes_upto(delta)) | set(proved_prime_factors(abs(a_r))))
 
     residues = []
     for p in S:
-        nonzero = _nonzero_mod([product], (t1,), p)
-        found = next((t for t in range(p) if nonzero((t,)) is not None), None)
-        if found is None:
+        hit = least_witness([product], (t1,), p)
+        if hit is None:
             raise HypothesisError("NoFixDiv", f"fixed prime {p} in input")
-        residues.append(found)
+        residues.append(hit[0][0])
     theta = crt(residues, S) if S else 0
     omega = prod(S)
 
@@ -449,18 +381,29 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
         terms[zero] = terms.get(zero, 0) + theta
         M = MPoly(var_reg, terms)
         hit = check(M)
-        if hit is not None:
-            certs, rep = hit
+        if hit is None:
+            continue
+        certs, rep = hit
+        if monic:
             return SubstitutionPlan(
-                theta=(tuple(v),),
+                theta=(tuple(v) + (1,),),
                 Ms=(M,),
                 certificates=tuple(certs),
                 fixdiv_report=rep,
-                base=theta,
-                omega=omega,
-                bad_primes=tuple(S),
                 tried=tried,
             )
+        return SubstitutionPlan(
+            theta=(tuple(v),),
+            Ms=(M,),
+            certificates=tuple(certs),
+            fixdiv_report=rep,
+            base=theta,
+            omega=omega,
+            bad_primes=tuple(S),
+            tried=tried,
+        )
+    if monic:
+        raise BudgetExceeded(f"no monic plan within {tried} coefficient tuples")
     raise BudgetExceeded(f"no plan within {tried} shape tuples")
 
 

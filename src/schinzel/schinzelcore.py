@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .fixdiv import _nonzero_mod, _residue_tuples, fixed_prime_divisors, proved_prime_factors
+from .fixdiv import (
+    fixed_prime_divisors,
+    least_witness,
+    proved_prime_factors,
+    vanishes_somewhere,
+)
 from .factorlab import is_primitive_wrt
 from .numutil import crt, primes_upto
 from .polyring import PolyError, VarSplit, dense
@@ -105,16 +110,15 @@ def nonvanishing_point(P, split, primes):
     k = split.k
     constrained = {}
     for p in primes:
-        nonzero = _nonzero_mod([P], split.params, p)
-        tuples = _residue_tuples(p, k)
-        witness = next((t for t in tuples if nonzero(t) is not None), None)
-        if witness is None:
+        hit = least_witness([P], split.params, p)
+        if hit is None:
             raise HypothesisError(
                 "NoFixDiv", f"prime {p} is a fixed prime of the product"
             )
         # p constrains the point iff some residue tuple vanishes: one before
         # the witness (so the witness is not the zero tuple) or one after it
-        if any(witness) or any(nonzero(t) is None for t in tuples):
+        witness = hit[0]
+        if any(witness) or vanishes_somewhere([P], split.params, p):
             constrained[p] = witness
     if not constrained:
         return (0,) * k

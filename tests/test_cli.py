@@ -35,6 +35,14 @@ def test_fixdiv_confirms_prime(capsys):
     assert d["verdict"] == "false"
 
 
+def test_fixdiv_large_content_prime_is_decided(capsys):
+    # a content prime far above the degree is decided exactly
+    code, out = invoke(capsys, "fixdiv", "--poly", "1000003*T*Y + 1000003",
+                       "--params", "T", "--vars", "Y")
+    assert code == 1
+    assert kv(out)["confirmed"] == "[1000003]"
+
+
 def test_fixdiv_clean_exit_zero(capsys):
     code, out = invoke(capsys, "fixdiv", "--poly", "T*Y + 2",
                        "--params", "T", "--vars", "Y")

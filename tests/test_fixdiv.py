@@ -1,19 +1,21 @@
+import ast
 import itertools
+import pathlib
 import time
 
 import pytest
 
 from schinzel.fixdiv import (
     BudgetExceeded,
-    _residue_tuples,
     candidate_fixed_primes,
     fixed_prime_divisors,
     gamma_b_witness,
     is_fixed_prime,
+    least_witness,
     removal_scalar,
 )
 from schinzel.numutil import primes_upto
-from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
+from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
 from schinzel.schinzelcore import bad_prime_set
 
 REG = ("T", "Y")
@@ -78,10 +80,34 @@ def test_zero_poly_rejected():
         fixed_prime_divisors(MPoly.zero(REG), SPLIT)
 
 
-def test_budget():
-    q = parse_poly("A*B + 1", ("A", "B"))
-    with pytest.raises(BudgetExceeded):
-        is_fixed_prime(q, ("A", "B"), 7, budget=10)
+def _lex_least(q, names, p):
+    """Brute force: the first residue tuple at which q is nonzero mod p."""
+    for t in itertools.product(range(p), repeat=len(names)):
+        if not reduce_mod(q.substitute(dict(zip(names, t))), p).is_zero():
+            return t
+    return None
+
+
+def test_two_parameter_prime_is_decided():
+    # decided exactly, against brute force over all 49 residue tuples
+    names = ("A", "B")
+    q = parse_poly("A*B + 1", names)
+    assert is_fixed_prime(q, names, 7) == (False, _lex_least(q, names, 7)) == (False, (0, 0))
+    # (A*B)^3 - A*B vanishes mod 2 and 3 everywhere, not mod 7
+    q = parse_poly("A*B*(A*B - 1)*(A*B + 1)", names)
+    for p in (2, 3, 5, 7):
+        want = _lex_least(q, names, p)
+        assert is_fixed_prime(q, names, p) == (want is None, want)
+    assert _lex_least(q, names, 7) == (1, 2)
+
+
+def test_large_prime_content_is_decided():
+    # p = 1000003 is decided from the Fermat-reduced table, with no walk over t
+    q = P("1000003*T*Y + 1000003")
+    assert fixed_prime_divisors(q, SPLIT).confirmed == (1000003,)
+    assert is_fixed_prime(q + P("T^1000003 - T"), SPLIT, 1000003) == (True, None)
+    assert least_witness([q, q + P("T^1000004 - T^2")], ("T",), 1000003) is None
+    assert least_witness([q, P("T^1000003 + 1")], ("T",), 1000003) == ((0,), 1)
 
 
 def test_gamma_b_witness():
@@ -104,12 +130,6 @@ def test_unproved_prime_content_is_a_budget_exit():
         bad_prime_set(P("T*Y + 2"), SPLIT, 3317044064679887385962123)
 
 
-def test_residue_tuples_match_product():
-    for p in (2, 3, 5, 7):
-        for k in range(4):
-            assert list(_residue_tuples(p, k)) == list(itertools.product(range(p), repeat=k))
-
-
 def test_large_candidate_primes_cost_their_first_tuple_only():
     # 9,592 candidate primes up to 10^5; t = 0 refutes every odd one, so no
     # residue tuple list of length p may be built
@@ -121,3 +141,19 @@ def test_large_candidate_primes_cost_their_first_tuple_only():
     assert report.confirmed == (2,)
     assert report.witnesses == {p: (0,) for p in report.candidates[1:]}
     assert elapsed < 2.0, elapsed
+
+
+def test_no_module_imports_private_fixdiv_names():
+    # the residue walk stays behind fixdiv's public functions
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "schinzel"
+    files = sorted(src.glob("*.py"))
+    assert files
+    leaks = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if module == "fixdiv" and node.level == 1 or module == "schinzel.fixdiv":
+                leaks += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert leaks == []

@@ -174,6 +174,14 @@ polys3 = terms_over(REG3, 3, 6)
 points3 = st.fixed_dictionaries({name: small for name in REG3})
 
 
+@given(polys3)
+@settings(max_examples=150, deadline=None)
+def test_leading_coefficient_is_first_sorted_term(a):
+    # the graded-lex maximum, read without sorting every term
+    want = a.sorted_terms()[0][1] if a.terms else 0
+    assert a.leading_coefficient() == want
+
+
 @given(polys3, points3)
 @settings(max_examples=150, deadline=None)
 def test_substitute_full_integer_point_is_evaluate(a, point):

@@ -232,6 +232,23 @@ def test_strong_monic_mode():
     assert plan.fixdiv_report.confirmed == ()
 
 
+@pytest.mark.parametrize("poly,d,theta,M,tried", [
+    ("T^2 + 1", (1,), ((0, 1),), "Y", 1),
+    ("T", (2,), ((-1, -1, 1),), "Y^2 - Y - 1", 2),
+    ("T - 1", (3,), ((-1, -1, 1, 1),), "Y^3 + Y^2 - Y - 1", 4),
+    ("T + 1", (3,), ((0, -1, 0, 1),), "Y^3 - Y", 12),
+    ("T^2 - 3", (1, 1), ((0, 0, 0, 1),), "Y*Z", 1),
+])
+def test_strong_monic_plans(poly, d, theta, M, tried):
+    # monic mode is the construction with S empty, theta 0 and omega 1;
+    # the first plan in spiral order is part of the contract
+    variables = ("Y", "Z")[:len(d)]
+    plan = strong_pipeline([T1(poly)], variables, d, monic=True)
+    assert (plan.theta, str(plan.Ms[0]), plan.tried) == (theta, M, tried)
+    assert (plan.base, plan.omega, plan.bad_primes) == (None, None, None)
+    assert plan.fixdiv_report.confirmed == ()
+
+
 def test_strong_rejects_zero_d():
     with pytest.raises(PolyError):
         strong_pipeline([T1("T^2 + 1")], ("Y",), (0,))

@@ -1,12 +1,14 @@
-"""The one residue scan (`fixdiv._nonzero_mod`) against a brute-force reference.
+"""The residue decisions of `fixdiv` against a brute-force reference.
 
-Every reference here specializes with `MPoly.substitute` and reduces with
-`reduce_mod`, tuple by tuple in lexicographic order: the definition, with
-no coefficient table.
+`least_witness` and `vanishes_somewhere` reduce parameter exponents by
+Fermat and descend one coordinate at a time; every reference here instead
+specializes with `MPoly.substitute` and reduces with `reduce_mod`, tuple by
+tuple in lexicographic order: the definition, with no coefficient table.
 """
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,12 @@ from hypothesis import strategies as st
 
 from schinzel.coprime import check_copsch_local
 from schinzel.factorlab import gcd_q_fold
-from schinzel.fixdiv import BudgetExceeded, candidate_fixed_primes, is_fixed_prime
+from schinzel.fixdiv import (
+    candidate_fixed_primes,
+    is_fixed_prime,
+    least_witness,
+    vanishes_somewhere,
+)
 from schinzel.numutil import crt
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
 from schinzel.polyschinzel import generic_substitution, verify_no_fixed_divisor_generic
@@ -161,19 +168,12 @@ def test_check_copsch_local_matches_reference(Qs):
     assert report.verdict == (not violations)
 
 
-def _reference_generic(gs, budget):
+def _reference_generic(gs):
     product = math.prod(gs.Fs)
     lam = gs.lam_flat
     confirmed, witnesses = [], {}
     for p in candidate_fixed_primes(product, lam):
-        picks = []
-        for choice in itertools.product(*gs.lam_names):
-            picks.append(tuple(int(name in choice) for name in lam))
-        hit = _reference_first([product], lam, p, picks)
-        if hit is None:
-            if p ** len(lam) > budget:
-                return "budget", p
-            hit = _reference_first([product], lam, p, _lex(p, len(lam)))
+        hit = _reference_first([product], lam, p, _lex(p, len(lam)))
         if hit is None:
             confirmed.append(p)
         else:
@@ -190,9 +190,9 @@ generic_cases = st.sampled_from([
 ])
 
 
-@given(generic_cases, st.data(), st.sampled_from([10**6, 20]))
+@given(generic_cases, st.data())
 @settings(max_examples=80, deadline=None)
-def test_verify_no_fixed_divisor_generic_matches_reference(case, data, budget):
+def test_verify_no_fixed_divisor_generic_matches_reference(case, data):
     split, d = case
     names = split.params + split.variables
     polys = data.draw(st.lists(_poly(names, max_deg=2, max_terms=4), min_size=1,
@@ -202,28 +202,8 @@ def test_verify_no_fixed_divisor_generic_matches_reference(case, data, budget):
     # keep the exhaustive reference small
     assume(all(p ** len(lam) <= 3000
                for p in candidate_fixed_primes(math.prod(gs.Fs), lam)))
-    want = _reference_generic(gs, budget)
-    if want[0] == "budget":
-        with pytest.raises(BudgetExceeded, match=f"prime {want[1]} survived"):
-            verify_no_fixed_divisor_generic(gs, budget=budget)
-    else:
-        report = verify_no_fixed_divisor_generic(gs, budget=budget)
-        assert (report.confirmed, report.witnesses) == want
-
-
-def test_budget_messages():
-    split = VarSplit(("T",), ("Y",))
-    Q = parse_poly("2*T*Y + 2", split.params + split.variables)
-    with pytest.raises(BudgetExceeded) as exc:
-        is_fixed_prime(Q, split, 5, budget=4)
-    assert str(exc.value) == "5^1 residue tuples exceed the budget 4"
-    gs = generic_substitution([Q], split, ((1,),))
-    with pytest.raises(BudgetExceeded) as exc:
-        verify_no_fixed_divisor_generic(gs, budget=1)
-    assert str(exc.value) == (
-        "prime 2 survived the monomial-selection shortcut and "
-        "2^2 residue tuples exceed the budget 1"
-    )
+    report = verify_no_fixed_divisor_generic(gs)
+    assert (report.confirmed, report.witnesses) == _reference_generic(gs)
 
 
 def test_bare_parameter_tuples():
@@ -233,3 +213,70 @@ def test_bare_parameter_tuples():
     assert is_fixed_prime(Q, ("T", "T"), 2) == (False, (0, 1))
     with pytest.raises(PolyError, match="unknown variable 'U' in substitution"):
         is_fixed_prime(Q, ("T", "U"), 2)
+
+
+# -- least_witness and vanishes_somewhere ------------------------------
+
+LW_REG = ("T", "U", "V", "Y")
+
+
+@st.composite
+def witness_case(draw):
+    """(p, params, members): exponents up to 2p + 1, repeated and unknown names.
+
+    A member is R times some (name - a), so that leading tuples vanish, and
+    maybe forced to vanish mod p: p*R, or (T^p - T)*R, which vanishes when
+    T is a parameter.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    params = tuple(draw(st.lists(st.sampled_from(("T", "U", "V", "W")), max_size=3)))
+    expo = st.tuples(*[st.integers(0, 2 * p + 1)] * len(LW_REG))
+    T = MPoly.var(LW_REG, "T")
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(expo, st.integers(-2 * p, 2 * p), min_size=1,
+                                     max_size=5))
+        Q = MPoly(LW_REG, terms) * draw(st.sampled_from((1, 1, p, T**p - T)))
+        for name in draw(st.lists(st.sampled_from(("T", "U", "V")), max_size=2)):
+            Q = Q * (MPoly.var(LW_REG, name) - draw(st.integers(0, p - 1)))
+        members.append(Q)
+    return p, params, members
+
+
+@given(witness_case())
+@settings(max_examples=150, deadline=None)
+def test_least_witness_matches_lex_enumeration(case):
+    p, params, members = case
+    if "W" in params:
+        with pytest.raises(PolyError, match="unknown variable 'W' in substitution"):
+            least_witness(members, params, p)
+        return
+    tuples = list(_lex(p, len(params)))
+    assert least_witness(members, params, p) == _reference_first(members, params, p, tuples)
+    vanishing = any(all(_vanishes(Q, params, t, p) for Q in members) for t in tuples)
+    assert vanishes_somewhere(members, params, p) == vanishing
+
+
+def test_least_witness_cases():
+    reg = ("T", "U", "Y")
+    Q = parse_poly("T^7*Y - T*Y + 7", reg)
+    # T^7 = T on F_7 and the constant is 0 mod 7: p = 7 is fixed
+    assert least_witness([Q], ("T",), 7) is None
+    assert least_witness([Q, parse_poly("U^8 - U^2", reg)], ("T", "U"), 7) is None
+    assert least_witness([Q, parse_poly("U^8 - U", reg)], ("T", "U"), 7) == ((0, 2), 1)
+    # the last of a repeated name binds it; no parameters leave the empty tuple
+    assert least_witness([parse_poly("U*Y", reg)], ("U", "T", "U"), 5) == ((0, 0, 1), 0)
+    assert least_witness([parse_poly("7*T*Y + 14", reg), Q], (), 7) == ((), 1)
+    assert not vanishes_somewhere([parse_poly("U*Y + 1", reg)], ("T", "U"), 10007)
+    assert vanishes_somewhere([parse_poly("(U - 3)*(T - 9)*Y", reg)], ("T", "U"), 10007)
+    # the only vanishing tuple has the last residue, p - 1
+    assert vanishes_somewhere([parse_poly("(T + 1)*(U + 1)*Y", reg)], ("T", "U"), 5)
+    assert not vanishes_somewhere([parse_poly("(T + 1)*Y + 1 + 2*T", reg)], ("T",), 5)
+
+
+def test_vanishes_somewhere_fixes_an_unused_coordinate_once():
+    # no tuple vanishes, so every U is tried, but under one T, not 1009
+    Q = parse_poly("U*Y + U + 1", ("T", "U", "Y"))
+    t0 = time.perf_counter()
+    assert not vanishes_somewhere([Q], ("T", "U"), 1009)
+    assert time.perf_counter() - t0 < 0.5

@@ -91,6 +91,16 @@ def test_nonvanishing_point_large_prime_is_fast():
     assert time.perf_counter() - t0 < 1
 
 
+def test_nonvanishing_point_skips_vanishing_prefixes():
+    # all 1000003 tuples with T = 0 vanish; the descent settles that prefix
+    # with one specialized table instead of a walk over U
+    split = VarSplit(("T", "U"), ("Y",))
+    q = parse_poly("T*Y + (T - 1000003)*U*Y^2", ("T", "U", "Y"))
+    t0 = time.perf_counter()
+    assert nonvanishing_point(q, split, [1000003]) == (1, 0)
+    assert time.perf_counter() - t0 < 0.05
+
+
 # -- progressions -----------------------------------------------------
 
 
