@@ -6,6 +6,7 @@ and finds integer points where the values are globally coprime.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,10 +78,7 @@ def coprime_search(Qs, budget=10**5):
             "no point can make the values coprime"
         )
     tried = 0
-    for m in spiral(len(params)):
-        if tried >= budget:
-            break
-        tried += 1
+    for tried, m in enumerate(itertools.islice(spiral(len(params)), budget), 1):
         point = dict(zip(params, m))
         values = tuple(Q.evaluate(point) for Q in Qs)
         if math.gcd(*values) == 1:

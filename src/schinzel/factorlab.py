@@ -11,7 +11,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, dense, undense
@@ -249,26 +248,26 @@ def exact_div(f, g):
         raise PolyError("registry mismatch in division")
     gterms = sorted(g.terms.items(), reverse=True)  # lex order
     glead_e, glead_c = gterms[0]
-    rem = {e: Fraction(c) for e, c in f.terms.items()}
+    rem = dict(f.terms)
     quot = {}
     while rem:
         e = max(rem)
-        c = rem[e]
         qe = tuple(a - b for a, b in zip(e, glead_e))
         if any(x < 0 for x in qe):
             return None
-        qc = c / glead_c
+        # an exact quotient over Z leaves a lead divisible by g's at every step
+        qc, r = divmod(rem[e], glead_c)
+        if r:
+            return None
         quot[qe] = qc
         for ge, gc in gterms:
             re = tuple(a + b for a, b in zip(qe, ge))
-            nv = rem.get(re, Fraction(0)) - qc * gc
+            nv = rem.get(re, 0) - qc * gc
             if nv:
                 rem[re] = nv
             else:
                 rem.pop(re, None)
-    if any(c.denominator != 1 for c in quot.values()):
-        return None
-    return MPoly(f.registry, {e: int(c) for e, c in quot.items()})
+    return MPoly(f.registry, quot)
 
 
 def _normalize_sign(P):
@@ -448,11 +447,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
             "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
         )
     d = pp.degree_in(main)
-    tried = 0
-    for point in spiral(len(others)):
-        if tried >= eval_tries:
-            break
-        tried += 1
+    for point in itertools.islice(spiral(len(others)), eval_tries):
         bindings = dict(zip(others, point))
         image = pp.substitute(bindings)
         if image.degree_in(main) != d:

@@ -7,11 +7,13 @@ P(t, Y) with integer t vanishes mod p.  Candidates are finite: p <= Delta
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .numutil import UnprovedPrimeError, prime_factors, prime_powers_upto, primes_upto
 from .polyring import BudgetExceeded, PolyError
+from .upoly import fp_gcd, fp_has_root
 
 
 def proved_prime_factors(n):
@@ -97,13 +99,26 @@ def least_witness(polys, params, p):
     return tuple(t), min(owner[g] for g, _ in table)
 
 
+def _common_root(table, p):
+    """True iff the groups of a one-coordinate table share a root in F_p."""
+    rows = {}
+    for (g, (e,)), c in table.items():
+        row = rows.setdefault(g, [])
+        row += [0] * (e + 1 - len(row))
+        row[e] = c
+    common = functools.reduce(lambda a, b: fp_gcd(a, b, p), rows.values())
+    return fp_has_root(common, p)
+
+
 def vanishes_somewhere(polys, params, p):
     """True iff some residue tuple mod p makes every member vanish.
 
     A depth-first walk with the descent's step, stopping at the first empty
     table; a group whose polynomial no longer depends on the coordinates
     left never vanishes, so its subtree is skipped, and a coordinate that
-    no term uses is fixed once.
+    no term uses is fixed once.  On the last coordinate every group is a
+    nonconstant univariate polynomial, and they vanish together iff their
+    gcd over F_p has a root.
     """
 
     def walk(table, left):
@@ -112,9 +127,9 @@ def vanishes_somewhere(polys, params, p):
         varying = {g for g, mono in table if any(mono)}
         if any(g not in varying for g, _ in table):
             return False
-        hs = range(p) if any(mono[0] for _, mono in table) else (0,)
         if left == 1:
-            return any(not _fix_first(table, h, p) for h in hs)
+            return _common_root(table, p)
+        hs = range(p) if any(mono[0] for _, mono in table) else (0,)
         return any(walk(_fix_first(table, h, p), left - 1) for h in hs)
 
     return walk(_fermat_table(polys, params, p)[0], len(params))

@@ -186,10 +186,7 @@ def hilbert_search(polys, split, budget=10**6):
     check = _residue_class_check(polys, split)
     found = 0
     examined = 0
-    for t in spiral(split.k):
-        if examined >= budget:
-            break
-        examined += 1
+    for examined, t in enumerate(itertools.islice(spiral(split.k), budget), 1):
         sp = check(t)
         if sp.member:
             found += 1

@@ -19,6 +19,9 @@ from .numutil import crt, primes_upto, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, VarSplit, dense
 from .schinzelcore import HypothesisError
 
+LAM_BUDGET = 64  # most lambda indeterminates a generic substitution may use
+SAMPLE_COEFF_BOUND = 10  # |coefficient| bound of the counterexample's sample M
+
 
 def ell(d):
     """Number of monic monomials with per-variable degree bounded by d."""
@@ -115,44 +118,28 @@ class GenericSubstitution:
         return tuple(name for row in self.lam_names for name in row)
 
 
-def generic_substitution(polys, split, d, lam_budget=64):
+def generic_substitution(polys, split, d):
     """Replace each parameter by a generic polynomial in the variables."""
     d = _degree_matrix(d, split.k, split.n)
-    lam_names, monomials = [], []
-    for i, row in enumerate(d):
-        mons = _monomials_upto(row)
-        lam_names.append(tuple(f"lam{i}q{l}" for l in range(len(mons))))
-        monomials.append(mons)
+    monomials = tuple(_monomials_upto(row) for row in d)
+    lam_names = tuple(
+        tuple(f"lam{i}q{l}" for l in range(len(mons))) for i, mons in enumerate(monomials)
+    )
     flat = [name for row in lam_names for name in row]
-    if len(flat) > lam_budget:
-        raise BudgetExceeded(f"{len(flat)} lambda indeterminates exceed the budget {lam_budget}")
+    if len(flat) > LAM_BUDGET:
+        raise BudgetExceeded(f"{len(flat)} lambda indeterminates exceed the budget {LAM_BUDGET}")
     if set(flat) & set(polys[0].registry):
         raise PolyError("input names collide with the lambda indeterminates")
 
     registry = tuple(flat) + tuple(split.variables)
-    bridge = tuple(split.params) + registry
-    vpos = {name: bridge.index(name) for name in split.variables}
-    Ms = []
-    for i, t in enumerate(split.params):
-        terms = {}
-        for l, mon in enumerate(monomials[i]):
-            expo = [0] * len(bridge)
-            expo[bridge.index(lam_names[i][l])] = 1
-            for j, name in enumerate(split.variables):
-                expo[vpos[name]] = mon[j]
-            terms[tuple(expo)] = 1
-        Ms.append(MPoly(bridge, terms))
-    bindings = dict(zip(split.params, Ms))
-    Fs = [P.rename(bridge).substitute(bindings).rename(registry) for P in polys]
-    return GenericSubstitution(
-        split,
-        d,
-        registry,
-        tuple(lam_names),
-        tuple(monomials),
-        tuple(M.rename(registry) for M in Ms),
-        tuple(Fs),
+    lam_expo = {name: tuple(int(n == name) for n in flat) for name in flat}
+    Ms = tuple(
+        MPoly(registry, {lam_expo[lam] + mon: 1 for lam, mon in zip(names, mons)})
+        for names, mons in zip(lam_names, monomials)
     )
+    bindings = dict(zip(split.params, Ms))
+    Fs = tuple(_compose(P, bindings, registry) for P in polys)
+    return GenericSubstitution(split, d, registry, lam_names, monomials, Ms, Fs)
 
 
 def verify_no_fixed_divisor_generic(gs):
@@ -184,15 +171,44 @@ class SchinzelRefusal(HypothesisError):
         self.generic_report = generic_report
 
 
-def _compose(P, split, bindings_vars):
-    """P with every parameter replaced by a polynomial in the variables."""
-    reg = P.registry
-    bound = {t: M.rename(reg) for t, M in bindings_vars.items()}
-    return P.substitute(bound).rename(tuple(split.variables))
+def _compose(P, bindings, registry):
+    """P with each bound name replaced by its polynomial, over `registry`.
+
+    The bound polynomials live on `registry`, P on its own one.  Both are
+    renamed onto a bridge registry, the bound names followed by the rest
+    of `registry`, so that `substitute` sees one registry.
+    """
+    bridge = tuple(bindings) + tuple(n for n in registry if n not in bindings)
+    bound = {t: M.rename(bridge) for t, M in bindings.items()}
+    return P.rename(bridge).substitute(bound).rename(registry)
 
 
-def solve_polynomial_schinzel(polys, split, d, budget=5000, exact_degree=True,
-                              lam_budget=64):
+def _certificates(comps):
+    """The is_irreducible_z certificates of comps, or None if one fails.
+
+    A constant composition rules the candidate out before any certificate
+    is computed, so an oracle budget exit never comes from a candidate
+    that would have been skipped anyway.
+    """
+    if any(c.is_constant() for c in comps):
+        return None
+    certs = []
+    for c in comps:
+        flag, cert = is_irreducible_z(c)
+        if not flag:
+            return None
+        certs.append(cert)
+    return tuple(certs)
+
+
+def _require_irreducible(polys, error):
+    """Raise error("Irred", ...) for the first input reducible over Q."""
+    for i, P in enumerate(polys):
+        if not is_irreducible_q(P).irreducible:
+            raise error("Irred", f"polynomial #{i + 1} is reducible over the rationals")
+
+
+def solve_polynomial_schinzel(polys, split, d, budget=5000, exact_degree=True):
     """First Theta (spiral order) whose compositions are irreducible in Z[Y].
 
     Refuses, with a full diagnosis, whenever the hypotheses fail: rational
@@ -200,73 +216,43 @@ def solve_polynomial_schinzel(polys, split, d, budget=5000, exact_degree=True,
     (*), one of (a)/(b)/(c), and no fixed prime for the generic family.
     """
     d = _degree_matrix(d, split.k, split.n)
-    for i, P in enumerate(polys):
-        cert = is_irreducible_q(P)
-        if not cert.irreducible:
-            raise SchinzelRefusal(
-                "Irred", f"polynomial #{i + 1} is reducible over the rationals"
-            )
+    _require_irreducible(polys, SchinzelRefusal)
     product = prod(polys)
     if product.content() != 1:
         raise SchinzelRefusal("Prim", f"product has content {product.content()}")
 
     conds = check_degree_conditions(polys, split, d)
-    gs = generic_substitution(polys, split, d, lam_budget=lam_budget)
+    gs = generic_substitution(polys, split, d)
     report = verify_no_fixed_divisor_generic(gs)
     if not conds.admissible or report.confirmed:
-        failed = ", ".join(conds.failed()) or "none"
-        parts = []
+        parts, condition = [], "NoFixDiv"
         if not conds.admissible:
-            parts.append(f"degree conditions {failed} fail")
+            failures = conds.failed()  # never empty here
+            parts.append(f"degree conditions {', '.join(failures)} fail")
+            condition = "(b)" if "(b)" in failures else failures[-1]
         if report.confirmed:
             primes = ", ".join(str(p) for p in report.confirmed)
             parts.append(f"generic family has fixed prime {primes}")
-        failures = conds.failed()
-        if not conds.admissible:
-            condition = "(b)" if "(b)" in failures else failures[-1]
-        else:
-            condition = "NoFixDiv"
         raise SchinzelRefusal(
             condition, "; ".join(parts), conditions=conds, generic_report=report
         )
 
-    sizes = [len(mons) for mons in gs.monomials]
-    total = sum(sizes)
-    var_reg = tuple(split.variables)
+    ends = list(itertools.accumulate(len(mons) for mons in gs.monomials))
     tried = 0
-    for theta in spiral(total):
-        if tried >= budget:
-            break
-        tried += 1
-        chunks, pos = [], 0
-        for size in sizes:
-            chunks.append(theta[pos:pos + size])
-            pos += size
+    for tried, theta in enumerate(itertools.islice(spiral(ends[-1]), budget), 1):
+        chunks = [theta[a:b] for a, b in zip([0] + ends, ends)]
         if exact_degree and any(chunk[-1] == 0 for chunk in chunks):
             continue
-        Ms = {}
-        for i, t in enumerate(split.params):
-            terms = {}
-            for coeff, mon in zip(chunks[i], gs.monomials[i]):
-                if coeff:
-                    terms[mon] = terms.get(mon, 0) + coeff
-            Ms[t] = MPoly(var_reg, terms)
-        comps = [_compose(P, split, Ms) for P in polys]
-        if any(c.is_constant() for c in comps):
-            continue
-        certs = []
-        ok = True
-        for c in comps:
-            flag, cert = is_irreducible_z(c)
-            certs.append(cert)
-            if not flag:
-                ok = False
-                break
-        if ok:
+        Ms = {
+            t: MPoly(split.variables, {mon: c for c, mon in zip(chunk, mons) if c})
+            for t, chunk, mons in zip(split.params, chunks, gs.monomials)
+        }
+        certs = _certificates([_compose(P, Ms, split.variables) for P in polys])
+        if certs is not None:
             return SubstitutionPlan(
                 theta=tuple(tuple(chunk) for chunk in chunks),
                 Ms=tuple(Ms[t] for t in split.params),
-                certificates=tuple(certs),
+                certificates=certs,
                 tried=tried,
             )
     raise BudgetExceeded(f"no plan within {tried} coefficient tuples")
@@ -316,12 +302,7 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
     if all(x == 0 for x in d):
         raise PolyError("d must be nonzero")
     t1 = _as_univariate(polys)
-    for i, P in enumerate(polys):
-        cert = is_irreducible_q(P)
-        if not cert.irreducible:
-            raise HypothesisError(
-                "Irred", f"polynomial #{i + 1} is reducible over the rationals"
-            )
+    _require_irreducible(polys, HypothesisError)
     product = prod(polys)
     in_report = fixed_prime_divisors(product, (t1,))
     if in_report.confirmed:
@@ -330,25 +311,6 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
         )
 
     monomials = _monomials_upto(d)  # ascending; top monomial last
-    var_reg = variables
-    bridge = (t1,) + tuple(v for v in variables if v != t1)
-
-    def compositions(M):
-        bound = {t1: M.rename(bridge)}
-        return [P.rename(bridge).substitute(bound).rename(var_reg) for P in polys]
-
-    def check(M):
-        comps = compositions(M)
-        certs = []
-        for c in comps:
-            flag, cert = is_irreducible_z(c)
-            certs.append(cert)
-            if not flag:
-                return None
-        rep = fixed_prime_divisors(prod(comps), variables)
-        if rep.confirmed:
-            return None
-        return certs, rep
 
     # monic mode is the construction with no bad primes: theta 0, omega 1
     S = []
@@ -368,39 +330,25 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
     omega = prod(S)
 
     tried = 0
-    free = len(monomials) - 1
-    for v in spiral(free):
-        if tried >= budget:
-            break
-        tried += 1
+    zero = (0,) * len(variables)
+    for tried, v in enumerate(itertools.islice(spiral(len(monomials) - 1), budget), 1):
         terms = {monomials[-1]: omega}
-        for coeff, mon in zip(v, monomials[:-1]):
-            if coeff:
-                terms[mon] = terms.get(mon, 0) + omega * coeff
-        zero = (0,) * len(var_reg)
+        terms.update((mon, omega * c) for c, mon in zip(v, monomials) if c)
         terms[zero] = terms.get(zero, 0) + theta
-        M = MPoly(var_reg, terms)
-        hit = check(M)
-        if hit is None:
+        M = MPoly(variables, terms)
+        comps = [_compose(P, {t1: M}, variables) for P in polys]
+        certs = _certificates(comps)
+        if certs is None:
             continue
-        certs, rep = hit
+        rep = fixed_prime_divisors(prod(comps), variables)
+        if rep.confirmed:
+            continue
         if monic:
-            return SubstitutionPlan(
-                theta=(tuple(v) + (1,),),
-                Ms=(M,),
-                certificates=tuple(certs),
-                fixdiv_report=rep,
-                tried=tried,
-            )
+            shape, extra = tuple(v) + (1,), {}
+        else:
+            shape, extra = tuple(v), dict(base=theta, omega=omega, bad_primes=tuple(S))
         return SubstitutionPlan(
-            theta=(tuple(v),),
-            Ms=(M,),
-            certificates=tuple(certs),
-            fixdiv_report=rep,
-            base=theta,
-            omega=omega,
-            bad_primes=tuple(S),
-            tried=tried,
+            theta=(shape,), Ms=(M,), certificates=certs, fixdiv_report=rep, tried=tried, **extra
         )
     if monic:
         raise BudgetExceeded(f"no monic plan within {tried} coefficient tuples")
@@ -419,7 +367,12 @@ class IteratedPlan:
 
 
 def iterated_composition(polys, degrees, budget=2000, monic=False):
-    """Run the pipeline stage by stage, re-verifying both invariants."""
+    """Run the pipeline stage by stage on the family it composed so far.
+
+    Each stage's plan is its evidence: its certificates and fixed-prime
+    report cover the stage's compositions, which are the new family with
+    the variable renamed back to the parameter.
+    """
     t1 = _as_univariate(polys)
     reg = polys[0].registry
     yname = "Y" if t1 != "Y" else "Z"
@@ -432,18 +385,9 @@ def iterated_composition(polys, degrees, budget=2000, monic=False):
         except HypothesisError as exc:
             raise PolyError(f"stage {stage}: {exc}") from exc
         M = plan.Ms[0].rename(reg, {yname: t1})
-        # invariant re-check on the freshly composed family
-        new_family = [P.substitute({t1: M}) for P in current]
-        for i, Q in enumerate(new_family):
-            flag, _ = is_irreducible_z(Q)
-            if not flag:
-                raise PolyError(f"stage {stage}: composition #{i + 1} not irreducible")
-        rep = fixed_prime_divisors(prod(new_family), (t1,))
-        if rep.confirmed:
-            raise PolyError(f"stage {stage}: fixed prime {rep.confirmed[0]} reappeared")
         stages.append(plan)
         Ms.append(M)
-        current = new_family
+        current = [P.substitute({t1: M}) for P in current]
         C = C.substitute({t1: M})
     return IteratedPlan(tuple(stages), tuple(Ms), C, tuple(current))
 
@@ -463,7 +407,7 @@ class CounterexampleBundle:
     all_even: bool
 
 
-def sharpness_counterexample(d, m_budget=200, samples=100, coeff_bound=10, seed=0):
+def sharpness_counterexample(d, m_budget=200, samples=100, seed=0):
     """P of T-degree 2^(d+1) whose compositions with every degree-d M are even.
 
     P = prod over {0,1}-polynomials p of degree <= d of (T - p(Y)), shifted
@@ -479,38 +423,30 @@ def sharpness_counterexample(d, m_budget=200, samples=100, coeff_bound=10, seed=
         family.append(MPoly(reg, {(0, j): b for j, b in enumerate(bits) if b}))
     P0 = prod(T - p for p in family)
 
-    chosen = None
     for m in range(1, m_budget + 1):
         P = P0 + MPoly.const(reg, 2 * m)
         flag, cert = is_irreducible_z(P)
         if flag:
-            chosen = (m, P, cert)
             break
-    if chosen is None:
+    else:
         raise BudgetExceeded(f"no irreducible shift with m <= {m_budget}")
-    m, P, cert = chosen
 
     rng = random.Random(seed)
     yreg = ("Y",)
     log = []
-    all_even = True
     residues = {
         tuple(sorted((e[1], c % 2) for e, c in p.terms.items())): idx
         for idx, p in enumerate(family)
     }
     for _ in range(samples):
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(d)]
+        coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(d)]
         lead = 0
         while lead == 0:
-            lead = rng.randint(-coeff_bound, coeff_bound)
+            lead = rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND)
         coeffs.append(lead)
         M = MPoly(yreg, {(j,): c for j, c in enumerate(coeffs) if c})
-        comp = P.substitute({"T": M.rename(reg, {"Y": "Y"})}).rename(yreg)
-        content = comp.content()
+        comp = _compose(P, {"T": M}, yreg)
         key = tuple(sorted((e[0], c % 2) for e, c in M.terms.items() if c % 2))
-        log.append((M, content, residues.get(key)))
-        if content % 2:
-            all_even = False
-    return CounterexampleBundle(
-        d, tuple(family), P0, m, P, cert, tuple(log), all_even
-    )
+        log.append((M, comp.content(), residues.get(key)))
+    all_even = all(content % 2 == 0 for _, content, _ in log)
+    return CounterexampleBundle(d, tuple(family), P0, m, P, cert, tuple(log), all_even)

@@ -132,15 +132,48 @@ def fp_mulmod(a, b, m, p):
     return fp_rem(mul(a, b), m, p)
 
 
-def fp_coprime(a, b, p):
-    """True iff gcd(a, b) in F_p[x] is a nonzero constant, for integer lists.
+def fp_powmod(h, n, m, p):
+    """h^n mod m in F_p[x] for n >= 2, by left-to-right binary powering."""
+    out = h
+    for bit in bin(n)[3:]:
+        out = fp_mulmod(out, out, m, p)
+        if bit == "1":
+            out = fp_mulmod(out, h, m, p)
+    return out
 
-    p must not divide b's leading coefficient.  a and b are not changed.
+
+def fp_gcd(a, b, p):
+    """A gcd of the integer lists a and b in F_p[x], not made monic.
+
+    p must not divide b's leading coefficient.  Euclid stops as soon as a
+    remainder is constant: a nonzero constant is returned as it is, and
+    after a zero remainder the last divisor.  a and b are not changed.
     """
     a, b = list(a), list(b)  # fp_rem works in place on its dividend
     while len(b) > 1:
         a, b = b, fp_rem(a, b, p)
-    return bool(b)
+    return b or a
+
+
+def fp_coprime(a, b, p):
+    """True iff gcd(a, b) in F_p[x] is a nonzero constant; see `fp_gcd`."""
+    return len(fp_gcd(a, b, p)) == 1
+
+
+def fp_has_root(f, p):
+    """True iff the nonzero integer list f has a root in F_p.
+
+    p must not divide f's leading coefficient.  The roots of x^p - x are
+    the elements of F_p, so f has one iff gcd(f, x^p - x) is not constant.
+    """
+    return not fp_coprime(f, _minus_x(fp_powmod([0, 1], p, f, p), p), p)
+
+
+def _minus_x(h, p):
+    """h - x in F_p[x], for a reduced list h."""
+    b = h + [0] * (2 - len(h))
+    b[1] = (b[1] - 1) % p
+    return trim(b)
 
 
 _ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, the powering O(log p) products per step
@@ -164,17 +197,10 @@ def fp_irreducible(f, p):
             return False
         if d <= 3:
             return True
-    bits = bin(p)[3:]
-    h = [0, 1]  # x^(p^i) mod m, left-to-right powering
+    h = [0, 1]  # x^(p^i) mod m
     for _ in range(d // 2):
-        base = h
-        for bit in bits:
-            h = fp_mulmod(h, h, m, p)
-            if bit == "1":
-                h = fp_mulmod(h, base, m, p)
-        b = h + [0] * (2 - len(h))
-        b[1] = (b[1] - 1) % p
+        h = fp_powmod(h, p, m, p)
         # gcd(m, h - x) decides whether m has a factor of degree dividing i
-        if not fp_coprime(m, trim(b), p):
+        if not fp_coprime(m, _minus_x(h, p), p):
             return False
     return True

@@ -80,6 +80,10 @@ def test_search_rejects_local_failure():
 def test_search_budget():
     with pytest.raises(BudgetExceeded):
         coprime_search([Q("T1 + 4"), Q("T1 + 2")], budget=0)
+    # the values are coprime at odd points only: m = -1 is the second
+    with pytest.raises(BudgetExceeded, match="no coprime point within 1 candidates"):
+        coprime_search([Q("T1 + 4"), Q("T1 + 2")], budget=1)
+    assert coprime_search([Q("T1 + 4"), Q("T1 + 2")], budget=2).tried == 2
 
 
 def test_density_of_odd_points():

@@ -1,5 +1,7 @@
+import ast
 import gc
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -16,6 +18,7 @@ from schinzel.factorlab import (
     _find_dense_factor,
     _prime_schedule,
     _signed_divisors,
+    exact_div,
     gcd_q,
     is_irreducible_fp,
     is_irreducible_q,
@@ -397,7 +400,10 @@ def test_swinnerton_dyer_needs_oracle():
 def test_multivariate_evaluation_witness():
     cert = is_irreducible_q(P("Y^2 - T"))
     assert cert.irreducible
-    assert cert.method in ("evaluation", "kronecker")
+    # T = 0 gives the reducible Y^2; T = -1, the second spiral point, Y^2 + 1
+    assert (cert.method, cert.point) == ("evaluation", {"T": -1})
+    assert is_irreducible_q(P("Y^2 - T"), eval_tries=2).method == "evaluation"
+    assert is_irreducible_q(P("Y^2 - T"), eval_tries=1).method == "kronecker"
 
 
 def test_multivariate_reducible():
@@ -543,3 +549,66 @@ def test_primitivity_wrt_params():
     split = VarSplit(("T",), ("Y",))
     assert is_primitive_wrt(P("T*Y + 2"), split)
     assert not is_primitive_wrt(P("T*Y + T"), split)  # common factor T
+
+
+# -- exact division over Z --------------------------------------------
+
+DIV_REG = ("x", "y", "z")
+
+
+def _fraction_exact_div(f, g):
+    """exact_div as it was with Fraction arithmetic, the reference."""
+    gterms = sorted(g.terms.items(), reverse=True)
+    glead_e, glead_c = gterms[0]
+    rem = {e: Fraction(c) for e, c in f.terms.items()}
+    quot = {}
+    while rem:
+        e = max(rem)
+        qe = tuple(a - b for a, b in zip(e, glead_e))
+        if any(x < 0 for x in qe):
+            return None
+        qc = rem[e] / glead_c
+        quot[qe] = qc
+        for ge, gc_ in gterms:
+            re = tuple(a + b for a, b in zip(qe, ge))
+            nv = rem.get(re, Fraction(0)) - qc * gc_
+            if nv:
+                rem[re] = nv
+            else:
+                rem.pop(re, None)
+    if any(c.denominator != 1 for c in quot.values()):
+        return None
+    return MPoly(f.registry, {e: int(c) for e, c in quot.items()})
+
+
+_div_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-6, 6),
+                             max_size=5).map(lambda t: MPoly(DIV_REG, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_div_polys, _div_polys.filter(lambda g: not g.is_zero()), _div_polys,
+       st.sampled_from(("any", "multiple", "near")))
+def test_exact_div_matches_fraction_reference(f, g, noise, kind):
+    # a third of the dividends are multiples of g, a third multiples plus noise
+    if kind != "any":
+        f = f * g
+    if kind == "near":
+        f = f + noise
+    got = exact_div(f, g)
+    assert got == _fraction_exact_div(f, g)
+    if got is not None:
+        assert got * g == f
+
+
+def test_only_the_extended_euclids_import_fractions():
+    # Fraction arithmetic is left to upoly.ext_gcd and the Bezout constant
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "schinzel"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions" or (
+                    isinstance(node, ast.Import)
+                    and any(a.name == "fractions" for a in node.names)):
+                importers.add(path.stem)
+    assert importers <= {"upoly", "schinzelcore"}
+    assert "factorlab" not in importers

@@ -235,11 +235,12 @@ def test_search_pair():
 
 
 def test_search_budget_exhaustion():
-    # T*Y + 2 specializes to content-2 polynomials at even t and to
-    # degenerate ones at t=0; members exist (odd t) so force tiny budget
-    gen = hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=1)
-    with pytest.raises(BudgetExceeded):
-        next(gen)
+    # t^2 + t is even, so every specialization has content 2: no point is a
+    # member and the search examines exactly `budget` points
+    for budget in (1, 5):
+        gen = hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=budget)
+        with pytest.raises(BudgetExceeded, match=f"no member within {budget} points"):
+            next(gen)
 
 
 def test_density_exact_small():

@@ -100,9 +100,12 @@ def test_generic_monomial_counts():
 
 def test_generic_budget():
     split = VarSplit(("T",), ("Y1", "Y2"))
-    with pytest.raises(BudgetExceeded):
+    # (8 + 1) * (7 + 1) = 72 lambdas; the budget is LAM_BUDGET = 64
+    with pytest.raises(BudgetExceeded, match="72 lambda indeterminates exceed the budget 64"):
         generic_substitution([parse_poly("T + Y1", ("T", "Y1", "Y2"))],
-                             split, ((7, 7),), lam_budget=10)
+                             split, ((8, 7),))
+    gs = generic_substitution([parse_poly("T + Y1", ("T", "Y1", "Y2"))], split, ((7, 7),))
+    assert len(gs.lam_flat) == 64
 
 
 def test_generic_members_stay_irreducible():

@@ -280,3 +280,30 @@ def test_vanishes_somewhere_fixes_an_unused_coordinate_once():
     t0 = time.perf_counter()
     assert not vanishes_somewhere([Q], ("T", "U"), 1009)
     assert time.perf_counter() - t0 < 0.5
+
+
+@st.composite
+def last_coordinate_case(draw):
+    """(p, params, members) with p <= 31, sharing roots in the last parameter often."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    params = draw(st.sampled_from((("T",), ("U", "T"))))
+    expo = st.tuples(*[st.integers(0, p + 2)] * len(LW_REG))
+    roots = draw(st.lists(st.integers(0, p - 1), max_size=2))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        Q = MPoly(LW_REG, draw(st.dictionaries(expo, st.integers(-p, p), min_size=1,
+                                               max_size=4)))
+        for a in roots + draw(st.lists(st.integers(0, p - 1), max_size=1)):
+            Q = Q * (MPoly.var(LW_REG, "T") - a)
+        members.append(Q)
+    return p, params, members
+
+
+@given(last_coordinate_case())
+@settings(max_examples=150, deadline=None)
+def test_vanishes_somewhere_root_test_matches_enumeration(case):
+    # the last coordinate is settled by a gcd over F_p and a root test
+    p, params, members = case
+    want = any(all(_vanishes(Q, params, t, p) for Q in members)
+               for t in _lex(p, len(params)))
+    assert vanishes_somewhere(members, params, p) == want

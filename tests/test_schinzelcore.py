@@ -91,6 +91,14 @@ def test_nonvanishing_point_large_prime_is_fast():
     assert time.perf_counter() - t0 < 1
 
 
+def test_nonvanishing_point_root_test_on_the_last_coordinate():
+    # T*Y + T + 1 vanishes at no residue: the gcd of its rows over F_p, the
+    # constant 1, has no root, so no walk over the p residues is needed
+    t0 = time.perf_counter()
+    assert nonvanishing_point(P("T*Y + T + 1"), SPLIT, [1000003]) == (0,)
+    assert time.perf_counter() - t0 < 0.05
+
+
 def test_nonvanishing_point_skips_vanishing_prefixes():
     # all 1000003 tuples with T = 0 vanish; the descent settles that prefix
     # with one specialized table instead of a walk over U

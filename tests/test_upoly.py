@@ -17,8 +17,11 @@ from schinzel.upoly import (
     exact_quotient,
     ext_gcd,
     fp_coprime,
+    fp_gcd,
+    fp_has_root,
     fp_irreducible,
     fp_mulmod,
+    fp_powmod,
     fp_rem,
     mul,
     trim,
@@ -30,6 +33,7 @@ x = sympy.Symbol("x")
 PRIMES = primes_upto(60)
 # fp_irreducible scans for roots below 256 only; these primes take the powering alone
 LARGE_PRIMES = [257, 263, 509, 1009]
+SMALL_PRIMES = primes_upto(31)  # small enough to test every residue
 INTS = st.integers(-40, 40)
 RATS = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 
@@ -184,3 +188,50 @@ def test_fp_coprime_matches_sympy_gcd(a, pb, common):
     want = _poly(a, modulus=p).gcd(_poly(b, modulus=p)).degree() == 0
     assert fp_coprime(a, b, p) == want
     assert (a, b) == (a_in, b_in)  # the inputs are not changed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS, 6), _fp_divisor(PRIMES + LARGE_PRIMES), st.integers(2, 3000))
+def test_fp_powmod_matches_sympy(h, pm, n):
+    p, m = pm
+    if len(m) < 2:
+        m = [1] + m
+    h = fp_rem(list(h), m, p)
+    gf_pow_mod = sympy.polys.galoistools.gf_pow_mod
+    want = gf_pow_mod([c % p for c in reversed(h)], n, [c % p for c in reversed(m)], p, sympy.ZZ)
+    assert fp_powmod(h, n, m, p) == trim([int(c) for c in reversed(want)])
+
+
+def _roots(f, p):
+    return {r for r in range(p) if evaluate(f, r) % p == 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lists(INTS, 6), _fp_divisor(SMALL_PRIMES), _lists(INTS, 3),
+       st.lists(st.integers(0, 30), max_size=3))
+def test_fp_gcd_against_brute_force(a, pb, common, shared_roots):
+    p, b = pb
+    # common factors and shared roots make nonconstant gcds frequent
+    for r in shared_roots:
+        a, b = mul(a, [-r, 1]), mul(b, [-r, 1])
+    if common and common[-1] % p:
+        a, b = mul(a, common), mul(b, common)
+    a_in, b_in = list(a), list(b)
+    g = fp_gcd(a, b, p)
+    assert (a, b) == (a_in, b_in)  # the inputs are not changed
+    assert g and g[-1] % p
+    want = _poly(a, modulus=p).gcd(_poly(b, modulus=p))
+    assert len(g) - 1 == want.degree()
+    # a gcd divides both inputs and has exactly their common roots
+    assert fp_rem(list(a), g, p) == fp_rem(list(b), g, p) == []
+    assert _roots(g, p) == _roots(a, p) & _roots(b, p)
+    assert fp_coprime(a, b, p) == (len(g) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fp_divisor(SMALL_PRIMES), st.lists(st.integers(0, 30), max_size=2))
+def test_fp_has_root_against_brute_force(pf, roots):
+    p, f = pf  # a nonzero constant has no root
+    for r in roots:
+        f = mul(f, [-r, 1])
+    assert fp_has_root(f, p) == bool(_roots(f, p))
