@@ -3,7 +3,7 @@ and polynomial Schinzel-type searches over the integers."""
 
 __version__ = "0.1.0"
 
-from .polyring import MPoly, VarSplit, ResiduePoly, parse_poly, reduce_mod
+from .polyring import MPoly, VarSplit, parse_poly, reduce_mod
 from .factorlab import (
     IrredCertificate,
     Factorization,

@@ -97,28 +97,29 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, polys=True, split=True):
+    def common(p, polys=True, split=True, budget=True):
         if polys:
             p.add_argument("--poly", "--polys", action="append", dest="polys",
                            required=True, metavar="EXPR")
         if split:
             p.add_argument("--params", default="", metavar="NAMES")
             p.add_argument("--vars", default="", metavar="NAMES")
-        p.add_argument("--budget", type=int, default=None)
+        if budget:
+            p.add_argument("--budget", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("fixdiv", help="fixed prime divisors w.r.t. the parameters")
-    common(p)
+    common(p, budget=False)
     p = sub.add_parser("irred", help="irreducibility over Q and over Z")
-    common(p, split=False)
+    common(p, split=False, budget=False)
     p.add_argument("--factor", action="store_true",
                    help="also run the Kronecker oracle")
     p = sub.add_parser("hilbert", help="search irreducibility-preserving points")
     common(p)
     p.add_argument("--limit", type=int, default=1)
     p = sub.add_parser("progression", help="Schinzel progression for the first parameter")
-    common(p)
+    common(p, budget=False)
     p = sub.add_parser("schinzel", help="substitute polynomials for the parameters")
     common(p)
     p.add_argument("--d", required=True, metavar="MATRIX")
@@ -143,10 +144,10 @@ def _build_parser():
     return parser
 
 
-def _registry(args):
-    params = _split_csv(args.params)
-    variables = _split_csv(args.vars)
-    return params, variables, params + variables
+def _family(args):
+    """The parameter/variable split of the command line and the family over it."""
+    split = VarSplit(_split_csv(args.params), _split_csv(args.vars))
+    return split, _polys(args, split.params + split.variables)
 
 
 def _inferred_registry(exprs, params=()):
@@ -180,9 +181,8 @@ def _cert_lines(rep, prefix, cert):
 
 
 def _cmd_fixdiv(args, rep):
-    params, variables, registry = _registry(args)
-    split = VarSplit(params, variables)
-    P = _polys(args, registry)[0]
+    split, polys = _family(args)
+    P = polys[0]
     report = fixed_prime_divisors(P, split)
     rep.add("delta", report.delta)
     rep.add("content", report.content)
@@ -212,9 +212,7 @@ def _cmd_irred(args, rep):
 
 
 def _cmd_hilbert(args, rep):
-    params, variables, registry = _registry(args)
-    split = VarSplit(params, variables)
-    polys = _polys(args, registry)
+    split, polys = _family(args)
     budget = args.budget or 10**6
     found = 0
     for sp in hilbert_search(polys, split, budget=budget):
@@ -231,9 +229,7 @@ def _cmd_hilbert(args, rep):
 
 
 def _cmd_progression(args, rep):
-    params, variables, registry = _registry(args)
-    split = VarSplit(params, variables)
-    polys = _polys(args, registry)
+    split, polys = _family(args)
     w = progression_witness(polys, split)
     rep.add("param", split.params[w.param_index - 1])
     rep.add("delta", w.delta)
@@ -246,9 +242,7 @@ def _cmd_progression(args, rep):
 
 
 def _cmd_schinzel(args, rep):
-    params, variables, registry = _registry(args)
-    split = VarSplit(params, variables)
-    polys = _polys(args, registry)
+    split, polys = _family(args)
     d = _parse_d(args.d)
     budget = args.budget or 5000
     try:
@@ -277,9 +271,8 @@ def _cmd_schinzel(args, rep):
 
 
 def _cmd_strong(args, rep):
-    params, variables, _ = _registry(args)
-    polys = _polys(args, _inferred_registry(args.polys, params))
-    variables = variables or ("Y",)
+    polys = _polys(args, _inferred_registry(args.polys, _split_csv(args.params)))
+    variables = _split_csv(args.vars) or ("Y",)
     d = _parse_d(args.d)[0]
     budget = args.budget or 2000
     try:
@@ -357,9 +350,7 @@ def _cmd_coprime(args, rep):
 
 
 def _cmd_density(args, rep):
-    params, variables, registry = _registry(args)
-    split = VarSplit(params, variables)
-    polys = _polys(args, registry)
+    split, polys = _family(args)
     budget = args.budget or 10**7
     report = density_report(polys, split, args.N, budget=budget)
     rep.add("N", report.N)
@@ -396,7 +387,12 @@ def run(argv):
         except IndexError:
             print("error = --job requires a path", file=sys.stderr)
             return EXIT_USAGE
-        argv = argv[:i] + _load_job(path) + argv[i + 2:]
+        try:
+            job = _load_job(path)
+        except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not text
+            print(f"error = {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        argv = argv[:i] + job + argv[i + 2:]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -432,8 +428,12 @@ def run(argv):
     sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error = {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

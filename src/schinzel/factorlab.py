@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
-from .polyring import BudgetExceeded, MPoly, PolyError, dense, undense
+from .polyring import BudgetExceeded, MPoly, PolyError, dense, reduce_mod, undense
 from .upoly import evaluate, exact_quotient, fp_coprime, fp_irreducible, mul, trim
 
 MODP_TRIES = 10
@@ -21,6 +21,7 @@ EVAL_POINT_TRIES = 40
 _SCHEDULE_PRIMES = primes_upto(100)  # counted on past only for a lead divisible by 16 of them
 _IMAGE_PRIME = 10007  # gcd_q's coprimality image lives in F_p[x] for this p
 _IMAGE_POINTS = 4  # spiral points tried for one where both leading coefficients survive
+MAX_VARS = 3  # the Kronecker oracle packs at most this many variables into one
 
 
 BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
@@ -68,22 +69,20 @@ class Factorization:
 # -- finite field univariate -----------------------------------------
 
 
-def is_irreducible_fp(rp):
-    """Distinct-degree irreducibility test in F_p[x].
+def is_irreducible_fp(P, p):
+    """Distinct-degree irreducibility test of P mod p in F_p[x].
 
-    True iff rp is irreducible: gcd(f, x^(p^i) - x) is constant for every
+    P reduced mod p must involve exactly one variable.  True iff that
+    reduction is irreducible: gcd(f, x^(p^i) - x) is constant for every
     i <= deg(f)/2.
     """
-    p = rp.modulus
+    R = reduce_mod(P, p)
     if not is_prime(p):
         raise PolyError(f"modulus {p} is not prime")
-    names = rp.variables()
+    names = R.variables()
     if len(names) != 1:
         raise PolyError("univariate polynomial required")
-    f = dense(rp, names[0])
-    if len(f) < 2:
-        raise PolyError("constant polynomial")
-    return fp_irreducible(f, p)
+    return fp_irreducible(dense(R, names[0]), p)
 
 
 # -- Kronecker oracle ------------------------------------------------
@@ -275,7 +274,7 @@ def _normalize_sign(P):
     return -P if P.leading_coefficient() < 0 else P
 
 
-def kronecker_factor(P, max_total_degree=12, max_vars=3, combo_budget=2_000_000):
+def kronecker_factor(P, max_total_degree=12, combo_budget=2_000_000):
     """Complete factorization over Z by the Kronecker method.
 
     Returns Factorization(unit, content, factors).  Multivariate inputs are
@@ -294,8 +293,8 @@ def kronecker_factor(P, max_total_degree=12, max_vars=3, combo_budget=2_000_000)
     names = pp.variables()
     if not names:
         return Factorization(unit, content, ())
-    if len(names) > max_vars:
-        raise BudgetExceeded(f"{len(names)} variables exceeds the {max_vars}-variable budget")
+    if len(names) > MAX_VARS:
+        raise BudgetExceeded(f"{len(names)} variables exceeds the {MAX_VARS}-variable budget")
     if pp.total_degree() > max_total_degree:
         raise BudgetExceeded(
             f"total degree {pp.total_degree()} exceeds the degree-{max_total_degree} budget"
@@ -395,25 +394,19 @@ def _prime_schedule(lead, tries=MODP_TRIES):
     return itertools.islice((p for p in primes if lead % p), tries)
 
 
-def _modp_certificate(lead, irreducible_mod):
-    """Mod-p certificate from the first scheduled prime that proves irreducibility.
+def univariate_certificate(f, registry, name, irreducible_mod=fp_irreducible, **oracle_opts):
+    """Irreducibility over Q of a primitive univariate: mod-p first, oracle after.
 
-    `lead` is the leading coefficient of a primitive univariate f over Z;
-    `irreducible_mod(p)` says whether f mod p is irreducible, for a prime p
-    not dividing `lead`.  None when every scheduled prime fails.
+    `f` is the dense integer coefficient list of a primitive polynomial of
+    degree >= 1 in `name`.  The first scheduled prime p (one not dividing
+    the leading coefficient, so f mod p keeps its degree) for which
+    `irreducible_mod(f, p)` holds is the certificate; when none does, the
+    Kronecker oracle decides `undense(f, registry, name)`.
     """
-    for p in _prime_schedule(lead):
-        if irreducible_mod(p):
+    for p in _prime_schedule(f[-1]):
+        if irreducible_mod(f, p):
             return IrredCertificate("irreducible", "mod-p", prime=p)
-    return None
-
-
-def _univar_certificate(P, name, **oracle_opts):
-    """Irreducibility of a primitive univariate over Q: mod-p first, oracle after."""
-    f = dense(P, name)
-    # p does not divide the leading coefficient, so f mod p keeps its degree
-    cert = _modp_certificate(f[-1], lambda p: fp_irreducible(f, p))
-    return cert or _kronecker_certificate(P, **oracle_opts)
+    return _kronecker_certificate(undense(f, registry, name), **oracle_opts)
 
 
 def _kronecker_certificate(P, **oracle_opts):
@@ -436,7 +429,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
     pp = _normalize_sign(P.primitive_part())
     names = pp.variables()
     if len(names) == 1:
-        return _univar_certificate(pp, names[0], **oracle_opts)
+        return univariate_certificate(dense(pp, names[0]), pp.registry, names[0], **oracle_opts)
 
     # main variable: largest degree, ties broken by registry order
     main = max(names, key=lambda n: pp.degree_in(n))
@@ -449,10 +442,11 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
     d = pp.degree_in(main)
     for point in itertools.islice(spiral(len(others)), eval_tries):
         bindings = dict(zip(others, point))
-        image = pp.substitute(bindings)
-        if image.degree_in(main) != d:
+        f = dense(pp.substitute(bindings), main)
+        if len(f) != d + 1:
             continue
-        inner = _univar_certificate(image.primitive_part(), main, **oracle_opts)
+        c = math.gcd(*f)
+        inner = univariate_certificate([a // c for a in f], pp.registry, main, **oracle_opts)
         if inner.irreducible:
             return IrredCertificate(
                 "irreducible",

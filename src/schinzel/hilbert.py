@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 from .factorlab import (
-    _kronecker_certificate,
-    _modp_certificate,
     content_q,
     exact_div,
     is_irreducible_q,
     is_primitive_wrt,
+    univariate_certificate,
 )
 from .fixdiv import fixed_prime_divisors
 from .polyring import BudgetExceeded, PolyError
@@ -125,12 +124,12 @@ def _residue_class_check(polys, split):
     Y-degree, and scaling by a unit mod p does not change irreducibility
     mod p.  So one distinct-degree verdict per (member, p, Y-degree + 1,
     t mod p) serves every point of that residue class: a mod-p certificate
-    covers a whole progression.  The prime schedule is the one
-    `is_irreducible_q` builds for the primitive part of P(t, Y), primes
-    dividing its content test that primitive part directly, and a point
-    that no scheduled prime certifies goes to the same Kronecker oracle,
-    so results are identical.  The verdicts live as long as the returned
-    function.
+    covers a whole progression.  Each image's primitive part goes to the
+    `univariate_certificate` that `is_irreducible_q` calls, with this
+    table as its F_p test; primes dividing the content test that primitive
+    part directly and are not tabled.  A point that no scheduled prime
+    certifies reaches the same Kronecker oracle, so results are identical.
+    The verdicts live as long as the returned function.
     """
     names = split.params + split.variables
     if split.n != 1 or any(
@@ -141,10 +140,11 @@ def _residue_class_check(polys, split):
 
     # per member and Y-degree, the coefficient as [(integer, monomial index)];
     # monos numbers the parameter monomials, evaluated once per point
+    y = split.variables[0]
     monos = {}
     members = []
     for P in polys:
-        rows = [[] for _ in range(P.degree_in(split.variables[0]) + 1)]
+        rows = [[] for _ in range(P.degree_in(y) + 1)]
         for expo, C in P.coefficients(names).items():
             j = monos.setdefault(expo[:-1], len(monos))
             rows[expo[-1]].append((C.constant_value(), j))
@@ -160,20 +160,17 @@ def _residue_class_check(polys, split):
                 return
             c = math.gcd(*f)
 
-            def irreducible_mod(p):
+            def irreducible_mod(g, p):
                 if c % p == 0:
-                    return fp_irreducible([x // c for x in f], p)
-                key = (i, p, len(f), tuple([x % p for x in t]))
+                    return fp_irreducible(g, p)
+                key = (i, p, len(g), tuple([x % p for x in t]))
                 verdict = verdicts.get(key)
                 if verdict is None:
-                    verdict = verdicts[key] = fp_irreducible(f, p)
+                    verdict = verdicts[key] = fp_irreducible(g, p)
                 return verdict
 
-            cert = _modp_certificate(f[-1] // c, irreducible_mod)
-            if cert is None:  # as in is_irreducible_q, the oracle decides
-                S = polys[i].substitute(dict(zip(split.params, t)))
-                cert = _kronecker_certificate(S)
-            yield c, cert
+            g = f if c == 1 else [x // c for x in f]
+            yield c, univariate_certificate(g, polys[i].registry, y, irreducible_mod)
 
     return lambda t: _point(t, images(t))
 

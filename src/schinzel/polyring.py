@@ -411,54 +411,10 @@ class VarSplit:
             raise PolyError(f"split names not in registry: {sorted(missing)}")
 
 
-class ResiduePoly:
-    """Polynomial with coefficients reduced into [0, m), m >= 2."""
-
-    __slots__ = ("modulus", "registry", "terms")
-
-    def __init__(self, modulus, registry, terms):
-        if modulus < 2:
-            raise PolyError("modulus must be >= 2")
-        clean = {}
-        for expo, coeff in terms.items():
-            c = coeff % modulus
-            if c:
-                clean[tuple(expo)] = c
-        object.__setattr__(self, "modulus", int(modulus))
-        object.__setattr__(self, "registry", tuple(registry))
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResiduePoly is immutable")
-
-    is_zero = MPoly.is_zero
-    degree_in = MPoly.degree_in
-    variables = MPoly.variables
-
-    def __eq__(self, other):
-        if not isinstance(other, ResiduePoly):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.registry == other.registry
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.registry, frozenset(self.terms.items())))
-
-    def __str__(self):
-        lifted = MPoly(self.registry, self.terms)
-        return f"({lifted}) mod {self.modulus}"
-
-    __repr__ = __str__
-
-
 def dense(P, name):
     """Coefficient list of P in one name, constant term first; [] for zero.
 
     Terms are summed over the other names, so P should involve no other.
-    Works for MPoly and ResiduePoly alike.
     """
     i = P.registry.index(name)
     out = [0] * (P.degree_in(name) + 1)
@@ -480,10 +436,10 @@ def undense(coeffs, registry, name):
 
 
 def reduce_mod(P, m):
-    """Coefficientwise reduction of an MPoly modulo m >= 2."""
+    """The MPoly of P's coefficients reduced into [0, m), m >= 2; zero residues drop."""
     if m < 2:
         raise PolyError("modulus must be >= 2")
-    return ResiduePoly(m, P.registry, P.terms)
+    return MPoly._make(P.registry, {e: r for e, c in P.terms.items() if (r := c % m)})
 
 
 # -- parser ----------------------------------------------------------

@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -269,6 +271,39 @@ def test_out_file(tmp_path, capsys):
     code, out = invoke(capsys, "irred", "--poly", "Y^2+1", "--out", str(path))
     assert code == 0
     assert path.read_text() == out
+
+
+def test_unwritable_out_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.txt"
+    code = run(["irred", "--poly", "x^2+1", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert kv(captured.out)["verdict"] == "true"  # the report is printed first
+    assert captured.err.startswith("error = ") and "report.txt" in captured.err
+
+
+def test_unreadable_job_file_is_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"command = irred\npoly = x\xff\n")
+    for path, detail in [(tmp_path / "nonexistent", "nonexistent"), (tmp_path, "directory"),
+                         (binary, "utf-8")]:
+        code = run(["--job", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error = ") and detail in captured.err
+
+
+@pytest.mark.parametrize("command, rest", [
+    ("irred", ["--poly", "x^2+1"]),
+    ("fixdiv", ["--poly", "T*Y + 2", "--params", "T", "--vars", "Y"]),
+    ("progression", ["--poly", "T*Y + 2", "--params", "T", "--vars", "Y"]),
+])
+def test_budget_only_where_it_is_read(command, rest, capsys):
+    assert run([command, *rest, "--budget", "5"]) == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+    assert run([command, *rest]) in (0, 1)
+    capsys.readouterr()
 
 
 JOBS = [

@@ -25,9 +25,10 @@ from schinzel.factorlab import (
     is_irreducible_z,
     is_primitive_wrt,
     kronecker_factor,
+    univariate_certificate,
 )
 from schinzel.numutil import is_prime, primes_upto, signed_ints
-from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
+from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, undense
 from schinzel.upoly import evaluate as _eval_dense
 from schinzel.upoly import exact_quotient as _dense_exact_div
 from schinzel.upoly import trim
@@ -53,15 +54,27 @@ def _deg(c):
 
 
 def test_fp_irreducible_quadratics():
-    assert is_irreducible_fp(reduce_mod(U("x^2 + x + 1"), 2))
-    assert not is_irreducible_fp(reduce_mod(U("x^2 + 1"), 2))  # (x+1)^2
-    assert is_irreducible_fp(reduce_mod(U("x^2 + 1"), 3))
+    assert is_irreducible_fp(U("x^2 + x + 1"), 2)
+    assert not is_irreducible_fp(U("x^2 + 1"), 2)  # (x+1)^2
+    assert is_irreducible_fp(U("x^2 + 1"), 3)
 
 
 def test_fp_linear_and_errors():
-    assert is_irreducible_fp(reduce_mod(U("x + 1"), 5))
+    assert is_irreducible_fp(U("x + 1"), 5)
     with pytest.raises(PolyError):
-        is_irreducible_fp(reduce_mod(U("x^2 + 1"), 4))
+        is_irreducible_fp(U("x^2 + 1"), 4)
+
+
+def test_fp_reduces_before_it_decides():
+    # the verdict is the one of P mod p, whatever P is over Z
+    assert is_irreducible_fp(parse_poly("2*x*y + x + 1", ("x", "y")), 2)  # x + 1
+    assert is_irreducible_fp(U("3*x^2 + x + 1"), 3)  # x + 1
+    with pytest.raises(PolyError):
+        is_irreducible_fp(U("2*x"), 2)  # zero mod 2
+    with pytest.raises(PolyError):
+        is_irreducible_fp(U("2*x + 1"), 4)
+    with pytest.raises(PolyError):
+        is_irreducible_fp(parse_poly("x*y + 1", ("x", "y")), 5)
 
 
 FP_PRIMES = primes_upto(101)
@@ -95,7 +108,7 @@ def test_fp_irreducible_matches_sympy():
     seen = set()
     for c, p in _fp_cases(41, 600):
         want = sympy.Poly(list(reversed(c)), x, modulus=p).is_irreducible
-        assert is_irreducible_fp(reduce_mod(_poly_from(c), p)) == want, (c, p)
+        assert is_irreducible_fp(_poly_from(c), p) == want, (c, p)
         seen.add(want)
     assert seen == {True, False}
 
@@ -391,6 +404,18 @@ def test_oracle_fallback_certificate():
     assert cert.factor is not None
 
 
+def test_oracle_factor_keeps_the_variable():
+    # Y is not the first name of the registry; the oracle's factor is still in Y
+    cert = is_irreducible_q(P("Y^2 - 1"))
+    assert cert.method == "kronecker" and cert.factor == P("Y + 1")
+
+
+def test_evaluation_image_is_certified_by_its_primitive_part():
+    # the image at T = 0 is 2*(Y^2 + Y + 1); 2 divides only its content, so 2 certifies
+    cert = is_irreducible_q(P("T*Y^2 + 2*Y^2 + 2*Y + 2"))
+    assert (cert.method, cert.point, cert.prime) == ("evaluation", {"T": 0}, 2)
+
+
 def test_swinnerton_dyer_needs_oracle():
     # (x^2-2)(x^2-3)(x^2-6) splits mod every prime but x^2-2 is Q-irreducible
     cert = is_irreducible_q(U("x^2 - 2"))
@@ -612,3 +637,43 @@ def test_only_the_extended_euclids_import_fractions():
                 importers.add(path.stem)
     assert importers <= {"upoly", "schinzelcore"}
     assert "factorlab" not in importers
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+    st.integers(-12, 12).filter(bool),
+)
+@settings(max_examples=150, deadline=None)
+def test_univariate_certificate_matches_is_irreducible_q(low, lead):
+    f = low + [lead]
+    c = math.gcd(*f)
+    f = [a // c for a in f]
+
+    def verdict(call):
+        try:
+            return call()
+        except BudgetError as exc:
+            return str(exc)
+
+    got = verdict(lambda: univariate_certificate(f, X, "x", combo_budget=500))
+    assert got == verdict(lambda: is_irreducible_q(undense(f, X, "x"), combo_budget=500))
+
+
+def test_no_module_imports_private_factorlab_names():
+    # the univariate verdict path stays behind factorlab's public functions
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "schinzel"
+    leaks = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if module == "factorlab" and node.level == 1 or module == "schinzel.factorlab":
+                leaks += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert leaks == []
+
+
+def test_kronecker_variable_budget():
+    reg = ("w", "x", "y", "z")
+    with pytest.raises(BudgetError, match="^4 variables exceeds the 3-variable budget$"):
+        kronecker_factor(parse_poly("w*x*y*z + 1", reg))

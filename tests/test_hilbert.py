@@ -193,6 +193,16 @@ def test_residue_table_serves_lead_divisible_by_sixteen_primes():
     assert primes and min(primes) > 53
 
 
+def test_residue_table_substitutes_nothing(monkeypatch):
+    # t = 0 and the squares reach the Kronecker oracle; no point is rebuilt by substitute
+    calls = []
+    substitute = MPoly.substitute
+    monkeypatch.setattr(MPoly, "substitute", lambda *a: calls.append(a) or substitute(*a))
+    report = density_report([P("Y^2 - T"), P("2*Y^3 + T*Y + 1")], SPLIT, 30)
+    assert calls == []
+    assert report.reasons["reducible"] >= 6  # t = 0, 1, 4, 9, 16, 25
+
+
 def test_other_names_keep_the_pointwise_route():
     # Z is neither a parameter nor a variable: P(t, Y, Z) is bivariate
     reg = ("T", "Y", "Z")

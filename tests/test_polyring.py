@@ -318,6 +318,12 @@ def test_reduce_mod():
     assert reduce_mod(P("2*T"), 2).degree_in("T") == -1
 
 
+@given(polys3, st.integers(2, 12))
+@settings(max_examples=100, deadline=None)
+def test_reduce_mod_is_the_mpoly_of_residues(a, m):
+    assert reduce_mod(a, m) == MPoly(a.registry, {e: c % m for e, c in a.terms.items()})
+
+
 def test_reduce_mod_invalid_modulus():
     with pytest.raises(PolyError):
         reduce_mod(P("T"), 1)
