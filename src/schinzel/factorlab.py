@@ -1,8 +1,9 @@
 """Irreducibility decisions and factorization over Z and Q.
 
-Two routes are kept strictly separate: cheap certificates (mod-p and
-evaluation witnesses) and the exhaustive Kronecker oracle, which serves as
-desk-scale ground truth for everything the certificates claim.
+Two routes are kept strictly separate: cheap certificates (mod-p, rational
+root and evaluation witnesses) and the exhaustive Kronecker oracle, which
+serves as desk-scale ground truth for everything the certificates claim.
+A univariate input no prime certifies tries p-adically lifted roots first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, dense, reduce_mod, undense
-from .upoly import evaluate, exact_quotient, fp_coprime, fp_irreducible, mul, trim
+from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_coprime, fp_irreducible
+from .upoly import fp_roots, mul, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
@@ -31,10 +33,11 @@ BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
 class IrredCertificate:
     """Evidence for an irreducibility verdict.
 
-    method is one of 'mod-p', 'evaluation', 'kronecker', 'content'.
-    For mod-p the witness is the prime; for evaluation the point plus the
-    inner certificate of the univariate image; for reducible verdicts the
-    witness is a nontrivial factor dividing the input exactly.
+    method is one of 'mod-p', 'root', 'evaluation', 'kronecker', 'content'.
+    For mod-p the witness is the prime; for root, a linear factor or, at
+    degree <= 3, the absence of a rational root; for evaluation the point
+    plus the inner certificate of the univariate image; for reducible
+    verdicts the witness is a nontrivial factor dividing the input exactly.
     """
 
     verdict: str
@@ -394,18 +397,61 @@ def _prime_schedule(lead, tries=MODP_TRIES):
     return itertools.islice((p for p in primes if lead % p), tries)
 
 
+def _rational_roots(f):
+    """The rational roots a/b of a primitive dense f, as pairs (a, b) with b > 0.
+
+    Root 0 comes from stripping x^k.  The others are lifted from the roots r
+    of f mod p, for the first scheduled p < _ROOT_SCAN_BELOW that leaves f
+    squarefree, by Newton's step mod p^(2^j): a root a/b has b | lead and
+    a | f(0), so lead*a/b is the symmetric residue of lead*r once p^(2^j)
+    passes 2*|lead*f(0)|.  Each candidate is tested exactly.  None when no
+    such prime exists, as for an f with a repeated factor.
+    """
+    k = next(i for i, c in enumerate(f) if c)
+    g, roots = f[k:], ([(0, 1)] if k else [])
+    if len(g) == 1:
+        return roots
+    lead, d = g[-1], len(g) - 1
+    dg = [i * c for i, c in enumerate(g)][1:]
+    primes = itertools.takewhile(lambda p: p < _ROOT_SCAN_BELOW, _prime_schedule(lead))
+    p = next((p for p in primes if fp_coprime(dg, g, p)), None)
+    if p is None:
+        return None
+    bound = 2 * abs(lead * g[0])
+    for r in fp_roots(g, p):
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - evaluate(g, r) * pow(evaluate(dg, r), -1, q)) % q
+        c = (lead * r + q // 2) % q - q // 2  # the symmetric residue
+        h = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
+        a, b = c // h, lead // h
+        if sum(ci * a**i * b ** (d - i) for i, ci in enumerate(g)) == 0:
+            roots.append((a, b))
+    return roots
+
+
 def univariate_certificate(f, registry, name, irreducible_mod=fp_irreducible, **oracle_opts):
-    """Irreducibility over Q of a primitive univariate: mod-p first, oracle after.
+    """Irreducibility over Q of a primitive univariate: mod-p, roots, then the oracle.
 
     `f` is the dense integer coefficient list of a primitive polynomial of
     degree >= 1 in `name`.  The first scheduled prime p (one not dividing
     the leading coefficient, so f mod p keeps its degree) for which
-    `irreducible_mod(f, p)` holds is the certificate; when none does, the
-    Kronecker oracle decides `undense(f, registry, name)`.
+    `irreducible_mod(f, p)` holds is the certificate.  When none does, the
+    root route runs: a rational root a/b makes f reducible, with the
+    `str`-least b*x - a as the factor, and a degree <= 3 without one is
+    irreducible.  Everything else goes to the Kronecker oracle, which
+    decides `undense(f, registry, name)`.
     """
     for p in _prime_schedule(f[-1]):
         if irreducible_mod(f, p):
             return IrredCertificate("irreducible", "mod-p", prime=p)
+    roots = _rational_roots(f)
+    if roots:
+        factors = (undense([-a, b], registry, name) for a, b in roots)
+        return IrredCertificate("reducible", "root", factor=min(factors, key=str))
+    if roots is not None and len(f) <= 4:
+        return IrredCertificate("irreducible", "root")
     return _kronecker_certificate(undense(f, registry, name), **oracle_opts)
 
 
@@ -420,7 +466,8 @@ def _kronecker_certificate(P, **oracle_opts):
 def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
     """Irreducibility in Q[registry], with a certificate.
 
-    Univariate: mod-p schedule, then the Kronecker oracle.  Multivariate:
+    Univariate: mod-p schedule, the root route, then the Kronecker oracle
+    (see `univariate_certificate`).  Multivariate:
     primitivity in a main variable plus a degree-preserving integer
     evaluation with irreducible univariate image; full oracle as fallback.
     """

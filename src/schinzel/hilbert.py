@@ -127,8 +127,8 @@ def _residue_class_check(polys, split):
     covers a whole progression.  Each image's primitive part goes to the
     `univariate_certificate` that `is_irreducible_q` calls, with this
     table as its F_p test; primes dividing the content test that primitive
-    part directly and are not tabled.  A point that no scheduled prime
-    certifies reaches the same Kronecker oracle, so results are identical.
+    part directly and are not tabled.  A point that no prime certifies goes
+    to the root route, then the oracle, so results are identical.
     The verdicts live as long as the returned function.
     """
     names = split.params + split.variables

@@ -179,6 +179,17 @@ def _minus_x(h, p):
 _ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, the powering O(log p) products per step
 
 
+def fp_roots(f, p):
+    """The roots in F_p of the integer list f, in increasing order, lazily.
+
+    p must not divide f's leading coefficient, which may be negative.  The
+    scan costs p evaluations of the monic image: use it for p < _ROOT_SCAN_BELOW.
+    """
+    inv = pow(f[-1], -1, p)
+    m = [c * inv % p for c in f]
+    return (x for x in range(p) if evaluate(m, x) % p == 0)
+
+
 def fp_irreducible(f, p):
     """Distinct-degree test for the integer list f in F_p[x], p prime.
 
@@ -193,7 +204,7 @@ def fp_irreducible(f, p):
     inv = pow(f[-1], -1, p)
     m = [c * inv % p for c in f]
     if p < _ROOT_SCAN_BELOW:
-        if any(evaluate(m, x) % p == 0 for x in range(p)):
+        if next(fp_roots(m, p), None) is not None:
             return False
         if d <= 3:
             return True

@@ -1,23 +1,28 @@
-"""The benchmark's tracer patches library functions by name; they must exist."""
+"""The benchmark's tracer and gate know the library's names and certificates."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
 import schinzel
+from schinzel.factorlab import is_irreducible_z
+from schinzel.polyring import parse_poly
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_resolves():
-    for metric, modname, attr in _tracer().TARGETS:
+    for metric, modname, attr in _load("tracer").TARGETS:
         module = importlib.import_module(f"schinzel.{modname}")
         assert getattr(schinzel, modname) is module, metric
         if attr.startswith("MPoly."):
@@ -25,3 +30,14 @@ def test_every_traced_target_resolves():
             assert attr.split(".", 1)[1] in module.MPoly.__dict__, metric
         else:
             assert callable(getattr(module, attr, None)), metric
+
+
+@pytest.mark.parametrize("text, verdict", [("x^2 - 1", "reducible"), ("x^2 - 399", "irreducible")])
+def test_gate_accepts_root_certificates(monkeypatch, text, verdict):
+    pytest.importorskip("sympy")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker puts its directory first
+    check, worker = _load("check"), _load("worker")
+    flag, cert = is_irreducible_z(parse_poly(text, ("x",)))
+    assert (cert.verdict, cert.method) == (verdict, "root")
+    op = {"kind": "irred", "poly": text, "names": ["x"]}
+    assert check.check(op, {"status": "ok", "flag": flag, **worker._cert(cert)}) == []

@@ -7,13 +7,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schinzel.factorlab import (
     MODP_TRIES,
     _SCHEDULE_PRIMES,
     BudgetError,
+    IrredCertificate,
     _coprime_image,
     _find_dense_factor,
     _prime_schedule,
@@ -31,7 +32,7 @@ from schinzel.numutil import is_prime, primes_upto, signed_ints
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, undense
 from schinzel.upoly import evaluate as _eval_dense
 from schinzel.upoly import exact_quotient as _dense_exact_div
-from schinzel.upoly import trim
+from schinzel.upoly import mul, trim
 
 REG = ("T", "Y")
 X = ("x",)
@@ -148,10 +149,74 @@ def test_modp_certificate_is_first_schedule_prime_sympy_accepts():
             continue
         routes.add(cert.method)
         if first is None:
-            assert cert.method == "kronecker", c
+            assert cert.method in ("root", "kronecker"), c
         else:
             assert (cert.method, cert.prime) == ("mod-p", first), c
-    assert routes == {"mod-p", "kronecker"}
+    assert routes == {"mod-p", "root", "kronecker"}
+
+
+# -- root route -------------------------------------------------------
+
+
+@st.composite
+def _root_cases(draw):
+    """Dense sign * x^k * prod (b*x - a)^m * cofactors, degree 2..10.
+
+    Negative leads, root 0 with multiplicity and repeated roots come up often.
+    """
+    f = [0] * draw(st.integers(0, 2)) + [draw(st.sampled_from([1, -1]))]
+    for a, b, m in draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6),
+                                           st.integers(1, 2)), max_size=3)):
+        for _ in range(m):
+            f = mul(f, [-a, b])
+    for _ in range(2):  # two cofactors, so some reducible f have no linear factor
+        f = mul(f, draw(st.lists(st.integers(-9, 9), max_size=2)) + [draw(st.integers(1, 9))])
+    assume(2 <= len(f) - 1 <= 10)
+    return f
+
+
+@given(_root_cases())
+@settings(max_examples=150, deadline=None)
+def test_root_route_matches_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(f)), x).factor_list()
+    c = math.gcd(*f)  # the primitive part keeps a negative lead, as hilbert's images do
+    cert = univariate_certificate([a // c for a in f], X, "x")
+    assert cert.irreducible == (len(factors) == 1 and factors[0][1] == 1)
+    linear = [_poly_from([int(c) * (1 if g.LC() > 0 else -1) for c in reversed(g.all_coeffs())])
+              for g, _ in factors if g.degree() == 1]
+    if linear:
+        # the oracle's first factor, whichever route answered
+        assert cert.factor == min(linear, key=str)
+        k = next(i for i, c in enumerate(f) if c)
+        if sympy.Poly(list(reversed(f[k:])), x).is_sqf:
+            assert cert.method == "root"
+    elif cert.method == "root":
+        assert len(f) <= 4 and cert.irreducible
+
+
+def test_root_route_decides_a_quadratic_no_prime_certifies():
+    # x^2 - 399 splits mod each of the ten scheduled primes
+    assert is_irreducible_q(U("x^2 - 399")) == IrredCertificate("irreducible", "root")
+
+
+def test_root_route_declines_a_repeated_root():
+    # (x - 1)^2 * (x + 2) is squarefree mod no prime; the oracle decides
+    cert = is_irreducible_q(U("(x - 1)^2*(x + 2)"))
+    assert (cert.method, cert.factor) == ("kronecker", U("x + 2"))
+    # a repeated root 0 is stripped first, so the route answers
+    cert = is_irreducible_q(U("-x^3*(3*x + 2)*(x - 5)"))
+    assert (cert.method, cert.factor) == ("root", U("3*x + 2"))
+
+
+def test_root_route_exits_at_once_on_the_composed_degree_16_input():
+    # its lead has millions of divisors; there is no root mod 17, so the oracle gets it at once
+    f = parse_poly("46304408123581315537404746737842276000000000000*Y^16 + 1", REG)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match="total degree 16 exceeds the degree-12 budget"):
+        is_irreducible_q(f)
+    assert time.perf_counter() - t0 < 0.05
 
 
 # -- Kronecker oracle -------------------------------------------------
@@ -405,9 +470,15 @@ def test_oracle_fallback_certificate():
 
 
 def test_oracle_factor_keeps_the_variable():
-    # Y is not the first name of the registry; the oracle's factor is still in Y
+    # Y is not the first name of the registry; the oracle's factor is still in Y.
+    # No rational root, so the root route declines at degree 4
+    cert = is_irreducible_q(P("Y^4 + 3*Y^2 + 2"))
+    assert cert.method == "kronecker" and cert.factor == P("Y^2 + 1")
+
+
+def test_root_factor_keeps_the_variable():
     cert = is_irreducible_q(P("Y^2 - 1"))
-    assert cert.method == "kronecker" and cert.factor == P("Y + 1")
+    assert cert.method == "root" and cert.factor == P("Y + 1")
 
 
 def test_evaluation_image_is_certified_by_its_primitive_part():

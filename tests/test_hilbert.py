@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schinzel import factorlab
 from schinzel.factorlab import _prime_schedule
 from schinzel.fixdiv import BudgetExceeded
 from schinzel.hilbert import (
@@ -201,6 +202,23 @@ def test_residue_table_substitutes_nothing(monkeypatch):
     report = density_report([P("Y^2 - T"), P("2*Y^3 + T*Y + 1")], SPLIT, 30)
     assert calls == []
     assert report.reasons["reducible"] >= 6  # t = 0, 1, 4, 9, 16, 25
+
+
+@pytest.mark.parametrize("expr, reducible", [
+    ("Y^2 - T", 6),  # t = 0, 1, 4, 9, 16, 25
+    ("Y^3 - T", 7),  # t = 0, +-1, +-8, +-27
+    ("(2*T + 1)*Y + (T - 3)", 0),
+])
+def test_residue_table_never_calls_the_oracle(monkeypatch, expr, reducible):
+    # no prime certifies a reducible point, and a cubic image may split mod every
+    # scheduled prime; the root route decides both before the oracle
+    calls = []
+    oracle = factorlab.kronecker_factor
+    monkeypatch.setattr(factorlab, "kronecker_factor",
+                        lambda *a, **k: calls.append(a) or oracle(*a, **k))
+    report = density_report([P(expr)], SPLIT, 30)
+    assert calls == []
+    assert report.reasons.get("reducible", 0) == reducible
 
 
 def test_other_names_keep_the_pointwise_route():
