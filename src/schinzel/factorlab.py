@@ -392,9 +392,19 @@ def _kronecker_multivar(pp, names, combo_budget):
 
 def _prime_schedule(lead, tries=MODP_TRIES):
     """First `tries` primes not dividing the leading coefficient, lazily."""
+    for p in _SCHEDULE_PRIMES:
+        if lead % p:
+            yield p
+            tries -= 1
+            if not tries:
+                return
     later = filter(is_prime, itertools.count(_SCHEDULE_PRIMES[-1] + 1))
-    primes = itertools.chain(_SCHEDULE_PRIMES, later)
-    return itertools.islice((p for p in primes if lead % p), tries)
+    yield from itertools.islice((p for p in later if lead % p), tries)
+
+
+@functools.cache
+def _modp_certificate(p):  # one frozen certificate per prime, shared by every input
+    return IrredCertificate("irreducible", "mod-p", prime=p)
 
 
 def _rational_roots(f):
@@ -445,7 +455,7 @@ def univariate_certificate(f, registry, name, irreducible_mod=fp_irreducible, **
     """
     for p in _prime_schedule(f[-1]):
         if irreducible_mod(f, p):
-            return IrredCertificate("irreducible", "mod-p", prime=p)
+            return _modp_certificate(p)
     roots = _rational_roots(f)
     if roots:
         factors = (undense([-a, b], registry, name) for a, b in roots)
@@ -469,7 +479,8 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
     Univariate: mod-p schedule, the root route, then the Kronecker oracle
     (see `univariate_certificate`).  Multivariate:
     primitivity in a main variable plus a degree-preserving integer
-    evaluation with irreducible univariate image; full oracle as fallback.
+    evaluation with irreducible univariate image (a reducible image, or one
+    the oracle cannot decide, tries the next point); full oracle as fallback.
     """
     if P.is_zero() or P.is_constant():
         raise PolyError("irreducibility undefined for constants")
@@ -493,7 +504,10 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
         if len(f) != d + 1:
             continue
         c = math.gcd(*f)
-        inner = univariate_certificate([a // c for a in f], pp.registry, main, **oracle_opts)
+        try:
+            inner = univariate_certificate([a // c for a in f], pp.registry, main, **oracle_opts)
+        except BudgetExceeded:
+            continue
         if inner.irreducible:
             return IrredCertificate(
                 "irreducible",
@@ -502,7 +516,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
                 point=bindings,
                 detail=f"image method {inner.method}",
             )
-        # reducible image is inconclusive for the multivariate input
+        # a reducible or undecided image is inconclusive for the multivariate input
     return _kronecker_certificate(pp, **oracle_opts)
 
 

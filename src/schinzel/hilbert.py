@@ -74,11 +74,11 @@ def hypotheses_check(polys, split):
     return HypothesesReport(tuple(irred), tuple(prim), report)
 
 
-def _point(t, images):
-    """Membership evidence from one (content, certificate) pair per member.
+def _evidence(images):
+    """Membership evidence (certificates, content, member, reason) of one point.
 
-    `images` is evaluated lazily, member by member; None stands for a
-    member that is constant at t.
+    `images` yields one (content, certificate) pair per member, lazily;
+    None stands for a member that is constant at the point and ends it.
     """
     certificates = []
     content = 1  # of the product: content(fg) = content(f) * content(g) (Gauss)
@@ -86,13 +86,8 @@ def _point(t, images):
     reason = None
     for i, image in enumerate(images):
         if image is None:
-            return SpecializationPoint(
-                tuple(t),
-                tuple(certificates),
-                0,
-                False,
-                f"degenerate: polynomial #{i + 1} is constant at t",
-            )
+            reason = f"degenerate: polynomial #{i + 1} is constant at t"
+            return tuple(certificates), 0, False, reason
         c, cert = image
         certificates.append(cert)
         content *= c
@@ -102,33 +97,32 @@ def _point(t, images):
     if member and content != 1:
         member = False
         reason = f"content {content}"
-    return SpecializationPoint(tuple(t), tuple(certificates), content, member, reason)
+    return tuple(certificates), content, member, reason
 
 
-def _image(S):
-    if S.is_zero() or S.is_constant():
-        return None
-    return S.content(), is_irreducible_q(S)
+def _images(polys, split, t):
+    """The (content, certificate) pair of each member substituted at t, lazily."""
+    bindings = dict(zip(split.params, t))
+    for P in polys:
+        S = P.substitute(bindings)
+        yield None if S.is_zero() or S.is_constant() else (S.content(), is_irreducible_q(S))
 
 
 def specialization_check(polys, split, t):
     """Full membership evidence for one parameter point."""
-    bindings = dict(zip(split.params, t))
-    return _point(t, (_image(P.substitute(bindings)) for P in polys))
+    return SpecializationPoint(tuple(t), *_evidence(_images(polys, split, t)))
 
 
 def _residue_class_check(polys, split):
-    """A `specialization_check(polys, split, t)` that shares F_p verdicts.
+    """The fields (certificates, content, member, reason) of `specialization_check`, per t.
 
-    For one variable Y, P(t, Y) mod p depends only on t mod p and on its
-    Y-degree, and scaling by a unit mod p does not change irreducibility
-    mod p.  So one distinct-degree verdict per (member, p, Y-degree + 1,
-    t mod p) serves every point of that residue class: a mod-p certificate
-    covers a whole progression.  Each image's primitive part goes to the
-    `univariate_certificate` that `is_irreducible_q` calls, with this
-    table as its F_p test; primes dividing the content test that primitive
-    part directly and are not tabled.  A point that no prime certifies goes
-    to the root route, then the oracle, so results are identical.
+    For one variable Y, each image's primitive part g goes to the
+    `univariate_certificate` that `is_irreducible_q` calls, with one table
+    of distinct-degree verdicts as its F_p test, keyed by
+    (p, *[x % p for x in g]): no scheduled p divides g's lead, so g mod p
+    fixes the verdict.  As t mod p and the content fix g mod p, a mod-p
+    certificate covers a residue class.  A point that no prime certifies
+    goes to the root route, then the oracle, so results are identical.
     The verdicts live as long as the returned function.
     """
     names = split.params + split.variables
@@ -136,7 +130,7 @@ def _residue_class_check(polys, split):
         not set(names) <= set(P.registry) or not set(P.variables()) <= set(names)
         for P in polys
     ):
-        return lambda t: specialization_check(polys, split, t)
+        return lambda t: _evidence(_images(polys, split, t))
 
     # per member and Y-degree, the coefficient as [(integer, monomial index)];
     # monos numbers the parameter monomials, evaluated once per point
@@ -148,31 +142,28 @@ def _residue_class_check(polys, split):
         for expo, C in P.coefficients(names).items():
             j = monos.setdefault(expo[:-1], len(monos))
             rows[expo[-1]].append((C.constant_value(), j))
-        members.append(rows)
+        members.append((rows, P.registry))
     verdicts = {}
+
+    def irreducible_mod(g, p):
+        key = (p, *[x % p for x in g])
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = fp_irreducible(g, p)
+        return verdict
 
     def images(t):
         values = [math.prod(map(pow, t, m)) for m in monos]
-        for i, rows in enumerate(members):
+        for rows, registry in members:
             f = trim([sum([c * values[j] for c, j in row]) for row in rows])
             if len(f) < 2:
                 yield None
                 return
             c = math.gcd(*f)
-
-            def irreducible_mod(g, p):
-                if c % p == 0:
-                    return fp_irreducible(g, p)
-                key = (i, p, len(g), tuple([x % p for x in t]))
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = fp_irreducible(g, p)
-                return verdict
-
             g = f if c == 1 else [x // c for x in f]
-            yield c, univariate_certificate(g, polys[i].registry, y, irreducible_mod)
+            yield c, univariate_certificate(g, registry, y, irreducible_mod)
 
-    return lambda t: _point(t, images(t))
+    return lambda t: _evidence(images(t))
 
 
 def hilbert_search(polys, split, budget=10**6):
@@ -184,10 +175,10 @@ def hilbert_search(polys, split, budget=10**6):
     found = 0
     examined = 0
     for examined, t in enumerate(itertools.islice(spiral(split.k), budget), 1):
-        sp = check(t)
-        if sp.member:
+        evidence = check(t)
+        if evidence[2]:  # member
             found += 1
-            yield sp
+            yield SpecializationPoint(tuple(t), *evidence)
     if found == 0:
         raise BudgetExceeded(
             f"no member within {examined} points (enlarge the budget)"
@@ -214,10 +205,10 @@ def density_report(polys, split, N, budget=10**7):
     reasons = {}
     check = _residue_class_check(polys, split)
     for t in itertools.product(range(-N, N + 1), repeat=split.k):
-        sp = check(t)
-        if sp.member:
+        _, _, member, reason = check(t)
+        if member:
             members += 1
         else:
-            label = (sp.reason or "unknown").split(":")[0]
+            label = (reason or "unknown").split(":")[0]
             reasons[label] = reasons.get(label, 0) + 1
     return DensityReport(N, total, members, total - members, dict(sorted(reasons.items())))

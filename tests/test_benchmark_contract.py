@@ -41,3 +41,21 @@ def test_gate_accepts_root_certificates(monkeypatch, text, verdict):
     assert (cert.verdict, cert.method) == (verdict, "root")
     op = {"kind": "irred", "poly": text, "names": ["x"]}
     assert check.check(op, {"status": "ok", "flag": flag, **worker._cert(cert)}) == []
+
+
+def test_gate_accepts_hilbert_results(monkeypatch):
+    # what the benchmark reads of a search member (t, content, certificates)
+    # and of a density report passes the closed-form gate
+    pytest.importorskip("sympy")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    check, worker, workloads = _load("check"), _load("worker"), _load("workloads")
+    ops = worker.Ops(schinzel)
+    seen = set()
+    for op in workloads.hilbert_round(1, 0):
+        out = ops.encode(op, ops.prepare(op)())
+        assert out["status"] == "ok", out
+        assert check.check(op, out) == [], op
+        if op["kind"] == "search":
+            assert out["members"] and all(m["certs"] for m in out["members"])
+        seen.add(op["kind"])
+    assert seen == {"density", "search"}

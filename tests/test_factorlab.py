@@ -487,6 +487,26 @@ def test_evaluation_image_is_certified_by_its_primitive_part():
     assert (cert.method, cert.point, cert.prime) == ("evaluation", {"T": 0}, 2)
 
 
+def test_undecided_evaluation_image_moves_on_to_the_next_point():
+    # x is the main variable; the y = -1 image has degree 4 and no rational root,
+    # and the oracle cannot decide it within 100 candidates; y = 1 is certified mod 3
+    expr = ("14*x^4*y^3 - 12*x^4*y^2 - 10*x^3*y^3 + 10*x^4*y - 19*x^3*y^2 + 10*x^2*y^3"
+            " - 13*x^4 + 8*x^3 + 4*x^2*y + 2*y^3 + 8*y")
+    with pytest.raises(BudgetError):
+        univariate_certificate([-10, 0, -14, -1, -49], ("x", "y"), "x", combo_budget=100)
+    flag, cert = is_irreducible_z(parse_poly(expr, ("x", "y")), combo_budget=100)
+    assert flag and (cert.method, cert.point, cert.prime) == ("evaluation", {"y": 1}, 3)
+
+
+def test_modp_certificate_is_one_object_per_prime():
+    certs = [is_irreducible_q(U(f"x^2 - {a}*x - 1")) for a in range(1, 40)]
+    by_prime = {}
+    for cert in certs:
+        if cert.method == "mod-p":
+            assert by_prime.setdefault(cert.prime, cert) is cert
+    assert len(by_prime) >= 2
+
+
 def test_swinnerton_dyer_needs_oracle():
     # (x^2-2)(x^2-3)(x^2-6) splits mod every prime but x^2-2 is Q-irreducible
     cert = is_irreducible_q(U("x^2 - 2"))

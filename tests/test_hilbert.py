@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schinzel import factorlab
+from schinzel import factorlab, hilbert
 from schinzel.factorlab import _prime_schedule
 from schinzel.fixdiv import BudgetExceeded
 from schinzel.hilbert import (
+    SpecializationPoint,
     _residue_class_check,
     density_report,
     hilbert_search,
@@ -135,7 +136,7 @@ def _assert_matches_reference(polys, split, N, L, budget=60):
     # every point, certificates of non-members included
     check = _residue_class_check(polys, split)
     for t in itertools.product(range(-N, N + 1), repeat=split.k):
-        assert check(t) == specialization_check(polys, split, t)
+        assert SpecializationPoint(t, *check(t)) == specialization_check(polys, split, t)
     rep = density_report(polys, split, N)
     assert (rep.members, rep.non_members, rep.reasons) == _reference_density(polys, split, N)
     assert _search(polys, split, L, budget) == _reference_search(polys, split, L, budget)
@@ -219,6 +220,46 @@ def test_residue_table_never_calls_the_oracle(monkeypatch, expr, reducible):
     report = density_report([P(expr)], SPLIT, 30)
     assert calls == []
     assert report.reasons.get("reducible", 0) == reducible
+
+
+@pytest.mark.parametrize("expr, non_members", [
+    ("Y^2 - T", 45),  # the squares 0, 1, ..., 44^2
+    ("6*Y^2 - 6*T", 4001),  # content 6 everywhere; 2 and 3 still key on Y^2 - t
+])
+def test_density_tables_one_fp_verdict_per_image_mod_p(monkeypatch, expr, non_members):
+    # the primitive image Y^2 - t mod p takes p values, so the ten scheduled
+    # primes need at most 129 distinct-degree verdicts over 4001 points
+    calls = []
+    fp_irreducible = hilbert.fp_irreducible
+    monkeypatch.setattr(hilbert, "fp_irreducible",
+                        lambda g, p: calls.append((p, *[x % p for x in g])) or fp_irreducible(g, p))
+    report = density_report([P(expr)], SPLIT, 2000)
+    assert (report.total, report.non_members) == (4001, non_members)
+    assert calls and len(set(calls)) == len(calls) <= sum(_prime_schedule(1)) == 129
+
+
+def _built_points(monkeypatch):
+    built = []
+    monkeypatch.setattr(hilbert, "SpecializationPoint",
+                        lambda *a: built.append(a[0]) or SpecializationPoint(*a))
+    return built
+
+
+def test_density_builds_no_specialization_point(monkeypatch):
+    built = _built_points(monkeypatch)
+    report = density_report([P("Y^2 - T"), P("2*Y^3 + T*Y + 1")], SPLIT, 30)
+    assert report.members > 0 and report.non_members > 0
+    assert built == []
+
+
+@pytest.mark.parametrize("polys, split", [
+    ([P("Y^2 - T")], SPLIT),
+    ([P("X^2 + Y^2 - T", ("T", "X", "Y"))], VarSplit(("T",), ("X", "Y"))),  # pointwise route
+])
+def test_search_builds_one_specialization_point_per_member(monkeypatch, polys, split):
+    built = _built_points(monkeypatch)
+    found = _search(polys, split, 4, 150)
+    assert len(found) == 4 and built == [sp.t for sp in found]
 
 
 def test_other_names_keep_the_pointwise_route():
