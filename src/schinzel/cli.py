@@ -54,6 +54,12 @@ class _Report:
         return "\n".join(self.lines) + "\n"
 
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return int(text)
+
+
 def _split_csv(text):
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
@@ -97,49 +103,49 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, polys=True, split=True, budget=True):
+    def common(p, polys=True, split=True, budget=None):
         if polys:
             p.add_argument("--poly", "--polys", action="append", dest="polys",
                            required=True, metavar="EXPR")
         if split:
             p.add_argument("--params", default="", metavar="NAMES")
             p.add_argument("--vars", default="", metavar="NAMES")
-        if budget:
-            p.add_argument("--budget", type=int, default=None)
+        if budget is not None:  # the default applies only when --budget is absent
+            p.add_argument("--budget", type=int, default=budget)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("fixdiv", help="fixed prime divisors w.r.t. the parameters")
-    common(p, budget=False)
+    common(p)
     p = sub.add_parser("irred", help="irreducibility over Q and over Z")
-    common(p, split=False, budget=False)
+    common(p, split=False)
     p.add_argument("--factor", action="store_true",
                    help="also run the Kronecker oracle")
     p = sub.add_parser("hilbert", help="search irreducibility-preserving points")
-    common(p)
-    p.add_argument("--limit", type=int, default=1)
+    common(p, budget=10**6)
+    p.add_argument("--limit", type=_positive_int, default=1)
     p = sub.add_parser("progression", help="Schinzel progression for the first parameter")
-    common(p, budget=False)
-    p = sub.add_parser("schinzel", help="substitute polynomials for the parameters")
     common(p)
+    p = sub.add_parser("schinzel", help="substitute polynomials for the parameters")
+    common(p, budget=5000)
     p.add_argument("--d", required=True, metavar="MATRIX")
     p.add_argument("--no-exact-degree", action="store_true")
     p = sub.add_parser("strong", help="no-fixed-divisor substitution pipeline")
-    common(p)
+    common(p, budget=2000)
     p.add_argument("--d", required=True, metavar="TUPLE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("compose", help="iterated composition of pipeline stages")
-    common(p)
+    common(p, budget=2000)
     p.add_argument("--d", required=True, metavar="SEQUENCE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("counterexample", help="sharpness counterexample bundle")
-    common(p, polys=False, split=False)
+    common(p, polys=False, split=False, budget=200)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int, default=100, help="number of sampled M")
     p = sub.add_parser("coprime", help="coprime values of a polynomial family")
-    common(p)
+    common(p, budget=10**5)
     p = sub.add_parser("density", help="member counts over a box")
-    common(p)
+    common(p, budget=10**7)
     p.add_argument("--N", type=int, required=True)
     return parser
 
@@ -213,9 +219,8 @@ def _cmd_irred(args, rep):
 
 def _cmd_hilbert(args, rep):
     split, polys = _family(args)
-    budget = args.budget or 10**6
     found = 0
-    for sp in hilbert_search(polys, split, budget=budget):
+    for sp in hilbert_search(polys, split, budget=args.budget):
         found += 1
         rep.add(f"member{found}.t", sp.t)
         for j, cert in enumerate(sp.certificates):
@@ -244,10 +249,9 @@ def _cmd_progression(args, rep):
 def _cmd_schinzel(args, rep):
     split, polys = _family(args)
     d = _parse_d(args.d)
-    budget = args.budget or 5000
     try:
         plan = solve_polynomial_schinzel(
-            polys, split, d, budget=budget,
+            polys, split, d, budget=args.budget,
             exact_degree=not args.no_exact_degree,
         )
     except SchinzelRefusal as exc:
@@ -274,9 +278,8 @@ def _cmd_strong(args, rep):
     polys = _polys(args, _inferred_registry(args.polys, _split_csv(args.params)))
     variables = _split_csv(args.vars) or ("Y",)
     d = _parse_d(args.d)[0]
-    budget = args.budget or 2000
     try:
-        plan = strong_pipeline(polys, variables, d, budget=budget, monic=args.monic)
+        plan = strong_pipeline(polys, variables, d, budget=args.budget, monic=args.monic)
     except HypothesisError as exc:
         rep.add("refused", True)
         rep.add("condition", exc.condition)
@@ -299,8 +302,7 @@ def _cmd_strong(args, rep):
 def _cmd_compose(args, rep):
     polys = _polys(args, _inferred_registry(args.polys))
     degrees = _parse_d(args.d)[0] if args.d.strip() else ()
-    budget = args.budget or 2000
-    plan = iterated_composition(polys, degrees, budget=budget, monic=args.monic)
+    plan = iterated_composition(polys, degrees, budget=args.budget, monic=args.monic)
     for i, M in enumerate(plan.Ms):
         rep.add(f"stage{i + 1}.M", M)
     rep.add("composition", plan.composition)
@@ -312,9 +314,8 @@ def _cmd_compose(args, rep):
 
 
 def _cmd_counterexample(args, rep):
-    budget = args.budget or 200
     bundle = sharpness_counterexample(
-        args.d, m_budget=budget, samples=args.N, seed=args.seed
+        args.d, m_budget=args.budget, samples=args.N, seed=args.seed
     )
     rep.add("d", bundle.d)
     rep.add("family_size", len(bundle.family))
@@ -330,9 +331,8 @@ def _cmd_counterexample(args, rep):
 
 def _cmd_coprime(args, rep):
     Qs = _polys(args, _inferred_registry(args.polys, _split_csv(args.params)))
-    budget = args.budget or 10**5
     try:
-        report = coprime_search(Qs, budget=budget)
+        report = coprime_search(Qs, budget=args.budget)
     except PolyError as exc:
         if isinstance(exc, BudgetExceeded):
             raise
@@ -351,8 +351,7 @@ def _cmd_coprime(args, rep):
 
 def _cmd_density(args, rep):
     split, polys = _family(args)
-    budget = args.budget or 10**7
-    report = density_report(polys, split, args.N, budget=budget)
+    report = density_report(polys, split, args.N, budget=args.budget)
     rep.add("N", report.N)
     rep.add("total", report.total)
     rep.add("members", report.members)

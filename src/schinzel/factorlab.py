@@ -441,21 +441,65 @@ def _rational_roots(f):
     return roots
 
 
-def univariate_certificate(f, registry, name, irreducible_mod=fp_irreducible, **oracle_opts):
+def univariate_certificate(f, registry, name, **oracle_opts):
     """Irreducibility over Q of a primitive univariate: mod-p, roots, then the oracle.
 
     `f` is the dense integer coefficient list of a primitive polynomial of
     degree >= 1 in `name`.  The first scheduled prime p (one not dividing
-    the leading coefficient, so f mod p keeps its degree) for which
-    `irreducible_mod(f, p)` holds is the certificate.  When none does, the
-    root route runs: a rational root a/b makes f reducible, with the
-    `str`-least b*x - a as the factor, and a degree <= 3 without one is
+    the leading coefficient, so f mod p keeps its degree) modulo which f is
+    irreducible is the certificate.  When none is, `root_or_oracle` decides.
+    """
+    for p in _prime_schedule(f[-1]):
+        if fp_irreducible(f, p):
+            return _modp_certificate(p)
+    return root_or_oracle(f, registry, name, **oracle_opts)
+
+
+def modp_certificates(fs, verdicts):
+    """The mod-p certificate of `univariate_certificate` for each f of `fs`, or None.
+
+    The schedule is walked one prime at a time, by coefficient columns of
+    the uncertified f of one length.  `verdicts` memoizes `fp_irreducible`
+    by (p, *f mod p), which fixes it when p does not divide the lead.
+    """
+    certs = [None] * len(fs)
+    groups = {}
+    for i, f in enumerate(fs):
+        groups.setdefault(len(f), []).append(i)
+    for idx in groups.values():
+        columns = list(zip(*[fs[i] for i in idx]))
+        tries = [0] * len(idx)
+        later = filter(is_prime, itertools.count(_SCHEDULE_PRIMES[-1] + 1))
+        for p in itertools.chain(_SCHEDULE_PRIMES, later):
+            keep, cert = [], _modp_certificate(p)
+            keys = zip(itertools.repeat(p), *[[x % p for x in column] for column in columns])
+            for j, key in enumerate(keys):
+                if key[-1]:  # p does not divide the lead
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        verdict = verdicts[key] = fp_irreducible(list(key[1:]), p)
+                    if verdict:
+                        certs[idx[j]] = cert
+                        continue
+                    tries[j] += 1
+                    if tries[j] == MODP_TRIES:
+                        continue
+                keep.append(j)
+            if not keep:
+                break
+            idx, tries = [idx[j] for j in keep], [tries[j] for j in keep]
+            columns = [[column[j] for j in keep] for column in columns]
+    return certs
+
+
+def root_or_oracle(f, registry, name, **oracle_opts):
+    """The verdict on a primitive univariate f that no scheduled prime certifies.
+
+    The root route runs first: a rational root a/b makes f reducible, with
+    the `str`-least b*x - a as the factor, and a degree <= 3 without one is
     irreducible.  Everything else goes to the Kronecker oracle, which
     decides `undense(f, registry, name)`.
     """
-    for p in _prime_schedule(f[-1]):
-        if irreducible_mod(f, p):
-            return _modp_certificate(p)
     roots = _rational_roots(f)
     if roots:
         factors = (undense([-a, b], registry, name) for a, b in roots)

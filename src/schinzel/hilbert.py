@@ -16,12 +16,13 @@ from .factorlab import (
     exact_div,
     is_irreducible_q,
     is_primitive_wrt,
-    univariate_certificate,
+    modp_certificates,
+    root_or_oracle,
 )
 from .fixdiv import fixed_prime_divisors
 from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
-from .upoly import fp_irreducible, trim
+from .upoly import trim
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ def hypotheses_check(polys, split):
 def _evidence(images):
     """Membership evidence (certificates, content, member, reason) of one point.
 
-    `images` yields one (content, certificate) pair per member, lazily;
-    None stands for a member that is constant at the point and ends it.
+    `images` yields one sequence (content, ..., certificate) per member,
+    lazily; None stands for a member that is constant at the point and ends it.
     """
     certificates = []
     content = 1  # of the product: content(fg) = content(f) * content(g) (Gauss)
@@ -88,7 +89,7 @@ def _evidence(images):
         if image is None:
             reason = f"degenerate: polynomial #{i + 1} is constant at t"
             return tuple(certificates), 0, False, reason
-        c, cert = image
+        c, cert = image[0], image[-1]
         certificates.append(cert)
         content *= c
         if not cert.irreducible and member:
@@ -113,76 +114,86 @@ def specialization_check(polys, split, t):
     return SpecializationPoint(tuple(t), *_evidence(_images(polys, split, t)))
 
 
-def _residue_class_check(polys, split):
-    """The fields (certificates, content, member, reason) of `specialization_check`, per t.
+_BLOCK = 1024  # points per block at most: the engine's memory does not grow with the box
 
-    For one variable Y, each image's primitive part g goes to the
-    `univariate_certificate` that `is_irreducible_q` calls, with one table
-    of distinct-degree verdicts as its F_p test, keyed by
-    (p, *[x % p for x in g]): no scheduled p divides g's lead, so g mod p
-    fixes the verdict.  As t mod p and the content fix g mod p, a mod-p
-    certificate covers a residue class.  A point that no prime certifies
-    goes to the root route, then the oracle, so results are identical.
-    The verdicts live as long as the returned function.
+
+def _evidence_stream(polys, split, points, size=_BLOCK):
+    """(t, the fields of `specialization_check` at t) for each t of `points`, in order.
+
+    For one variable Y, blocks of `size` points, doubling up to _BLOCK, are
+    evaluated at once and go to `modp_certificates`, with one F_p verdict
+    table per call.  That pass cannot raise.  An image no prime certifies
+    goes to `root_or_oracle` only as the consumer reaches its point, in
+    (point, member) order, so every result and BudgetExceeded is pointwise.
     """
     names = split.params + split.variables
     if split.n != 1 or any(
         not set(names) <= set(P.registry) or not set(P.variables()) <= set(names)
         for P in polys
     ):
-        return lambda t: _evidence(_images(polys, split, t))
+        for t in points:
+            yield t, _evidence(_images(polys, split, t))
+        return
 
     # per member and Y-degree, the coefficient as [(integer, monomial index)];
-    # monos numbers the parameter monomials, evaluated once per point
+    # monos numbers the parameter monomials, evaluated once per block
     y = split.variables[0]
     monos = {}
     members = []
     for P in polys:
-        rows = [[] for _ in range(P.degree_in(y) + 1)]
+        rows = [[] for _ in range(max(P.degree_in(y), 0) + 1)]
         for expo, C in P.coefficients(names).items():
             j = monos.setdefault(expo[:-1], len(monos))
             rows[expo[-1]].append((C.constant_value(), j))
-        members.append((rows, P.registry))
-    verdicts = {}
-
-    def irreducible_mod(g, p):
-        key = (p, *[x % p for x in g])
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = fp_irreducible(g, p)
-        return verdict
-
-    def images(t):
-        values = [math.prod(map(pow, t, m)) for m in monos]
-        for rows, registry in members:
-            f = trim([sum([c * values[j] for c, j in row]) for row in rows])
-            if len(f) < 2:
-                yield None
-                return
-            c = math.gcd(*f)
-            g = f if c == 1 else [x // c for x in f]
-            yield c, univariate_certificate(g, registry, y, irreducible_mod)
-
-    return lambda t: _evidence(images(t))
+        members.append(rows)
+    verdicts = {}  # shared by the blocks: see `modp_certificates`
+    points = iter(points)
+    while block := list(itertools.islice(points, size)):
+        size = min(2 * size, _BLOCK)
+        values = [[math.prod(map(pow, t, m)) for t in block] for m in monos]
+        # per point, [content, g, certificate] per member, up to one constant there (None)
+        images = [[] for _ in block]
+        for rows in members:
+            columns = []
+            for row in rows:
+                column = [0] * len(block)
+                for c, j in row:
+                    column = [a + c * v for a, v in zip(column, values[j])]
+                columns.append(column)
+            for image, f in zip(images, zip(*columns)):
+                if image and image[-1] is None:
+                    continue
+                f = trim(list(f))
+                if len(f) < 2:
+                    image.append(None)
+                    continue
+                c = math.gcd(*f)
+                image.append([c, f if c == 1 else [x // c for x in f]])
+        live = [e for image in images for e in image if e is not None]
+        for e, cert in zip(live, modp_certificates([e[1] for e in live], verdicts)):
+            e.append(cert)
+        for t, image in zip(block, images):
+            for i, e in enumerate(image):
+                if e is not None and e[2] is None:
+                    e[2] = root_or_oracle(e[1], polys[i].registry, y)
+            yield t, _evidence(image)
 
 
 def hilbert_search(polys, split, budget=10**6):
-    """Lazy stream of members in spiral order.
+    """Lazy stream of members in spiral order, in blocks of 16 points doubling up to _BLOCK.
 
-    Raises BudgetExceeded when the budget runs out before the first member.
+    Raises BudgetExceeded when the budget (none if negative) runs out
+    before the first member.
     """
-    check = _residue_class_check(polys, split)
+    points = itertools.islice(spiral(split.k), max(budget, 0))
     found = 0
     examined = 0
-    for examined, t in enumerate(itertools.islice(spiral(split.k), budget), 1):
-        evidence = check(t)
+    for examined, (t, evidence) in enumerate(_evidence_stream(polys, split, points, 16), 1):
         if evidence[2]:  # member
             found += 1
             yield SpecializationPoint(tuple(t), *evidence)
     if found == 0:
-        raise BudgetExceeded(
-            f"no member within {examined} points (enlarge the budget)"
-        )
+        raise BudgetExceeded(f"no member within {examined} points (enlarge the budget)")
 
 
 @dataclass(frozen=True)
@@ -195,7 +206,7 @@ class DensityReport:
 
 
 def density_report(polys, split, N, budget=10**7):
-    """Exact member counts over the box [-N, N]^k, N >= 0."""
+    """Exact member counts over the box [-N, N]^k, N >= 0, in memory that does not grow with N."""
     if N < 0:
         raise PolyError(f"box half-width N = {N} is negative")
     total = (2 * N + 1) ** split.k
@@ -203,9 +214,9 @@ def density_report(polys, split, N, budget=10**7):
         raise BudgetExceeded(f"{total} points exceed the budget {budget}")
     members = 0
     reasons = {}
-    check = _residue_class_check(polys, split)
-    for t in itertools.product(range(-N, N + 1), repeat=split.k):
-        _, _, member, reason = check(t)
+    axis = range(-N, N + 1)  # zip(axis) pools no 2N + 1 values, unlike product
+    points = zip(axis) if split.k == 1 else itertools.product(axis, repeat=split.k)
+    for _, (_, _, member, reason) in _evidence_stream(polys, split, points):
         if member:
             members += 1
         else:

@@ -189,6 +189,42 @@ def test_budget_exit_code(capsys):
     assert kv(out)["budget_exceeded"] == "true"
 
 
+def test_negative_search_budget_is_a_budget_exit(capsys):
+    code, out = invoke(capsys, "hilbert", "--polys", "Y^2 - T",
+                       "--params", "T", "--vars", "Y", "--budget", "-1")
+    assert code == 3
+    assert kv(out)["detail"] == "no member within 0 points (enlarge the budget)"
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_limit_below_one_is_a_usage_error(limit, capsys):
+    argv = ["hilbert", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--limit", limit]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --limit: {limit} is below 1" in captured.err
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["hilbert", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y"],
+     "no member within 0 points (enlarge the budget)"),
+    (["density", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--N", "5"],
+     "11 points exceed the budget 0"),
+    (["schinzel", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--d", "1"],
+     "no plan within 0 coefficient tuples"),
+    (["strong", "--poly", "T^2+1", "--params", "T", "--vars", "Y", "--d", "1"],
+     "no plan within 0 shape tuples"),
+    (["compose", "--poly", "T^2+1", "--d", "1,1"], "no plan within 0 shape tuples"),
+    (["counterexample", "--d", "1"], "no irreducible shift with m <= 0"),
+    (["coprime", "--polys", "T1", "--polys", "T1+2", "--params", "T1"],
+     "no coprime point within 0 candidates"),
+])
+def test_budget_zero_is_not_the_default(argv, detail, capsys):
+    code, out = invoke(capsys, *argv, "--budget", "0")
+    assert code == 3
+    assert kv(out)["detail"] == detail
+
+
 def test_unproved_prime_budget_exit(capsys):
     code, out = invoke(capsys, "irred", "--poly", "x^2 + 3317044064679887385962123",
                        "--factor")

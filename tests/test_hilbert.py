@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from schinzel.factorlab import _prime_schedule
 from schinzel.fixdiv import BudgetExceeded
 from schinzel.hilbert import (
     SpecializationPoint,
-    _residue_class_check,
+    _evidence_stream,
     density_report,
     hilbert_search,
     hypotheses_check,
@@ -133,10 +134,12 @@ def _search(polys, split, L, budget):
 
 
 def _assert_matches_reference(polys, split, N, L, budget=60):
-    # every point, certificates of non-members included
-    check = _residue_class_check(polys, split)
-    for t in itertools.product(range(-N, N + 1), repeat=split.k):
-        assert SpecializationPoint(t, *check(t)) == specialization_check(polys, split, t)
+    # every point, certificates of non-members included, over blocks of 3, 6, 12, ...
+    box = list(itertools.product(range(-N, N + 1), repeat=split.k))
+    stream = list(_evidence_stream(polys, split, box, 3))
+    assert [t for t, _ in stream] == box
+    for t, evidence in stream:
+        assert SpecializationPoint(t, *evidence) == specialization_check(polys, split, t)
     rep = density_report(polys, split, N)
     assert (rep.members, rep.non_members, rep.reasons) == _reference_density(polys, split, N)
     assert _search(polys, split, L, budget) == _reference_search(polys, split, L, budget)
@@ -230,8 +233,8 @@ def test_density_tables_one_fp_verdict_per_image_mod_p(monkeypatch, expr, non_me
     # the primitive image Y^2 - t mod p takes p values, so the ten scheduled
     # primes need at most 129 distinct-degree verdicts over 4001 points
     calls = []
-    fp_irreducible = hilbert.fp_irreducible
-    monkeypatch.setattr(hilbert, "fp_irreducible",
+    fp_irreducible = factorlab.fp_irreducible
+    monkeypatch.setattr(factorlab, "fp_irreducible",
                         lambda g, p: calls.append((p, *[x % p for x in g])) or fp_irreducible(g, p))
     report = density_report([P(expr)], SPLIT, 2000)
     assert (report.total, report.non_members) == (4001, non_members)
@@ -310,6 +313,85 @@ def test_search_budget_exhaustion():
         gen = hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=budget)
         with pytest.raises(BudgetExceeded, match=f"no member within {budget} points"):
             next(gen)
+
+
+def test_search_negative_budget_is_used_up_before_the_first_point():
+    for budget in (0, -1):
+        with pytest.raises(BudgetExceeded, match="^no member within 0 points"):
+            next(hilbert_search([P("Y^2 - T")], SPLIT, budget=budget))
+
+
+def _outcome(monkeypatch, consume):
+    """What `consume` returns or the BudgetExceeded it raises, with the oracle's inputs."""
+    calls = []
+    oracle = factorlab.kronecker_factor
+    monkeypatch.setattr(factorlab, "kronecker_factor",
+                        lambda *a, **k: calls.append(str(a[0])) or oracle(*a, **k))
+    seen = []
+    try:
+        result = consume(seen)
+    except BudgetExceeded as exc:
+        result = str(exc)
+    return seen, result, list(calls)  # a later _outcome's spy calls through this one
+
+
+def _pointwise_search(polys, split):
+    for t in spiral(split.k):
+        sp = specialization_check(polys, split, t)
+        if sp.member:
+            yield sp
+
+
+@pytest.mark.parametrize("expr, prefix, oracle", [
+    ("Y^16 - T", [], ["Y^16 + 1"]),  # t = 0 goes to the root route, t = -1 to the oracle
+    ("Y^16 - T - 3", [(0,), (-1,)], ["Y^16 - 4"]),  # two members, then t = 1 to the oracle
+])
+def test_fallbacks_are_lazy_and_in_order(monkeypatch, expr, prefix, oracle):
+    # Y^16 + 1 and Y^16 - 4 split mod every prime and exceed the oracle's degree budget
+    polys = [P(expr)]
+
+    def search(stream):
+        return lambda seen: seen.extend(stream)
+
+    got = _outcome(monkeypatch, search(hilbert_search(polys, SPLIT)))
+    assert got == _outcome(monkeypatch, search(_pointwise_search(polys, SPLIT)))
+    assert [sp.t for sp in got[0]] == prefix and got[2] == oracle
+    assert got[1] == "total degree 16 exceeds the degree-12 budget"
+    got = _outcome(monkeypatch, lambda seen: density_report(polys, SPLIT, 2))
+    assert got == _outcome(monkeypatch, lambda seen: _reference_density(polys, SPLIT, 2))
+    assert got[1:] == ("total degree 16 exceeds the degree-12 budget", oracle)
+    # a consumer that stops at the last member before the oracle's point never reaches it
+    stream = itertools.islice(hilbert_search(polys, SPLIT), len(prefix))
+    seen, result, calls = _outcome(monkeypatch, search(stream))
+    assert [sp.t for sp in seen] == prefix and calls == []
+
+
+def test_engine_matches_reference_across_blocks():
+    # 1201 points and 1100 members: more than one block of hilbert._BLOCK points
+    assert hilbert._BLOCK < 1100
+    polys = [P("Y^2 - T"), P("(T^2 - T)*Y^2 + 3*T*Y + T + 1")]
+    rep = density_report(polys, SPLIT, 600)
+    assert (rep.members, rep.non_members, rep.reasons) == _reference_density(polys, SPLIT, 600)
+    assert _search(polys, SPLIT, 1100, 2000) == _reference_search(polys, SPLIT, 1100, 2000)
+    # a budget that ends inside a block is still counted point by point
+    with pytest.raises(BudgetExceeded, match="^no member within 1500 points"):
+        next(hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=1500))
+
+
+def test_density_memory_does_not_grow_with_the_box():
+    def peak(N):
+        tracemalloc.start()
+        try:
+            density_report([P("Y^2 - T")], SPLIT, N)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one block's working set, about 0.7 MB, at both sizes (a block at N = 1000 holds
+    # small ints Python caches, so it peaks a little lower); a pool of the box's 2N + 1
+    # values alone would add 0.7 MB at N = 10000
+    small, large = peak(1_000), peak(10_000)
+    assert large - small < 128 * 1024
 
 
 def test_density_exact_small():
