@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .coprime import coprime_search
-from .factorlab import is_irreducible_q, is_irreducible_z, kronecker_factor
+from .factorlab import content_certificate, is_irreducible_q, kronecker_factor
 from .fixdiv import fixed_prime_divisors
 from .hilbert import density_report, hilbert_search
 from .polyring import BudgetExceeded, ParseError, PolyError, VarSplit, identifiers, parse_poly
@@ -205,7 +205,7 @@ def _cmd_irred(args, rep):
     P = parse_poly(args.polys[0], _inferred_registry(args.polys))
     cert_q = is_irreducible_q(P)
     _cert_lines(rep, "q", cert_q)
-    flag, cert_z = is_irreducible_z(P)
+    cert_z = content_certificate(P) or cert_q  # Z-irreducible: Q-irreducible, content 1
     _cert_lines(rep, "z", cert_z)
     if args.factor:
         fact = kronecker_factor(P)
@@ -213,8 +213,8 @@ def _cmd_irred(args, rep):
         rep.add("factorization.content", fact.content)
         for i, (f, mult) in enumerate(fact.factors):
             rep.add(f"factorization.f{i + 1}", f"({f})^{mult}")
-    rep.add("verdict", flag)
-    return EXIT_OK if flag else EXIT_FALSE
+    rep.add("verdict", cert_z.irreducible)
+    return EXIT_OK if cert_z.irreducible else EXIT_FALSE
 
 
 def _cmd_hilbert(args, rep):

@@ -13,14 +13,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .numutil import UnprovedPrimeError, divisors, is_prime, primes_upto, signed_ints, spiral
+from .numutil import UnprovedPrimeError, divisors, is_prime, primes, signed_ints, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, dense, reduce_mod, undense
 from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_coprime, fp_irreducible
 from .upoly import fp_roots, mul, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
-_SCHEDULE_PRIMES = primes_upto(100)  # counted on past only for a lead divisible by 16 of them
 _IMAGE_PRIME = 10007  # gcd_q's coprimality image lives in F_p[x] for this p
 _IMAGE_POINTS = 4  # spiral points tried for one where both leading coefficients survive
 MAX_VARS = 3  # the Kronecker oracle packs at most this many variables into one
@@ -80,8 +79,11 @@ def is_irreducible_fp(P, p):
     i <= deg(f)/2.
     """
     R = reduce_mod(P, p)
-    if not is_prime(p):
-        raise PolyError(f"modulus {p} is not prime")
+    try:
+        if not is_prime(p):
+            raise PolyError(f"modulus {p} is not prime")
+    except UnprovedPrimeError as exc:
+        raise PolyError(f"modulus {p} is not proved prime: {exc}") from exc
     names = R.variables()
     if len(names) != 1:
         raise PolyError("univariate polynomial required")
@@ -390,16 +392,9 @@ def _kronecker_multivar(pp, names, combo_budget):
 # -- certificates ----------------------------------------------------
 
 
-def _prime_schedule(lead, tries=MODP_TRIES):
-    """First `tries` primes not dividing the leading coefficient, lazily."""
-    for p in _SCHEDULE_PRIMES:
-        if lead % p:
-            yield p
-            tries -= 1
-            if not tries:
-                return
-    later = filter(is_prime, itertools.count(_SCHEDULE_PRIMES[-1] + 1))
-    yield from itertools.islice((p for p in later if lead % p), tries)
+def _prime_schedule(lead):
+    """First MODP_TRIES primes not dividing the leading coefficient, lazily."""
+    return itertools.islice((p for p in primes() if lead % p), MODP_TRIES)
 
 
 @functools.cache
@@ -469,8 +464,7 @@ def modp_certificates(fs, verdicts):
     for idx in groups.values():
         columns = list(zip(*[fs[i] for i in idx]))
         tries = [0] * len(idx)
-        later = filter(is_prime, itertools.count(_SCHEDULE_PRIMES[-1] + 1))
-        for p in itertools.chain(_SCHEDULE_PRIMES, later):
+        for p in primes():
             keep, cert = [], _modp_certificate(p)
             keys = zip(itertools.repeat(p), *[[x % p for x in column] for column in columns])
             for j, key in enumerate(keys):
@@ -564,19 +558,19 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
     return _kronecker_certificate(pp, **oracle_opts)
 
 
+def content_certificate(P):
+    """The reducible-over-Z certificate of a content c != 1, or None when c is 1."""
+    c = P.content()
+    if c != 1:
+        factor = MPoly.const(P.registry, c)
+        return IrredCertificate("reducible", "content", factor=factor, detail=f"content {c}")
+
+
 def is_irreducible_z(P, **opts):
     """True iff P is irreducible in Z[registry]: Q-irreducible with unit content."""
     if P.is_zero() or P.is_constant():
         raise PolyError("irreducibility undefined for constants")
-    c = P.content()
-    if c != 1:
-        return False, IrredCertificate(
-            "reducible",
-            "content",
-            factor=MPoly.const(P.registry, c),
-            detail=f"content {c}",
-        )
-    cert = is_irreducible_q(P, **opts)
+    cert = content_certificate(P) or is_irreducible_q(P, **opts)
     return cert.irreducible, cert
 
 

@@ -148,6 +148,11 @@ class FixedDivisorReport:
         return bool(self.confirmed)
 
 
+def param_degree(P, split):
+    """Delta: the largest degree of P in a parameter, 0 with none."""
+    return max((P.degree_in(t) for t in _params_of(split)), default=0)
+
+
 def candidate_fixed_primes(P, split):
     """Primes <= Delta plus primes dividing the content, ascending.
 
@@ -155,9 +160,7 @@ def candidate_fixed_primes(P, split):
     """
     if P.is_zero():
         raise PolyError("zero polynomial has every divisor fixed")
-    params = _params_of(split)
-    delta = max((P.degree_in(t) for t in params), default=0)
-    cands = set(primes_upto(delta)) | set(proved_prime_factors(P.content()))
+    cands = set(primes_upto(param_degree(P, split))) | set(proved_prime_factors(P.content()))
     return sorted(cands)
 
 
@@ -181,7 +184,6 @@ def fixed_prime_divisors(P, split):
     among all nonunits: a fixed composite would force a fixed prime.
     """
     candidates = candidate_fixed_primes(P, split)
-    delta = max((P.degree_in(t) for t in _params_of(split)), default=0)
     confirmed, witnesses = [], {}
     for p in candidates:
         fixed, witness = is_fixed_prime(P, split, p)
@@ -190,7 +192,7 @@ def fixed_prime_divisors(P, split):
         else:
             witnesses[p] = witness
     return FixedDivisorReport(
-        tuple(candidates), tuple(confirmed), witnesses, delta, P.content()
+        tuple(candidates), tuple(confirmed), witnesses, param_degree(P, split), P.content()
     )
 
 

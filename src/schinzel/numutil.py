@@ -16,21 +16,6 @@ def primes_upto(n):
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 # Miller-Rabin with these bases decides primality exactly below
 # MR_EXACT_BOUND, the least strong pseudoprime to all of them
 # (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -40,11 +25,23 @@ _TRIAL_PRIMES = primes_upto(1000)
 
 
 class UnprovedPrimeError(ArithmeticError):
-    """A cofactor passes Miller-Rabin but is too large for it to prove prime."""
+    """A number passes Miller-Rabin but is too large for it to prove prime."""
 
 
-def _strong_probable_prime(n):
-    """Miller-Rabin on odd n > 37 with every base in MR_BASES."""
+def is_prime(n):
+    """Exact primality of the integer n.
+
+    Trial division by the primes below 1000, then Miller-Rabin with every
+    base in MR_BASES.  Raises UnprovedPrimeError for an n of at least
+    MR_EXACT_BOUND that passes Miller-Rabin, since its primality is not proved.
+    """
+    if n < 2:
+        return False
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -59,7 +56,18 @@ def _strong_probable_prime(n):
                 break
         else:
             return False
+    if n >= MR_EXACT_BOUND:
+        raise UnprovedPrimeError(
+            f"cofactor {n} passes Miller-Rabin but is not below "
+            f"the exact-primality bound {MR_EXACT_BOUND}"
+        )
     return True
+
+
+def primes():
+    """2, 3, 5, 7, ... endless: the sieved primes below 1000, then `is_prime`."""
+    yield from _TRIAL_PRIMES
+    yield from filter(is_prime, itertools.count(_TRIAL_PRIMES[-1] + 1))
 
 
 def _rho(n):
@@ -92,9 +100,9 @@ def _rho(n):
 def factorize(n):
     """Prime factorization of |n| as {prime: exponent}, primes ascending.
 
-    0 and +-1 give {}.  Trial division below 1000, then Miller-Rabin and
-    Pollard-Brent rho.  Raises UnprovedPrimeError for a cofactor of at least
-    MR_EXACT_BOUND that passes Miller-Rabin, since its primality is not proved.
+    0 and +-1 give {}.  Trial division below 1000, then `is_prime` and
+    Pollard-Brent rho on the cofactors; raises UnprovedPrimeError, as
+    `is_prime` does, for a cofactor whose primality is not proved.
     """
     n = abs(n)
     out = {}
@@ -112,16 +120,11 @@ def factorize(n):
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m >= 1000 * 1000 and not _strong_probable_prime(m):
+        if m < 1000 * 1000 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
             p = _rho(m)
             pending += [p, m // p]
-            continue
-        if m >= MR_EXACT_BOUND:
-            raise UnprovedPrimeError(
-                f"cofactor {m} passes Miller-Rabin but is not below "
-                f"the exact-primality bound {MR_EXACT_BOUND}"
-            )
-        out[m] = out.get(m, 0) + 1
     return dict(sorted(out.items()))
 
 
@@ -144,13 +147,7 @@ def divisors(n):
 
 def prime_powers_upto(n):
     """Prime powers q = p^r with q <= n, ascending."""
-    out = []
-    for p in primes_upto(n):
-        q = p
-        while q <= n:
-            out.append(q)
-            q *= p
-    return sorted(out)
+    return sorted(p**r for p in primes_upto(n) for r in range(1, n.bit_length()) if p**r <= n)
 
 
 def crt(residues, moduli):
@@ -177,11 +174,12 @@ def signed_ints():
 
 def spiral(k):
     """Tuples of Z^k graded by max-norm, lexicographic within each shell."""
-    if k == 0:
-        yield ()
-        return
     yield (0,) * k
+    if k == 0:
+        return
     for r in itertools.count(1):
-        for t in itertools.product(range(-r, r + 1), repeat=k):
-            if max(abs(c) for c in t) == r:
-                yield t
+        cube, edge = range(-r, r + 1), (-r, r)
+        for head in itertools.product(cube, repeat=k - 1):
+            # a head of norm r takes every last coordinate, any other only -r and r
+            for c in cube if r in head or -r in head else edge:
+                yield head + (c,)

@@ -12,13 +12,14 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .fixdiv import (
+    candidate_fixed_primes,
     fixed_prime_divisors,
     least_witness,
     proved_prime_factors,
     vanishes_somewhere,
 )
 from .factorlab import is_primitive_wrt
-from .numutil import crt, primes_upto
+from .numutil import crt
 from .polyring import PolyError, VarSplit, dense
 from .upoly import ext_gcd, mul
 
@@ -89,15 +90,14 @@ def bezout_constant(coeffs):
 
 
 def bad_prime_set(P, split, delta):
-    """Primes dividing delta or the content, or at most Delta; ascending."""
+    """`candidate_fixed_primes(P, split)` plus the primes dividing delta; ascending.
+
+    delta is the Bezout constant, not the parameter degree Delta.
+    """
     if P.is_zero() or delta == 0:
         raise PolyError("nonzero product and delta required")
     split.check_registry(P.registry)
-    big_delta = max((P.degree_in(t) for t in split.params), default=0)
-    out = set(primes_upto(big_delta))
-    out |= set(proved_prime_factors(delta))
-    out |= set(proved_prime_factors(P.content()))
-    return sorted(out)
+    return sorted(set(proved_prime_factors(delta)).union(candidate_fixed_primes(P, split)))
 
 
 def nonvanishing_point(P, split, primes):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from schinzel.factorlab import (
     MODP_TRIES,
-    _SCHEDULE_PRIMES,
     BudgetError,
     IrredCertificate,
     _coprime_image,
@@ -64,6 +63,15 @@ def test_fp_linear_and_errors():
     assert is_irreducible_fp(U("x + 1"), 5)
     with pytest.raises(PolyError):
         is_irreducible_fp(U("x^2 + 1"), 4)
+
+
+def test_fp_unproved_modulus_is_refused_at_once():
+    # a prime above the exact Miller-Rabin bound cannot be proved prime
+    q = 3317044064679887385962123
+    start = time.monotonic()
+    with pytest.raises(PolyError, match=f"modulus {q} is not proved prime"):
+        is_irreducible_fp(U("x^2 + 1"), q)
+    assert time.monotonic() - start < 0.5
 
 
 def test_fp_reduces_before_it_decides():
@@ -123,11 +131,12 @@ def test_prime_schedule_matches_counting_loop():
             p += 1
         return out
 
-    primorial = math.prod(primes_upto(_SCHEDULE_PRIMES[-1] + 50))
-    nxt = next(p for p in range(_SCHEDULE_PRIMES[-1] + 51, 10**4) if is_prime(p))
+    # a lead divisible by every sieved prime (those below 1000) walks the is_prime tail
+    primorial = math.prod(primes_upto(1050))
+    nxt = next(p for p in range(1051, 10**4) if is_prime(p))
     for lead in (1, 6, -6, primorial, primorial * nxt, -primorial * nxt):
         assert list(_prime_schedule(lead)) == counting(lead), lead
-    assert list(_prime_schedule(primorial))[0] > _SCHEDULE_PRIMES[-1]
+    assert list(_prime_schedule(primorial))[0] > 1050
 
 
 def test_modp_certificate_is_first_schedule_prime_sympy_accepts():

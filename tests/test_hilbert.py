@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -105,6 +106,7 @@ def test_specialization_content_is_content_of_product(polys, t):
 REG2 = ("T", "U", "Y")
 SPLIT2 = VarSplit(("T", "U"), ("Y",))
 PRIMORIAL_16 = math.prod(primes_upto(53))  # 16 primes <= 100: the schedule passes 100
+PRIMORIAL_1000 = math.prod(primes_upto(1000))  # every sieved prime: the schedule passes 1000
 
 
 def _reference_density(polys, split, N):
@@ -190,12 +192,12 @@ def test_residue_table_matches_pointwise_reference_two_params(polys, N, L):
     _assert_matches_reference(polys, SPLIT2, N, L)
 
 
-def test_residue_table_serves_lead_divisible_by_sixteen_primes():
-    assert list(_prime_schedule(PRIMORIAL_16))[-1] > 100
-    polys = [P(f"{PRIMORIAL_16}*Y^2 + Y - T^2 - 1")]
+def test_residue_table_serves_lead_divisible_by_every_sieved_prime():
+    assert list(_prime_schedule(PRIMORIAL_1000))[0] > 1000
+    polys = [P(f"{PRIMORIAL_1000}*Y^2 + Y - T^2 - 1")]
     _assert_matches_reference(polys, SPLIT, 12, 6, budget=150)
     primes = {c.prime for sp in _search(polys, SPLIT, 6, 150) for c in sp.certificates}
-    assert primes and min(primes) > 53
+    assert primes and min(primes) > 1000
 
 
 def test_residue_table_substitutes_nothing(monkeypatch):
@@ -313,6 +315,14 @@ def test_search_budget_exhaustion():
         gen = hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=budget)
         with pytest.raises(BudgetExceeded, match=f"no member within {budget} points"):
             next(gen)
+
+
+def test_search_budget_exit_for_a_no_member_family_is_quick():
+    # the spiral builds each shell directly, so 20,000 points cost O(1) each
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="no member within 20000 points"):
+        next(hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=20000))
+    assert time.monotonic() - start < 5.0
 
 
 def test_search_negative_budget_is_used_up_before_the_first_point():

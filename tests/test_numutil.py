@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -7,7 +9,11 @@ from schinzel.numutil import (
     UnprovedPrimeError,
     divisors,
     factorize,
+    is_prime,
     prime_factors,
+    primes,
+    primes_upto,
+    spiral,
 )
 
 LIMIT = 5000
@@ -69,3 +75,60 @@ def test_unproved_prime_is_refused():
     for n in (MR_EXACT_BOUND, 3317044064679887385962123, 6 * 3317044064679887385962123):
         with pytest.raises(UnprovedPrimeError, match="exact-primality bound"):
             factorize(n)
+
+
+def test_is_prime_agrees_with_the_sieve():
+    sieved = set(primes_upto(10**5))
+    assert [n for n in range(-5, 10**5 + 1) if is_prime(n)] == sorted(sieved)
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, then the least strong pseudoprimes to the prime bases up to 7 and 31
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+
+
+def test_is_prime_is_fast_and_exact_below_the_bound():
+    start = time.monotonic()
+    assert is_prime(10**18 + 9)
+    assert time.monotonic() - start < 0.01
+    assert is_prime(10**14 + 31) and not is_prime((10**9 + 7) * (10**9 + 9))
+    assert not is_prime((10**18 + 9) ** 2)  # above the bound, refuted by Miller-Rabin
+
+
+def test_is_prime_refuses_an_unproved_prime():
+    # the bound itself is a strong pseudoprime to every base; ...2123 is a prime above it
+    for n in (MR_EXACT_BOUND, 3317044064679887385962123):
+        with pytest.raises(UnprovedPrimeError, match="exact-primality bound"):
+            is_prime(n)
+
+
+def test_primes_continue_the_sieve():
+    assert list(itertools.islice(primes(), 700)) == primes_upto(5279)
+
+
+def _spiral_by_filtering(k):
+    """Every tuple of the cube [-r, r]^k, kept when its max-norm is r."""
+    if k == 0:
+        yield ()
+        return
+    yield (0,) * k
+    for r in itertools.count(1):
+        for t in itertools.product(range(-r, r + 1), repeat=k):
+            if max(abs(c) for c in t) == r:
+                yield t
+
+
+@pytest.mark.parametrize("k, shells", [(0, 0), (1, 40), (2, 12), (3, 5)])
+def test_spiral_matches_the_filtered_cube(k, shells):
+    n = (2 * shells + 1) ** k
+    assert list(itertools.islice(spiral(k), n)) == list(itertools.islice(_spiral_by_filtering(k), n))
+    if k == 0:
+        assert list(spiral(0)) == [()]
+
+
+def test_spiral_is_linear_in_its_length():
+    start = time.monotonic()
+    points = list(itertools.islice(spiral(1), 200_001))
+    assert time.monotonic() - start < 2.0
+    assert points[-2:] == [(-100_000,), (100_000,)]
