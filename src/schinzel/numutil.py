@@ -31,9 +31,9 @@ class UnprovedPrimeError(ArithmeticError):
 def is_prime(n):
     """Exact primality of the integer n.
 
-    Trial division by the primes below 1000, then Miller-Rabin with every
-    base in MR_BASES.  Raises UnprovedPrimeError for an n of at least
-    MR_EXACT_BOUND that passes Miller-Rabin, since its primality is not proved.
+    Trial division by the primes below 1000, then `_miller_rabin`, which
+    raises UnprovedPrimeError for an n of at least MR_EXACT_BOUND that
+    passes, since its primality is not proved.
     """
     if n < 2:
         return False
@@ -42,6 +42,11 @@ def is_prime(n):
             return n == p
         if p * p > n:
             return True
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n):
+    """`is_prime` of an n > 1000 with no prime factor below 1000: every base in MR_BASES."""
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -100,7 +105,7 @@ def _rho(n):
 def factorize(n):
     """Prime factorization of |n| as {prime: exponent}, primes ascending.
 
-    0 and +-1 give {}.  Trial division below 1000, then `is_prime` and
+    0 and +-1 give {}.  One trial pass below 1000, then `_miller_rabin` and
     Pollard-Brent rho on the cofactors; raises UnprovedPrimeError, as
     `is_prime` does, for a cofactor whose primality is not proved.
     """
@@ -120,7 +125,7 @@ def factorize(n):
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m < 1000 * 1000 or is_prime(m):
+        if m < 1000 * 1000 or _miller_rabin(m):
             out[m] = out.get(m, 0) + 1
         else:
             p = _rho(m)

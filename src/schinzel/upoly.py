@@ -4,11 +4,15 @@ A polynomial is a list of integers (or of Fractions), constant term first.
 A list is trimmed when it is empty (the zero polynomial) or its last entry
 is nonzero, so a trimmed f has degree len(f) - 1.  Every function here
 expects trimmed lists and returns trimmed lists.  The F_p functions work on
-integer lists and reduce mod p only where it keeps the numbers small.
+integer lists and reduce mod p only where it keeps the numbers small;
+powering mod a polynomial packs each residue into one int (`_packed`).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from array import array
 from itertools import zip_longest
 
 from .polyring import PolyError
@@ -127,19 +131,65 @@ def fp_rem(a, b, p):
     return r
 
 
-def fp_mulmod(a, b, m, p):
-    """a * b mod m in F_p[x]."""
-    return fp_rem(mul(a, b), m, p)
+# array's codes by item size; its items are in host order, so big-endian hosts cut bytes
+_ITEM_CODES = {array(c).itemsize: c for c in "BHIQ"} if array("H", b"\1\0")[0] == 1 else {}
+
+
+def _packed(m, p):
+    """Arithmetic mod the monic integer list m of degree d in F_p[x], a residue per int.
+
+    Coefficient j, in [0, p), fills byte-aligned slot j.  A slot holds
+    2d(p-1)^2, a bound on every slot of a product of two residues once each
+    slot k >= d is folded back, taken mod p, times the row x^k mod m.
+    Returns (pack, unpack, mulmod, power); unpack gives the d coefficients of
+    a product or a sum of residues.
+    """
+    d = len(m) - 1
+    need = -(-(2 * d * (p - 1) ** 2).bit_length() // 8) or 1
+    w = next((k for k in _ITEM_CODES if k >= need), need)
+    code, split = _ITEM_CODES.get(w), 8 * w * d
+
+    def pack(cs):
+        if code:
+            return int.from_bytes(array(code, cs).tobytes(), "little")
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+
+    def slots(v, n):
+        b = v.to_bytes(n * w, "little")
+        if code:
+            return array(code, b).tolist()
+        return [int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w)]
+
+    def unpack(v):
+        high = v >> split
+        if high:
+            high, v = [c % p for c in slots(high, d - 1)], v - (high << split)
+            v += sum(map(operator.mul, high, rows))
+        return [c % p for c in slots(v, d)]
+
+    def mulmod(a, b):
+        return pack(unpack(a * b))
+
+    def power(h, n):  # n >= 1, left-to-right binary powering
+        out = h
+        for bit in bin(n)[3:]:
+            out = mulmod(out, out)
+            if bit == "1":
+                out = mulmod(out, h)
+        return out
+
+    top = rows = [-c % p for c in m[:-1]]  # x^d mod m, then x^(d+1) mod m, ...
+    for _ in range(d - 2):
+        rows = rows + [(rows[-1] * t + c) % p for t, c in zip(top, [0] + rows[-d:-1])]
+    rows = [pack(rows[k * d : k * d + d]) for k in range(d - 1)]
+    return pack, unpack, mulmod, power
 
 
 def fp_powmod(h, n, m, p):
-    """h^n mod m in F_p[x] for n >= 2, by left-to-right binary powering."""
-    out = h
-    for bit in bin(n)[3:]:
-        out = fp_mulmod(out, out, m, p)
-        if bit == "1":
-            out = fp_mulmod(out, h, m, p)
-    return out
+    """h^n mod m in F_p[x] for n >= 1, h first reduced mod m; p must not divide m's lead."""
+    inv = pow(m[-1], -1, p)
+    pack, unpack, _, power = _packed([c * inv % p for c in m], p)
+    return trim(unpack(power(pack(fp_rem(list(h), m, p)), n)))
 
 
 def fp_gcd(a, b, p):
@@ -163,10 +213,10 @@ def fp_coprime(a, b, p):
 def fp_has_root(f, p):
     """True iff the nonzero integer list f has a root in F_p.
 
-    p must not divide f's leading coefficient.  The roots of x^p - x are
-    the elements of F_p, so f has one iff gcd(f, x^p - x) is not constant.
+    p must not divide f's leading coefficient, and a constant has no root.
+    Else f has one iff gcd(f, x^p - x), whose roots are F_p, is not constant.
     """
-    return not fp_coprime(f, _minus_x(fp_powmod([0, 1], p, f, p), p), p)
+    return len(f) > 1 and not fp_coprime(f, _minus_x(fp_powmod([0, 1], p, f, p), p), p)
 
 
 def _minus_x(h, p):
@@ -176,7 +226,7 @@ def _minus_x(h, p):
     return trim(b)
 
 
-_ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, the powering O(log p) products per step
+_ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, x^p mod f O(log p) products
 
 
 def fp_roots(f, p):
@@ -194,9 +244,12 @@ def fp_irreducible(f, p):
     """Distinct-degree test for the integer list f in F_p[x], p prime.
 
     p must not divide f's leading coefficient.  True iff f mod p is
-    irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2.
-    For small p a root scan comes first: a root mod p is a linear factor,
-    and a polynomial of degree 2 or 3 without one is irreducible.
+    irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2,
+    so one gcd with their product mod f decides.  For small p a root scan
+    comes first: a root mod p is a linear factor, a polynomial of degree 2
+    or 3 without one is irreducible, and finding none settles i = 1.  Each
+    x^(p^i) past x^p combines the Frobenius rows x^(pj) mod f, j < deg(f), as
+    (sum c_j x^j)^p = sum c_j x^(pj) (Modern Computer Algebra, 14.2).
     """
     d = len(f) - 1
     if d == 1:
@@ -208,10 +261,12 @@ def fp_irreducible(f, p):
             return False
         if d <= 3:
             return True
-    h = [0, 1]  # x^(p^i) mod m
-    for _ in range(d // 2):
-        h = fp_powmod(h, p, m, p)
-        # gcd(m, h - x) decides whether m has a factor of degree dividing i
-        if not fp_coprime(m, _minus_x(h, p), p):
-            return False
-    return True
+    pack, unpack, mulmod, power = _packed(m, p)
+    frobenius = [1, power(pack([0, 1]), p)]
+    while len(frobenius) < d:
+        frobenius.append(mulmod(frobenius[-1], frobenius[1]))
+    hs = [unpack(frobenius[1])]  # x^(p^i) mod m, i = 1 .. d/2
+    while len(hs) < d // 2:
+        hs.append(unpack(sum(map(operator.mul, hs[-1], frobenius))))
+    factors = [pack(_minus_x(h, p)) for h in hs[p < _ROOT_SCAN_BELOW :]]  # a scan settled i = 1
+    return fp_coprime(m, trim(unpack(functools.reduce(mulmod, factors))), p)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from schinzel import numutil
 from schinzel.numutil import (
     MR_EXACT_BOUND,
     UnprovedPrimeError,
@@ -75,6 +76,32 @@ def test_unproved_prime_is_refused():
     for n in (MR_EXACT_BOUND, 3317044064679887385962123, 6 * 3317044064679887385962123):
         with pytest.raises(UnprovedPrimeError, match="exact-primality bound"):
             factorize(n)
+
+
+class _CountingPrimes(list):
+    """The trial primes, counting the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        _CountingPrimes.passes += 1
+        return super().__iter__()
+
+
+def test_factorize_makes_one_trial_pass(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(numutil, "_TRIAL_PRIMES", _CountingPrimes(numutil._TRIAL_PRIMES))
+    p, q = sympy.prevprime(10**9), sympy.nextprime(10**11)
+    unproved = 3317044064679887385962123  # a prime above the exact-primality bound
+    cases = [2**40 * 3, 1009 * 1013, p, 7 * q, p * q, p**2 * q * 6, 7 * 999999999989, unproved * 6]
+    for n in cases + list(range(10**6 - 50, 10**6 + 50)):
+        _CountingPrimes.passes = 0
+        if n % unproved == 0:
+            with pytest.raises(UnprovedPrimeError, match="exact-primality bound"):
+                factorize(n)
+        else:
+            assert factorize(n) == dict(sorted(sympy.factorint(n).items())), n
+        assert _CountingPrimes.passes == 1, n
 
 
 def test_is_prime_agrees_with_the_sieve():

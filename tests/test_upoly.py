@@ -6,13 +6,15 @@ Hypothesis-drawn coefficient lists, constant term first.
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schinzel.numutil import primes_upto
+from schinzel.numutil import is_prime, primes_upto
 from schinzel.upoly import (
+    _packed,
     evaluate,
     exact_quotient,
     ext_gcd,
@@ -20,7 +22,6 @@ from schinzel.upoly import (
     fp_gcd,
     fp_has_root,
     fp_irreducible,
-    fp_mulmod,
     fp_powmod,
     fp_rem,
     mul,
@@ -34,6 +35,8 @@ PRIMES = primes_upto(60)
 # fp_irreducible scans for roots below 256 only; these primes take the powering alone
 LARGE_PRIMES = [257, 263, 509, 1009]
 SMALL_PRIMES = primes_upto(31)  # small enough to test every residue
+# proved primes whose packed slots are wider than 8 bytes
+WIDE_PRIMES = [2**64 + 13, 2**80 - 65]
 INTS = st.integers(-40, 40)
 RATS = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 
@@ -135,12 +138,21 @@ def test_fp_rem_matches_sympy(a, pb):
     assert fp_rem(list(a), b, p) == want
 
 
+def _monic(m, p):
+    inv = pow(m[-1], -1, p)
+    return [c * inv % p for c in m]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_lists(INTS), _lists(INTS), _fp_divisor())
-def test_fp_mulmod_matches_sympy(a, b, pm):
+@given(_lists(INTS), _lists(INTS), _fp_divisor(PRIMES + LARGE_PRIMES + WIDE_PRIMES))
+def test_packed_mul_matches_sympy(a, b, pm):
     p, m = pm
+    if len(m) < 2:
+        m = [1] + m
     want = _mod((_poly(a, modulus=p) * _poly(b, modulus=p)).rem(_poly(m, modulus=p)), p)
-    assert fp_mulmod(a, b, m, p) == want
+    pack, unpack, mulmod, _ = _packed(_monic(m, p), p)
+    a, b = pack(fp_rem(list(a), m, p)), pack(fp_rem(list(b), m, p))
+    assert trim(unpack(mulmod(a, b))) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -177,6 +189,44 @@ def test_fp_irreducible_both_sides_of_the_root_scan(degree, data):
     assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
 
 
+@st.composite
+def _equal_degree_product(draw, degree):
+    """(p, integer list of the given degree): a product of factors of one degree k < degree."""
+    p = draw(st.sampled_from(PRIMES + LARGE_PRIMES + WIDE_PRIMES))
+    k = draw(st.sampled_from([k for k in range(1, degree) if degree % k == 0]))
+    f = [draw(INTS.filter(lambda c: c % p))]
+    for _ in range(degree // k):
+        f = mul(f, draw(st.lists(INTS, min_size=k, max_size=k)) + [1])
+    return p, f
+
+
+@pytest.mark.parametrize("degree", range(11, 25))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_fp_irreducible_at_higher_degrees(degree, data):
+    p, f = data.draw(st.one_of(_fp_poly(degree), _equal_degree_product(degree)))
+    assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES + WIDE_PRIMES)
+def test_fp_irreducible_on_equal_degree_products(p):
+    # x^16 + 1 splits into factors of one degree mod every odd prime
+    quadratics = mul(mul([1, 0, 1], [2, 0, 1]), [3, 0, 1])
+    for f in ([1] + [0] * 15 + [1], mul([2, 0, 1, 1], [3, 1, 0, 1]), quadratics):
+        assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fp_irreducible_at_wide_primes(p, data):
+    degree = data.draw(st.integers(2, 8))
+    f = data.draw(st.lists(INTS, min_size=degree, max_size=degree)) + [data.draw(INTS) or 1]
+    if data.draw(st.booleans()):
+        f = mul(f, [data.draw(INTS), 1])
+    assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+
+
 @settings(max_examples=300, deadline=None)
 @given(_lists(INTS, 8), _fp_divisor(PRIMES + LARGE_PRIMES), _lists(INTS, 4))
 def test_fp_coprime_matches_sympy_gcd(a, pb, common):
@@ -191,15 +241,52 @@ def test_fp_coprime_matches_sympy_gcd(a, pb, common):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_lists(INTS, 6), _fp_divisor(PRIMES + LARGE_PRIMES), st.integers(2, 3000))
+@given(_lists(INTS, 12), _fp_divisor(PRIMES + LARGE_PRIMES + WIDE_PRIMES), st.integers(1, 3000))
 def test_fp_powmod_matches_sympy(h, pm, n):
-    p, m = pm
+    p, m = pm  # h may be longer than m: fp_powmod reduces it first
     if len(m) < 2:
         m = [1] + m
-    h = fp_rem(list(h), m, p)
     gf_pow_mod = sympy.polys.galoistools.gf_pow_mod
     want = gf_pow_mod([c % p for c in reversed(h)], n, [c % p for c in reversed(m)], p, sympy.ZZ)
     assert fp_powmod(h, n, m, p) == trim([int(c) for c in reversed(want)])
+
+
+def test_fp_powmod_first_power_is_the_remainder():
+    h, m = [5, 0, 3, 1, 4, 1, 2], [2, 1, 3]  # h longer than m
+    for p in (7, 257, 2**64 + 13):
+        assert fp_powmod(h, 1, m, p) == fp_rem(list(h), m, p) == _mod(
+            _poly(h, modulus=p).rem(_poly(m, modulus=p)), p)
+    assert fp_powmod([3, 1], 1, [4], 7) == []  # everything is 0 mod a constant
+
+
+def _slot_boundary_primes(d):
+    """For k = 1 .. 11: the largest prime p with 2d(p-1)^2 < 2^(8k), and the next prime."""
+    out = []
+    for k in range(1, 12):
+        p = isqrt((2 ** (8 * k) - 1) // (2 * d)) + 1
+        while not is_prime(p):
+            p -= 1
+        q = p + 1
+        while not is_prime(q):
+            q += 1
+        out += [p, q]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 5, 11])
+def test_all_top_coefficients_at_slot_boundaries(d):
+    # every coefficient of f and of h at p - 1, on both sides of each slot width
+    for p in _slot_boundary_primes(d):
+        f = [p - 1] * (d + 1)
+        want = _poly(f, modulus=p)
+        assert fp_irreducible(f, p) == want.is_irreducible, p
+        h = [p - 1] * d
+        sq = _mod((_poly(h, modulus=p) ** 2).rem(want), p)
+        assert fp_powmod(h, 2, f, p) == sq, p
+        pack, unpack, mulmod, _ = _packed(_monic(f, p), p)
+        assert trim(unpack(mulmod(pack(h), pack(h)))) == sq, p
+        bound = 2 * d * (p - 1) ** 2 - 1  # a slot holds every sum below 2d(p-1)^2
+        assert unpack(pack([bound] * d)) == [bound % p] * d, p
 
 
 def _roots(f, p):
@@ -235,3 +322,13 @@ def test_fp_has_root_against_brute_force(pf, roots):
     for r in roots:
         f = mul(f, [-r, 1])
     assert fp_has_root(f, p) == bool(_roots(f, p))
+
+
+@pytest.mark.parametrize("p", [1000003, 2**64 + 13])
+@settings(max_examples=60, deadline=None)
+@given(f=_nonzero(INTS, 6), roots=st.lists(st.integers(-10**6, 10**6), max_size=2))
+def test_fp_has_root_at_large_primes(p, f, roots):
+    for r in roots:
+        f = mul(f, [-r, 1])
+    _, factors = _poly(f, modulus=p).factor_list()
+    assert fp_has_root(f, p) == any(g.degree() == 1 for g, _ in factors)
