@@ -66,12 +66,11 @@ def _split_csv(text):
 
 def _parse_d(text):
     """Degree matrix: commas within a parameter, semicolons across."""
-    rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            rows.append(tuple(int(t) for t in _split_csv(chunk)))
-    return tuple(rows)
+    try:
+        return tuple(tuple(int(t) for t in _split_csv(chunk))
+                     for chunk in text.split(";") if chunk.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
 
 
 def _load_job(path):
@@ -128,15 +127,15 @@ def _build_parser():
     common(p)
     p = sub.add_parser("schinzel", help="substitute polynomials for the parameters")
     common(p, budget=5000)
-    p.add_argument("--d", required=True, metavar="MATRIX")
+    p.add_argument("--d", type=_parse_d, required=True, metavar="MATRIX")
     p.add_argument("--no-exact-degree", action="store_true")
     p = sub.add_parser("strong", help="no-fixed-divisor substitution pipeline")
     common(p, budget=2000)
-    p.add_argument("--d", required=True, metavar="TUPLE")
+    p.add_argument("--d", type=_parse_d, required=True, metavar="TUPLE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("compose", help="iterated composition of pipeline stages")
     common(p, budget=2000)
-    p.add_argument("--d", required=True, metavar="SEQUENCE")
+    p.add_argument("--d", type=_parse_d, required=True, metavar="SEQUENCE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("counterexample", help="sharpness counterexample bundle")
     common(p, polys=False, split=False, budget=200)
@@ -248,10 +247,9 @@ def _cmd_progression(args, rep):
 
 def _cmd_schinzel(args, rep):
     split, polys = _family(args)
-    d = _parse_d(args.d)
     try:
         plan = solve_polynomial_schinzel(
-            polys, split, d, budget=args.budget,
+            polys, split, args.d, budget=args.budget,
             exact_degree=not args.no_exact_degree,
         )
     except SchinzelRefusal as exc:
@@ -277,7 +275,7 @@ def _cmd_schinzel(args, rep):
 def _cmd_strong(args, rep):
     polys = _polys(args, _inferred_registry(args.polys, _split_csv(args.params)))
     variables = _split_csv(args.vars) or ("Y",)
-    d = _parse_d(args.d)[0]
+    d = args.d[0] if args.d else ()  # strong_pipeline rejects a row of the wrong length
     try:
         plan = strong_pipeline(polys, variables, d, budget=args.budget, monic=args.monic)
     except HypothesisError as exc:
@@ -301,7 +299,7 @@ def _cmd_strong(args, rep):
 
 def _cmd_compose(args, rep):
     polys = _polys(args, _inferred_registry(args.polys))
-    degrees = _parse_d(args.d)[0] if args.d.strip() else ()
+    degrees = args.d[0] if args.d else ()
     plan = iterated_composition(polys, degrees, budget=args.budget, monic=args.monic)
     for i, M in enumerate(plan.Ms):
         rep.add(f"stage{i + 1}.M", M)

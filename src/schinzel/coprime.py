@@ -78,7 +78,7 @@ def coprime_search(Qs, budget=10**5):
             "no point can make the values coprime"
         )
     tried = 0
-    for tried, m in enumerate(itertools.islice(spiral(len(params)), budget), 1):
+    for tried, m in enumerate(itertools.islice(spiral(len(params)), max(budget, 0)), 1):
         point = dict(zip(params, m))
         values = tuple(Q.evaluate(point) for Q in Qs)
         if math.gcd(*values) == 1:

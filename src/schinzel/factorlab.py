@@ -336,16 +336,6 @@ def _kronecker_multivar(pp, names, combo_budget):
         w *= d + 1
     idx = [pp.registry.index(n) for n in names]
 
-    def pack(poly):
-        out = {}
-        for expo, coeff in poly.terms.items():
-            e = sum(expo[i] * wt for i, wt in zip(idx, weights))
-            out[e] = out.get(e, 0) + coeff
-        dense = [0] * (max(out) + 1)
-        for e, c in out.items():
-            dense[e] = c
-        return dense
-
     def unpack(dense):
         terms = {}
         for e, c in enumerate(dense):
@@ -361,7 +351,9 @@ def _kronecker_multivar(pp, names, combo_budget):
             terms[tuple(expo)] = c
         return MPoly(pp.registry, terms)
 
-    image_factors = _factor_dense(pack(pp), combo_budget)
+    x = MPoly.var(pp.registry, names[0])
+    packed = pp.substitute({n: x**w for n, w in zip(names, weights)})  # weights[0] is 1
+    image_factors = _factor_dense(dense(packed, names[0]), combo_budget)
     remaining = pp
     out = []
     pool = list(range(len(image_factors)))

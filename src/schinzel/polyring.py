@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 
 class PolyError(Exception):
@@ -253,26 +253,36 @@ class MPoly:
 
     # -- substitution -------------------------------------------------
 
-    def substitute(self, bindings):
-        """Ring-homomorphism image: replace names by polynomials (or ints).
+    def substitute(self, bindings, registry=None):
+        """Ring-map image on `registry` (by default this polynomial's own).
 
-        Unbound variables pass through.  Bound values must share this
-        registry or be integers.  Integer values are folded into the
-        coefficients; polynomial values multiply the remaining monomial.
+        A bound name takes its value: an int, or an MPoly on `registry`.
+        Every other occurring name goes to the variable of the same name in
+        `registry`; one missing there is a PolyError.  Integer values are
+        folded into the coefficients; polynomial values multiply the moved
+        monomial.
         """
-        reg = self.registry
+        src = self.registry
+        reg = src if registry is None else tuple(registry)
         ints, polys = [], {}
         for name, val in bindings.items():
-            if name not in reg:
+            if name not in src:
                 raise PolyError(f"unknown variable {name!r} in substitution")
             if isinstance(val, int):
-                ints.append((reg.index(name), val))
+                ints.append((src.index(name), val))
             elif val.registry != reg:
                 raise RegistryMismatch("bound polynomial has a different registry")
             else:
-                polys[reg.index(name)] = val
+                polys[src.index(name)] = val
         bound = {i for i, _ in ints} | polys.keys()
-        keep = tuple(0 if i in bound else 1 for i in range(len(reg)))
+        free = {name: i for i, name in enumerate(src) if i not in bound}
+        for name, i in free.items():
+            if name not in reg and any(e[i] for e in self.terms):
+                raise PolyError(f"variable {name!r} missing from target registry")
+        # target slot j reads slot slots[j] of expo + (0,), where index len(src) is 0;
+        # a one-index itemgetter returns no tuple
+        slots = [free.get(name, len(src)) for name in reg]
+        move = itemgetter(*slots) if len(slots) > 1 else lambda e: tuple(e[j] for j in slots)
 
         # cache powers of each bound polynomial
         powcache = {i: {} for i in polys}
@@ -292,7 +302,7 @@ class MPoly:
                     coeff *= v ** expo[i]
             if not coeff:
                 continue
-            part = {tuple(map(mul, expo, keep)): coeff}
+            part = {move(expo + (0,)): coeff}
             for i in polys:
                 if expo[i]:
                     part = _mul_terms(part, power(i, expo[i]))
@@ -322,24 +332,20 @@ class MPoly:
         return total
 
     def rename(self, registry, mapping=None):
-        """Copy onto another registry; mapping renames variables."""
-        mapping = mapping or {}
-        registry = tuple(registry)
-        pos = {}
-        for i, name in enumerate(self.registry):
-            target = mapping.get(name, name)
-            if any(e[i] for e in self.terms):
-                if target not in registry:
-                    raise PolyError(f"variable {target!r} missing from target registry")
-                pos[i] = registry.index(target)
-        terms = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * len(registry)
-            for i, e in enumerate(expo):
-                if e:
-                    new[pos[i]] += e
-            terms[tuple(new)] = terms.get(tuple(new), 0) + coeff
-        return MPoly(registry, terms)
+        """Copy onto another registry; mapping renames variables.
+
+        The substitution of `MPoly.var(registry, new)` for each occurring
+        mapped name, so every occurring name must land in `registry`.
+        """
+        registry, mapping = tuple(registry), mapping or {}
+        bindings = {}
+        for name in self.variables():
+            if name in mapping:
+                new = mapping[name]
+                if new not in registry:
+                    raise PolyError(f"variable {new!r} missing from target registry")
+                bindings[name] = MPoly.var(registry, new)
+        return self.substitute(bindings, registry)
 
     # -- printing -----------------------------------------------------
 

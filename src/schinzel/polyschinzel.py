@@ -138,7 +138,7 @@ def generic_substitution(polys, split, d):
         for names, mons in zip(lam_names, monomials)
     )
     bindings = dict(zip(split.params, Ms))
-    Fs = tuple(_compose(P, bindings, registry) for P in polys)
+    Fs = tuple(P.substitute(bindings, registry) for P in polys)
     return GenericSubstitution(split, d, registry, lam_names, monomials, Ms, Fs)
 
 
@@ -169,18 +169,6 @@ class SchinzelRefusal(HypothesisError):
         super().__init__(condition, detail)
         self.conditions = conditions
         self.generic_report = generic_report
-
-
-def _compose(P, bindings, registry):
-    """P with each bound name replaced by its polynomial, over `registry`.
-
-    The bound polynomials live on `registry`, P on its own one.  Both are
-    renamed onto a bridge registry, the bound names followed by the rest
-    of `registry`, so that `substitute` sees one registry.
-    """
-    bridge = tuple(bindings) + tuple(n for n in registry if n not in bindings)
-    bound = {t: M.rename(bridge) for t, M in bindings.items()}
-    return P.rename(bridge).substitute(bound).rename(registry)
 
 
 def _certificates(comps):
@@ -239,7 +227,7 @@ def solve_polynomial_schinzel(polys, split, d, budget=5000, exact_degree=True):
 
     ends = list(itertools.accumulate(len(mons) for mons in gs.monomials))
     tried = 0
-    for tried, theta in enumerate(itertools.islice(spiral(ends[-1]), budget), 1):
+    for tried, theta in enumerate(itertools.islice(spiral(ends[-1]), max(budget, 0)), 1):
         chunks = [theta[a:b] for a, b in zip([0] + ends, ends)]
         if exact_degree and any(chunk[-1] == 0 for chunk in chunks):
             continue
@@ -247,7 +235,7 @@ def solve_polynomial_schinzel(polys, split, d, budget=5000, exact_degree=True):
             t: MPoly(split.variables, {mon: c for c, mon in zip(chunk, mons) if c})
             for t, chunk, mons in zip(split.params, chunks, gs.monomials)
         }
-        certs = _certificates([_compose(P, Ms, split.variables) for P in polys])
+        certs = _certificates([P.substitute(Ms, split.variables) for P in polys])
         if certs is not None:
             return SubstitutionPlan(
                 theta=tuple(tuple(chunk) for chunk in chunks),
@@ -296,9 +284,7 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
     exhaust the budget.
     """
     variables = tuple(variables)
-    d = tuple(d)
-    if len(d) != len(variables):
-        raise PolyError("one degree bound per variable required")
+    (d,) = _degree_matrix((d,), 1, len(variables))
     if all(x == 0 for x in d):
         raise PolyError("d must be nonzero")
     t1 = _as_univariate(polys)
@@ -331,12 +317,12 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
 
     tried = 0
     zero = (0,) * len(variables)
-    for tried, v in enumerate(itertools.islice(spiral(len(monomials) - 1), budget), 1):
+    for tried, v in enumerate(itertools.islice(spiral(len(monomials) - 1), max(budget, 0)), 1):
         terms = {monomials[-1]: omega}
         terms.update((mon, omega * c) for c, mon in zip(v, monomials) if c)
         terms[zero] = terms.get(zero, 0) + theta
         M = MPoly(variables, terms)
-        comps = [_compose(P, {t1: M}, variables) for P in polys]
+        comps = [P.substitute({t1: M}, variables) for P in polys]
         certs = _certificates(comps)
         if certs is None:
             continue
@@ -445,7 +431,7 @@ def sharpness_counterexample(d, m_budget=200, samples=100, seed=0):
             lead = rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND)
         coeffs.append(lead)
         M = MPoly(yreg, {(j,): c for j, c in enumerate(coeffs) if c})
-        comp = _compose(P, {"T": M}, yreg)
+        comp = P.substitute({"T": M}, yreg)
         key = tuple(sorted((e[0], c % 2) for e, c in M.terms.items() if c % 2))
         log.append((M, comp.content(), residues.get(key)))
     all_even = all(content % 2 == 0 for _, content, _ in log)

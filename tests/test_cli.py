@@ -1,3 +1,5 @@
+import json
+import pathlib
 import re
 
 import pytest
@@ -223,6 +225,29 @@ def test_budget_zero_is_not_the_default(argv, detail, capsys):
     code, out = invoke(capsys, *argv, "--budget", "0")
     assert code == 3
     assert kv(out)["detail"] == detail
+    # a negative budget is used up before the first point; density and
+    # counterexample name the budget in their detail
+    code, out = invoke(capsys, *argv, "--budget", "-1")
+    assert code == 3
+    assert kv(out)["detail"] == detail.replace("budget 0", "budget -1").replace("<= 0", "<= -1")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["strong", "--poly", "T^2+1", "--d", ""],
+     "error = degree row () does not match 1 variable(s)"),
+    (["strong", "--poly", "T^2+1", "--d", "x"], "argument --d: 'x' is not a list of integers"),
+    (["schinzel", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--d", "x"],
+     "argument --d: 'x' is not a list of integers"),
+    (["compose", "--poly", "T^2+1", "--d", "1,x"],
+     "argument --d: '1,x' is not a list of integers"),
+    (["strong", "--poly", "T^2+1", "--d", "-1"], "error = negative degree bound"),
+    (["compose", "--poly", "T^2+1", "--d", "1,-1"], "error = negative degree bound"),
+])
+def test_malformed_or_negative_d_is_a_usage_error(argv, error, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err and "Traceback" not in captured.err
 
 
 def test_unproved_prime_budget_exit(capsys):
@@ -391,3 +416,15 @@ def test_job_file_roundtrip(tmp_path, capsys):
     assert code == direct_code == 1
     assert mask(out) == mask(direct_out)
 
+
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                     / "perfbench" / "expected" / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(name, capsys):
+    # the benchmark's expected reports, byte for byte with elapsed_ms masked
+    job = GOLDEN[name]
+    code, out = invoke(capsys, *job["argv"])
+    assert code == job["exit"]
+    assert mask(out) == job["report"]

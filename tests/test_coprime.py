@@ -78,8 +78,9 @@ def test_search_rejects_local_failure():
 
 
 def test_search_budget():
-    with pytest.raises(BudgetExceeded):
-        coprime_search([Q("T1 + 4"), Q("T1 + 2")], budget=0)
+    for budget in (0, -1):  # a negative budget is used up before the first point
+        with pytest.raises(BudgetExceeded, match="no coprime point within 0 candidates"):
+            coprime_search([Q("T1 + 4"), Q("T1 + 2")], budget=budget)
     # the values are coprime at odd points only: m = -1 is the second
     with pytest.raises(BudgetExceeded, match="no coprime point within 1 candidates"):
         coprime_search([Q("T1 + 4"), Q("T1 + 2")], budget=1)

@@ -1,11 +1,12 @@
 """The plan search of the polynomial Schinzel engine, pinned.
 
-Every entry point of `schinzel.polyschinzel` composes through one helper
-(`_compose`) and certifies through one loop (`_certificates`).  The tables
-below fix the plans, certificates, `tried` counts, generic families and
-counterexample samples that the engine gives for a few small inputs, so a
-change to the search shows as a changed plan.  A certificate is pinned as
-(verdict, method, prime, point, factor, detail).
+Every entry point of `schinzel.polyschinzel` composes through one ring map
+(`MPoly.substitute` into the codomain registry) and certifies through one
+loop (`_certificates`).  The tables below fix the plans, certificates,
+`tried` counts, generic families and counterexample samples that the engine
+gives for a few small inputs, so a change to the search shows as a changed
+plan.  A certificate is pinned as (verdict, method, prime, point, factor,
+detail).
 """
 
 import ast
@@ -183,24 +184,21 @@ def test_sharpness_bundles(d, samples, seed, m, certificate, log, all_even):
     assert b.all_even == all_even
 
 
-def _enclosing_functions(tree):
-    """Map each node to the name of the top-level function holding it, if any."""
-    owner = {}
-    for top in tree.body:
-        name = top.name if isinstance(top, ast.FunctionDef) else None
-        for node in ast.walk(top):
-            owner[node] = name
-    return owner
-
-
-def test_only_compose_builds_a_bridge_registry():
-    # every cross-registry composition goes through _compose; elsewhere a
-    # rename only renames a name (it passes a mapping)
+def test_no_bridge_registry_in_polyschinzel():
+    # every composition is one `substitute` into its codomain registry: no
+    # bridge name, no substitute between two renames, and a rename only
+    # renames a name (it passes a mapping)
     tree = ast.parse((SRC / "polyschinzel.py").read_text())
-    owner = _enclosing_functions(tree)
+
+    def called(node, attr):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr)
+
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "bridge":
-            assert owner[node] == "_compose", f"line {node.lineno}"
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "rename" and owner[node] != "_compose"):
+        assert not (isinstance(node, ast.Name) and "bridge" in node.id), f"line {node.lineno}"
+        assert not (isinstance(node, ast.FunctionDef) and node.name == "_compose")
+        if called(node, "rename"):
             assert len(node.args) + len(node.keywords) == 2, f"line {node.lineno}"
+            assert not called(node.func.value, "substitute"), f"line {node.lineno}"
+        if called(node, "substitute"):
+            assert not called(node.func.value, "rename"), f"line {node.lineno}"

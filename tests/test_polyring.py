@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,6 +257,92 @@ def test_rename():
     q = parse_poly("Y^2 + Y", ("Y",))
     r = q.rename(REG, {"Y": "T"})
     assert r == P("T^2 + T")
+
+
+def test_rename_checks_only_occurring_names():
+    q = P("T^2 + 1")  # Y is in the registry but does not occur
+    assert q.rename(("T",)) == parse_poly("T^2 + 1", ("T",))
+    assert q.rename(("S",), {"T": "S", "Y": "W"}) == parse_poly("S^2 + 1", ("S",))
+    with pytest.raises(PolyError, match="variable 'T' missing from target registry"):
+        q.rename(("Y",))
+    with pytest.raises(PolyError, match="variable 'S' missing from target registry"):
+        q.rename(("Y",), {"T": "S"})
+
+
+# -- substitution into another registry --------------------------------
+
+
+def test_substitute_into_another_registry():
+    q = P("T^2*Y + 3")
+    M = parse_poly("Y + 1", ("Y",))
+    assert q.substitute({"T": M}, ("Y",)) == parse_poly("Y^3 + 2*Y^2 + Y + 3", ("Y",))
+    assert q.substitute({"T": 2}, ("S", "Y")) == parse_poly("4*Y + 3", ("S", "Y"))
+    with pytest.raises(PolyError, match="variable 'Y' missing from target registry"):
+        q.substitute({"T": 2}, ("T",))
+    assert P("T + 1").substitute({}, ("T",)) == parse_poly("T + 1", ("T",))
+
+
+def test_substitute_value_on_a_third_registry_raises():
+    q = P("T^2*Y + 3")
+    with pytest.raises(RegistryMismatch):
+        q.substitute({"T": parse_poly("Z + 1", ("Z",))}, ("Y", "W"))
+    with pytest.raises(RegistryMismatch):  # on the source registry, not the target
+        q.substitute({"T": P("Y")}, ("Y",))
+
+
+def _rename_by_loop(q, registry):
+    """Copy q onto registry, name for name, by the exponent loop itself."""
+    pos = {}
+    for i, name in enumerate(q.registry):
+        if any(e[i] for e in q.terms):
+            if name not in registry:
+                raise PolyError(f"variable {name!r} missing from target registry")
+            pos[i] = registry.index(name)
+    terms = {}
+    for expo, coeff in q.terms.items():
+        new = [0] * len(registry)
+        for i, e in enumerate(expo):
+            if e:
+                new[pos[i]] += e
+        terms[tuple(new)] = coeff
+    return MPoly(registry, terms)
+
+
+def _bridge_compose(q, bindings, registry):
+    """q with its bound names replaced, composed through a bridge registry.
+
+    Both sides are copied onto the bound names followed by the rest of
+    `registry`, substituted there on one registry, and copied back.
+    """
+    bridge = tuple(bindings) + tuple(n for n in registry if n not in bindings)
+    bound = {t: v if isinstance(v, int) else _rename_by_loop(v, bridge)
+             for t, v in bindings.items()}
+    return _rename_by_loop(_rename_by_loop(q, bridge).substitute(bound), registry)
+
+
+@st.composite
+def ring_maps(draw):
+    """(P on REG3, bindings, target registry) with values on the target."""
+    a = draw(polys3)
+    target = tuple(draw(st.lists(st.sampled_from(REG3 + ("Z",)), unique=True, max_size=4)))
+    names = draw(st.lists(st.sampled_from(REG3), unique=True, max_size=3))
+    values = st.one_of(small, terms_over(target, 2, 3))
+    return a, {name: draw(values) for name in names}, target
+
+
+@given(ring_maps())
+@settings(max_examples=300, deadline=None)
+def test_substitute_into_a_registry_is_the_bridge_composition(case):
+    a, bindings, target = case
+    try:
+        want = _bridge_compose(a, bindings, target)
+    except PolyError as exc:
+        with pytest.raises(PolyError, match=re.escape(str(exc))):
+            a.substitute(bindings, target)
+        return
+    got = a.substitute(bindings, target)
+    assert got == want and got.registry == target
+    assert all(type(v) is int and v != 0 for v in got.terms.values())
 
 
 # -- splits and profiles ---------------------------------------------

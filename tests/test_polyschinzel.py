@@ -257,6 +257,24 @@ def test_strong_rejects_zero_d():
         strong_pipeline([T1("T^2 + 1")], ("Y",), (0,))
 
 
+@pytest.mark.parametrize("d, detail", [
+    ((-1,), "negative degree bound"),
+    ((), r"degree row \(\) does not match 1 variable\(s\)"),
+    ((1, 1), r"degree row \(1, 1\) does not match 1 variable\(s\)"),
+])
+def test_strong_rejects_malformed_d(d, detail):
+    # checked by the solver's own degree matrix, before any monomial is listed
+    with pytest.raises(PolyError, match=detail):
+        strong_pipeline([T1("T^2 + 1")], ("Y",), d)
+
+
+def test_negative_budget_is_used_up_at_once():
+    with pytest.raises(BudgetExceeded, match="no plan within 0 shape tuples"):
+        strong_pipeline([T1("T^2 + 1")], ("Y",), (1,), budget=-1)
+    with pytest.raises(BudgetExceeded, match="no plan within 0 coefficient tuples"):
+        solve_polynomial_schinzel([P("Y^2 - T")], SPLIT, ((1,),), budget=-1)
+
+
 # -- iterated composition ---------------------------------------------
 
 
