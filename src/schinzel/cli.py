@@ -73,6 +73,14 @@ def _parse_d(text):
         raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
 
 
+def _parse_row(text):
+    """One degree row: a degree matrix of at most one `;` block."""
+    rows = _parse_d(text)
+    if len(rows) > 1:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than one ';' block")
+    return rows[0] if rows else ()  # strong_pipeline rejects a row of the wrong length
+
+
 def _load_job(path):
     """key = value job file -> argv tokens (command line, minus the program)."""
     tokens = []
@@ -131,16 +139,16 @@ def _build_parser():
     p.add_argument("--no-exact-degree", action="store_true")
     p = sub.add_parser("strong", help="no-fixed-divisor substitution pipeline")
     common(p, budget=2000)
-    p.add_argument("--d", type=_parse_d, required=True, metavar="TUPLE")
+    p.add_argument("--d", type=_parse_row, required=True, metavar="TUPLE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("compose", help="iterated composition of pipeline stages")
     common(p, budget=2000)
-    p.add_argument("--d", type=_parse_d, required=True, metavar="SEQUENCE")
+    p.add_argument("--d", type=_parse_row, required=True, metavar="SEQUENCE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("counterexample", help="sharpness counterexample bundle")
     common(p, polys=False, split=False, budget=200)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, default=100, help="number of sampled M")
+    p.add_argument("--N", type=_positive_int, default=100, help="number of sampled M")
     p = sub.add_parser("coprime", help="coprime values of a polynomial family")
     common(p, budget=10**5)
     p = sub.add_parser("density", help="member counts over a box")
@@ -275,9 +283,8 @@ def _cmd_schinzel(args, rep):
 def _cmd_strong(args, rep):
     polys = _polys(args, _inferred_registry(args.polys, _split_csv(args.params)))
     variables = _split_csv(args.vars) or ("Y",)
-    d = args.d[0] if args.d else ()  # strong_pipeline rejects a row of the wrong length
     try:
-        plan = strong_pipeline(polys, variables, d, budget=args.budget, monic=args.monic)
+        plan = strong_pipeline(polys, variables, args.d, budget=args.budget, monic=args.monic)
     except HypothesisError as exc:
         rep.add("refused", True)
         rep.add("condition", exc.condition)
@@ -299,8 +306,7 @@ def _cmd_strong(args, rep):
 
 def _cmd_compose(args, rep):
     polys = _polys(args, _inferred_registry(args.polys))
-    degrees = args.d[0] if args.d else ()
-    plan = iterated_composition(polys, degrees, budget=args.budget, monic=args.monic)
+    plan = iterated_composition(polys, args.d, budget=args.budget, monic=args.monic)
     for i, M in enumerate(plan.Ms):
         rep.add(f"stage{i + 1}.M", M)
     rep.add("composition", plan.composition)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes, signed_ints, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, dense, reduce_mod, undense
@@ -569,39 +569,14 @@ def is_irreducible_z(P, **opts):
 # -- gcd over the rationals ------------------------------------------
 
 
-def _dense_wrt(P, name):
-    coeffs = P.coefficients((name,))
-    zero = MPoly.zero(P.registry)
-    return [coeffs.get((e,), zero) for e in range(P.degree_in(name) + 1)]
-
-
-def _from_dense_wrt(coeffs, registry, name):
-    x = MPoly.var(registry, name)
-    out = MPoly.zero(registry)
-    for e, c in enumerate(coeffs):
-        out = out + c * x**e
-    return out
-
-
 def _prem(A, B, name):
-    """Pseudo-remainder of A by B w.r.t. one variable."""
-    a = _dense_wrt(A, name)
-    b = _dense_wrt(B, name)
-    db = len(b) - 1
-    lb = b[db]
-    while len(a) - 1 >= db:
-        da = len(a) - 1
-        lead = a[da]
-        a = [lb * c for c in a]
-        for j in range(db + 1):
-            a[da - db + j] = a[da - db + j] - lead * b[j]
-        while a and a[-1].is_zero():
-            a.pop()
-        if not a:
-            break
-    if not a:
-        return MPoly.zero(A.registry)
-    return _from_dense_wrt(a, A.registry, name)
+    """Pseudo-remainder of A by B in `name`: lc(B)·A − lc(A)·x^(da−db)·B until da < db."""
+    db = B.degree_in(name)
+    lb = B.coefficients((name,))[(db,)]
+    while (da := A.degree_in(name)) >= db:
+        la = A.coefficients((name,))[(da,)]
+        A = lb * A - la * MPoly.var(A.registry, name, da - db) * B
+    return A
 
 
 def _coprime_image(A, B, name, others):
@@ -622,34 +597,27 @@ def _coprime_image(A, B, name, others):
 
 
 def _gcd_q_raw(A, B):
-    """gcd up to units in Q[registry]; constants are treated as units."""
+    """gcd up to units in Q[registry]; constants are treated as units.
+
+    In the main variable, the last present name in registry order, the gcd is
+    the gcd of the contents times the gcd of the primitive parts (Brown 1971),
+    and the primitive PRS finds the latter.
+    """
     A = A.primitive_part()
     B = B.primitive_part()
     if A.is_constant() or B.is_constant():
         return MPoly.const(A.registry, 1)
     present = set(A.variables()) | set(B.variables())
     *others, name = [n for n in A.registry if n in present]
-    if A.degree_in(name) == 0 or B.degree_in(name) == 0:
-        # one side is free of the main variable: recurse into the content
-        free, other = (A, B) if A.degree_in(name) == 0 else (B, A)
-        return _gcd_q_raw(content_q(other, (name,)), free)
-    if _coprime_image(A, B, name, others):
-        # the gcd is free of the main variable, so it is cg, the gcd of the contents
-        return _gcd_q_raw(content_q(A, (name,)), content_q(B, (name,)))
     contA, contB = content_q(A, (name,)), content_q(B, (name,))
-    ppA = exact_div(A, contA)
-    ppB = exact_div(B, contB)
     cg = _gcd_q_raw(contA, contB)
+    if min(A.degree_in(name), B.degree_in(name)) == 0 or _coprime_image(A, B, name, others):
+        return cg  # the gcd of the primitive parts is 1
+    ppA, ppB = exact_div(A, contA), exact_div(B, contB)
     while not ppB.is_zero():
         R = _prem(ppA, ppB, name)
-        if R.is_zero():
-            ppA, ppB = ppB, R
-        else:
-            ppA, ppB = ppB, exact_div(R, content_q(R, (name,))).primitive_part()
-    if ppA.is_constant():
-        return cg if not cg.is_constant() else MPoly.const(A.registry, 1)
-    result = cg * exact_div(ppA, content_q(ppA, (name,)))
-    return result.primitive_part()
+        ppA, ppB = ppB, R if R.is_zero() else exact_div(R, content_q(R, (name,))).primitive_part()
+    return cg * ppA
 
 
 def gcd_q(P, Q):
@@ -662,9 +630,7 @@ def gcd_q(P, Q):
         return _normalize_sign(P.primitive_part())
     if P.registry != Q.registry:
         raise PolyError("registry mismatch in gcd")
-    if P.is_constant() or Q.is_constant():
-        return MPoly.const(P.registry, 1)
-    return _normalize_sign(_gcd_q_raw(P, Q).primitive_part())
+    return _normalize_sign(_gcd_q_raw(P, Q))
 
 
 def gcd_q_fold(polys):

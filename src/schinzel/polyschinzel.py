@@ -369,7 +369,7 @@ def iterated_composition(polys, degrees, budget=2000, monic=False):
         try:
             plan = strong_pipeline(current, (yname,), (dm,), budget=budget, monic=monic)
         except HypothesisError as exc:
-            raise PolyError(f"stage {stage}: {exc}") from exc
+            raise HypothesisError(exc.condition, f"stage {stage}: {exc.detail}") from exc
         M = plan.Ms[0].rename(reg, {yname: t1})
         stages.append(plan)
         Ms.append(M)
@@ -402,6 +402,8 @@ def sharpness_counterexample(d, m_budget=200, samples=100, seed=0):
     """
     if d < 0:
         raise PolyError("d must be non-negative")
+    if samples < 1:
+        raise PolyError("samples must be at least 1")
     reg = ("T", "Y")
     T = MPoly.var(reg, "T")
     family = []

@@ -55,7 +55,7 @@ def test_criterion_2_sharpness():
     rng_ok = True
     notes = []
     for d in (0, 1):
-        b = sharpness_counterexample(d, samples=0)
+        b = sharpness_counterexample(d, samples=1)
         deg_ok = b.P.degree_in("T") == 2 ** (d + 1)
         # cross-check the certificate with the Kronecker oracle on the
         # univariate image it names

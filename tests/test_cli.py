@@ -198,6 +198,15 @@ def test_negative_search_budget_is_a_budget_exit(capsys):
     assert kv(out)["detail"] == "no member within 0 points (enlarge the budget)"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_counterexample_samples_below_one_is_a_usage_error(n, capsys):
+    # no sample is no evidence: the verdict must not read true
+    assert run(["counterexample", "--d", "1", "--N", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --N: {n} is below 1" in captured.err
+
+
 @pytest.mark.parametrize("limit", ["0", "-2"])
 def test_limit_below_one_is_a_usage_error(limit, capsys):
     argv = ["hilbert", "--polys", "Y^2 - T", "--params", "T", "--vars", "Y", "--limit", limit]
@@ -242,6 +251,11 @@ def test_budget_zero_is_not_the_default(argv, detail, capsys):
      "argument --d: '1,x' is not a list of integers"),
     (["strong", "--poly", "T^2+1", "--d", "-1"], "error = negative degree bound"),
     (["compose", "--poly", "T^2+1", "--d", "1,-1"], "error = negative degree bound"),
+    # strong and compose take one degree row: a second ';' block is not dropped
+    (["strong", "--poly", "T^2+1", "--params", "T", "--vars", "Y", "--d", "1;5"],
+     "argument --d: '1;5' has more than one ';' block"),
+    (["compose", "--poly", "T^2+1", "--d", "1,1;3"],
+     "argument --d: '1,1;3' has more than one ';' block"),
 ])
 def test_malformed_or_negative_d_is_a_usage_error(argv, error, capsys):
     assert run(argv) == 2
@@ -267,6 +281,16 @@ def test_unproved_prime_budget_exit(capsys):
 
 def test_one_budget_exception():
     assert factorlab.BudgetError is fixdiv.BudgetExceeded
+
+
+def test_compose_stage_hypothesis_failure_is_a_refusal(capsys):
+    # strong refuses T^2 - 1 with exit 1; compose refuses it at its first stage
+    code, out = invoke(capsys, "compose", "--poly", "T^2-1", "--d", "1")
+    assert code == 1
+    d = kv(out)
+    assert d["refused"] == "true"
+    assert d["condition"] == "Irred"
+    assert d["detail"] == "stage 1: polynomial #1 is reducible over the rationals"
 
 
 def test_compose_stage_without_plan_is_budget_exit(capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schinzel.factorlab import (
-    _dense_wrt,
     exact_div,
     gcd_q,
     is_irreducible_q,
@@ -19,6 +18,7 @@ from schinzel.fixdiv import BudgetExceeded
 from schinzel.hilbert import _irred_over_param_field
 from schinzel.polyring import MPoly, PolyError, VarSplit
 from schinzel.schinzelcore import bezout_constant
+from test_factorlab import _dense_wrt
 
 REG = ("T", "U", "Y")
 SPLITS = (VarSplit(("T", "U"), ("Y",)), VarSplit(("T",), ("U", "Y")))

@@ -16,6 +16,7 @@ from schinzel.factorlab import (
     IrredCertificate,
     _coprime_image,
     _find_dense_factor,
+    _prem,
     _prime_schedule,
     _signed_divisors,
     exact_div,
@@ -633,19 +634,66 @@ def _small_poly(names, max_terms=3):
 
 @st.composite
 def _gcd_pair(draw):
-    """(A, B) in 1-3 of the names: coprime, with a planted common factor, or
+    """(A, B) in 1-3 of the names: coprime, with a planted common factor,
     with a common factor only in the names other than the last one, which
-    is gcd_q's main variable."""
+    is gcd_q's main variable, or, for "free", that too with A free of the
+    last name."""
     names = GCD_REG[: draw(st.integers(1, 3))]
-    a, b = draw(_small_poly(names)), draw(_small_poly(names))
-    kind = draw(st.sampled_from(["coprime", "planted", "content"]))
+    kind = draw(st.sampled_from(["coprime", "planted", "content", "free"]))
+    a_names = names[:-1] if kind == "free" and len(names) > 1 else names
+    a, b = draw(_small_poly(a_names)), draw(_small_poly(names))
     if kind == "planted":
         c = draw(_small_poly(names))
-    elif kind == "content" and len(names) > 1:
+    elif kind in ("content", "free") and len(names) > 1:
         c = draw(_small_poly(names[:-1]))
     else:
         c = MPoly.const(GCD_REG, 1)
     return a * c, b * c
+
+
+def _dense_wrt(P, name):
+    """P as a list of coefficients in `name`, each an MPoly; the reference
+    that gcd_q's pseudo-remainder used before it worked on MPoly."""
+    coeffs = P.coefficients((name,))
+    zero = MPoly.zero(P.registry)
+    return [coeffs.get((e,), zero) for e in range(P.degree_in(name) + 1)]
+
+
+def _from_dense_wrt(coeffs, registry, name):
+    x = MPoly.var(registry, name)
+    out = MPoly.zero(registry)
+    for e, c in enumerate(coeffs):
+        out = out + c * x**e
+    return out
+
+
+def _reference_prem(A, B, name):
+    """The list-based pseudo-remainder that `_prem` replaced."""
+    a = _dense_wrt(A, name)
+    b = _dense_wrt(B, name)
+    db = len(b) - 1
+    lb = b[db]
+    while len(a) - 1 >= db:
+        da = len(a) - 1
+        lead = a[da]
+        a = [lb * c for c in a]
+        for j in range(db + 1):
+            a[da - db + j] = a[da - db + j] - lead * b[j]
+        while a and a[-1].is_zero():
+            a.pop()
+        if not a:
+            break
+    if not a:
+        return MPoly.zero(A.registry)
+    return _from_dense_wrt(a, A.registry, name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    _small_poly(GCD_REG[:k]), _small_poly(GCD_REG[:k]), st.sampled_from(GCD_REG[:k]))))
+def test_prem_matches_list_reference(case):
+    a, b, name = case
+    assert _prem(a, b, name) == _reference_prem(a, b, name)
 
 
 def _to_sympy(f, syms):

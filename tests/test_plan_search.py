@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from schinzel.polyring import VarSplit, parse_poly
+from schinzel.polyring import PolyError, VarSplit, parse_poly
 from schinzel.polyschinzel import (
     generic_substitution,
     iterated_composition,
@@ -120,7 +120,7 @@ SHARPNESS = [
      (('2', 4, 0), ('3', 8, 1), ('-9', 92, 1), ('-2', 8, 0)), True),
     (1, 4, 7, 1, ('irreducible', 'evaluation', 5, {'Y': 0}, None, 'image method mod-p'),
      (('-6*Y', 2, 0), ('10*Y + 2', 2, 0), ('-8*Y - 9', 2, 2), ('-7*Y + 7', 2, 3)), True),
-    (0, 0, 0, 1, ('irreducible', 'mod-p', 3, None, None, ''), (), True),
+    (0, 1, 0, 1, ('irreducible', 'mod-p', 3, None, None, ''), (('2', 4, 0),), True),
     (2, 3, 1, 1, ('irreducible', 'evaluation', 5, {'T': -1}, None, 'image method mod-p'),
      (('-8*Y^2 + 8*Y - 6', 2, 0), ('5*Y^2 - 7*Y - 2', 2, 3), ('10*Y^2 + 5*Y + 4', 2, 2)), True),
 ]
@@ -182,6 +182,13 @@ def test_sharpness_bundles(d, samples, seed, m, certificate, log, all_even):
     assert _cert(b.certificate) == certificate
     assert tuple((str(M), c, i) for M, c, i in b.samples) == log
     assert b.all_even == all_even
+
+
+def test_sharpness_rejects_no_samples():
+    # an empty sample log would make all_even true with no evidence
+    for samples in (0, -1):
+        with pytest.raises(PolyError, match="samples must be at least 1"):
+            sharpness_counterexample(0, samples=samples)
 
 
 def test_no_bridge_registry_in_polyschinzel():
