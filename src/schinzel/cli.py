@@ -283,14 +283,7 @@ def _cmd_schinzel(args, rep):
 def _cmd_strong(args, rep):
     polys = _polys(args, _inferred_registry(args.polys, _split_csv(args.params)))
     variables = _split_csv(args.vars) or ("Y",)
-    try:
-        plan = strong_pipeline(polys, variables, args.d, budget=args.budget, monic=args.monic)
-    except HypothesisError as exc:
-        rep.add("refused", True)
-        rep.add("condition", exc.condition)
-        rep.add("detail", exc.detail)
-        rep.add("verdict", False)
-        return EXIT_FALSE
+    plan = strong_pipeline(polys, variables, args.d, budget=args.budget, monic=args.monic)
     if plan.bad_primes is not None:
         rep.add("bad_primes", plan.bad_primes)
         rep.add("theta", plan.base)
@@ -421,6 +414,7 @@ def run(argv):
         rep.add("refused", True)
         rep.add("condition", exc.condition)
         rep.add("detail", exc.detail)
+        rep.add("verdict", False)
         code = EXIT_FALSE
     except PolyError as exc:
         print(f"error = {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes, signed_ints, spiral
-from .polyring import BudgetExceeded, MPoly, PolyError, dense, reduce_mod, undense
-from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_coprime, fp_irreducible
+from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
+from .polyring import undense
+from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_coprime, fp_gcd, fp_irreducible
 from .upoly import fp_roots, mul, trim
 
 MODP_TRIES = 10
@@ -395,7 +396,7 @@ def _modp_certificate(p):  # one frozen certificate per prime, shared by every i
 
 
 def _rational_roots(f):
-    """The rational roots a/b of a primitive dense f, as pairs (a, b) with b > 0.
+    """The rational roots a/b of a primitive dense f, lazily, as pairs (a, b) with b > 0.
 
     Root 0 comes from stripping x^k.  The others are lifted from the roots r
     of f mod p, for the first scheduled p < _ROOT_SCAN_BELOW that leaves f
@@ -407,7 +408,7 @@ def _rational_roots(f):
     k = next(i for i, c in enumerate(f) if c)
     g, roots = f[k:], ([(0, 1)] if k else [])
     if len(g) == 1:
-        return roots
+        return iter(roots)
     lead, d = g[-1], len(g) - 1
     dg = [i * c for i, c in enumerate(g)][1:]
     primes = itertools.takewhile(lambda p: p < _ROOT_SCAN_BELOW, _prime_schedule(lead))
@@ -415,7 +416,7 @@ def _rational_roots(f):
     if p is None:
         return None
     bound = 2 * abs(lead * g[0])
-    for r in fp_roots(g, p):
+    def lifted(r):  # the rational root that the root r mod p lifts to, or None
         q = p
         while q <= bound:
             q *= q
@@ -424,8 +425,8 @@ def _rational_roots(f):
         h = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
         a, b = c // h, lead // h
         if sum(ci * a**i * b ** (d - i) for i, ci in enumerate(g)) == 0:
-            roots.append((a, b))
-    return roots
+            return a, b
+    return itertools.chain(roots, filter(None, map(lifted, fp_roots(g, p))))
 
 
 def univariate_certificate(f, registry, name, **oracle_opts):
@@ -436,10 +437,14 @@ def univariate_certificate(f, registry, name, **oracle_opts):
     the leading coefficient, so f mod p keeps its degree) modulo which f is
     irreducible is the certificate.  When none is, `root_or_oracle` decides.
     """
+    return _scheduled_certificate(f) or root_or_oracle(f, registry, name, **oracle_opts)
+
+
+def _scheduled_certificate(f):
+    """The mod-p certificate of the first scheduled prime certifying f, or None."""
     for p in _prime_schedule(f[-1]):
         if fp_irreducible(f, p):
             return _modp_certificate(p)
-    return root_or_oracle(f, registry, name, **oracle_opts)
 
 
 def modp_certificates(fs, verdicts):
@@ -486,9 +491,23 @@ def root_or_oracle(f, registry, name, **oracle_opts):
     irreducible.  Everything else goes to the Kronecker oracle, which
     decides `undense(f, registry, name)`.
     """
+    return _root_route(f, registry, name, oracle_opts, witness=True)
+
+
+def root_verdict(f, registry, name, **oracle_opts):
+    """`root_or_oracle`'s verdict, for callers that report no reducible certificate.
+
+    The root route stops at the first rational root, and builds no factor.
+    """
+    return _root_route(f, registry, name, oracle_opts, witness=False)
+
+
+def _root_route(f, registry, name, oracle_opts, witness):
     roots = _rational_roots(f)
-    if roots:
-        factors = (undense([-a, b], registry, name) for a, b in roots)
+    if root := roots and next(roots, None):
+        if not witness:
+            return IrredCertificate("reducible", "root")
+        factors = (undense([-a, b], registry, name) for a, b in itertools.chain([root], roots))
         return IrredCertificate("reducible", "root", factor=min(factors, key=str))
     if roots is not None and len(f) <= 4:
         return IrredCertificate("irreducible", "root")
@@ -527,15 +546,13 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
         return IrredCertificate(
             "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
         )
-    d = pp.degree_in(main)
-    for point in itertools.islice(spiral(len(others)), eval_tries):
-        bindings = dict(zip(others, point))
-        f = dense(pp.substitute(bindings), main)
-        if len(f) != d + 1:
+    for point, f in _spiral_images(pp, others, main, eval_tries):
+        if not f[-1]:
             continue
         c = math.gcd(*f)
+        f = [a // c for a in f]
         try:
-            inner = univariate_certificate([a // c for a in f], pp.registry, main, **oracle_opts)
+            inner = _scheduled_certificate(f) or root_verdict(f, pp.registry, main, **oracle_opts)
         except BudgetExceeded:
             continue
         if inner.irreducible:
@@ -543,7 +560,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
                 "irreducible",
                 "evaluation",
                 prime=inner.prime,
-                point=bindings,
+                point=dict(zip(others, point)),
                 detail=f"image method {inner.method}",
             )
         # a reducible or undecided image is inconclusive for the multivariate input
@@ -579,20 +596,34 @@ def _prem(A, B, name):
     return A
 
 
-def _coprime_image(A, B, name, others):
-    """True if one F_p image proves that gcd(A, B) has degree 0 in `name`.
+def _spiral_images(P, others, main, count):
+    """(point, P there as a list in `main`) at the first `count` spiral points of `others`.
 
-    `others` are the other variables of A and B.  They are bound at the
-    first of a few spiral points where both leading coefficients in `name`
-    survive mod p.  A common factor of positive degree in `name` keeps its
-    degree there and divides both images, so coprime images exclude it.
-    False is inconclusive.
+    The images are evaluated from P's `coefficient_rows`, not substituted.
+    Each has deg_main(P) + 1 entries, so its last is 0 where the degree drops.
     """
-    for point in itertools.islice(spiral(len(others)), _IMAGE_POINTS):
-        bindings = dict(zip(others, point))
-        a, b = ([c % _IMAGE_PRIME for c in dense(P.substitute(bindings), name)] for P in (A, B))
-        if len(a) == A.degree_in(name) + 1 and len(b) == B.degree_in(name) + 1 and a[-1] and b[-1]:
-            return fp_coprime(a, b, _IMAGE_PRIME)
+    if not others:  # the one point is ()
+        yield (), dense(P, main)
+        return
+    monos = {}
+    rows = coefficient_rows(P, others, main, monos)
+    for point in itertools.islice(spiral(len(others)), count):
+        values = [math.prod(map(pow, point, m)) for m in monos]
+        yield point, [sum([c * values[j] for c, j in row]) for row in rows]
+
+
+def _coprime_image(polys, name, others):
+    """True if one F_p image proves that the gcd of `polys` has degree 0 in `name`.
+
+    `others`, the other variables of `polys`, are bound at the first of a few spiral
+    points where every leading coefficient in `name` survives mod p.  A common factor
+    of positive degree in `name` keeps its degree there and divides every image, so a
+    constant `fp_gcd` fold of the images excludes it.  False is inconclusive.
+    """
+    for images in zip(*[_spiral_images(P, others, name, _IMAGE_POINTS) for P in polys]):
+        fs = [[c % _IMAGE_PRIME for c in f] for _, f in images]
+        if all(f[-1] for f in fs):
+            return len(functools.reduce(lambda g, f: fp_gcd(f, g, _IMAGE_PRIME), fs)) == 1
     return False
 
 
@@ -611,7 +642,7 @@ def _gcd_q_raw(A, B):
     *others, name = [n for n in A.registry if n in present]
     contA, contB = content_q(A, (name,)), content_q(B, (name,))
     cg = _gcd_q_raw(contA, contB)
-    if min(A.degree_in(name), B.degree_in(name)) == 0 or _coprime_image(A, B, name, others):
+    if min(A.degree_in(name), B.degree_in(name)) == 0 or _coprime_image([A, B], name, others):
         return cg  # the gcd of the primitive parts is 1
     ppA, ppB = exact_div(A, contA), exact_div(B, contB)
     while not ppB.is_zero():
@@ -636,9 +667,13 @@ def gcd_q(P, Q):
 def gcd_q_fold(polys):
     """gcd over Q of nonzero polynomials, folded left to right with gcd_q.
 
-    The constant 1 as soon as the gcd is a constant; a single polynomial
-    comes back as it is.
+    The constant 1 as soon as the gcd is a constant, at once when `_coprime_image`
+    proves it for polynomials in one name; a single polynomial comes back as it is.
     """
+    polys = list(polys)
+    names = {n for c in polys for n in c.variables()}
+    if len(polys) > 1 and len(names) == 1 and _coprime_image(polys, names.pop(), ()):
+        return MPoly.const(polys[0].registry, 1)
     g = None
     for c in polys:
         g = c if g is None else gcd_q(g, c)

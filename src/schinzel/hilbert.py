@@ -17,10 +17,10 @@ from .factorlab import (
     is_irreducible_q,
     is_primitive_wrt,
     modp_certificates,
-    root_or_oracle,
+    root_verdict,
 )
 from .fixdiv import fixed_prime_divisors
-from .polyring import BudgetExceeded, PolyError
+from .polyring import BudgetExceeded, PolyError, coefficient_rows
 from .numutil import spiral
 from .upoly import trim
 
@@ -123,8 +123,9 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
     For one variable Y, blocks of `size` points, doubling up to _BLOCK, are
     evaluated at once and go to `modp_certificates`, with one F_p verdict
     table per call.  That pass cannot raise.  An image no prime certifies
-    goes to `root_or_oracle` only as the consumer reaches its point, in
+    goes to `root_verdict` only as the consumer reaches its point, in
     (point, member) order, so every result and BudgetExceeded is pointwise.
+    Its reducible certificates carry no factor: callers report members only.
     """
     names = split.params + split.variables
     if split.n != 1 or any(
@@ -135,17 +136,9 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
             yield t, _evidence(_images(polys, split, t))
         return
 
-    # per member and Y-degree, the coefficient as [(integer, monomial index)];
     # monos numbers the parameter monomials, evaluated once per block
-    y = split.variables[0]
-    monos = {}
-    members = []
-    for P in polys:
-        rows = [[] for _ in range(max(P.degree_in(y), 0) + 1)]
-        for expo, C in P.coefficients(names).items():
-            j = monos.setdefault(expo[:-1], len(monos))
-            rows[expo[-1]].append((C.constant_value(), j))
-        members.append(rows)
+    y, monos = split.variables[0], {}
+    members = [coefficient_rows(P, split.params, y, monos) for P in polys]
     verdicts = {}  # shared by the blocks: see `modp_certificates`
     points = iter(points)
     while block := list(itertools.islice(points, size)):
@@ -175,7 +168,7 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
         for t, image in zip(block, images):
             for i, e in enumerate(image):
                 if e is not None and e[2] is None:
-                    e[2] = root_or_oracle(e[1], polys[i].registry, y)
+                    e[2] = root_verdict(e[1], polys[i].registry, y)
             yield t, _evidence(image)
 
 

@@ -429,6 +429,19 @@ def dense(P, name):
     return out
 
 
+def coefficient_rows(P, others, main, monos):
+    """P compiled for evaluation at many points of `others`: a row per degree in `main`.
+
+    Row k lists (c, j) for each term c * m * main^k of P, where the dict `monos`, which
+    this call extends, numbers m by its exponents over `others`.  P has no other name.
+    """
+    idx, i = [P.registry.index(n) for n in others], P.registry.index(main)
+    rows = [[] for _ in range(max(P.degree_in(main), 0) + 1)]
+    for expo, c in P.terms.items():
+        rows[expo[i]].append((c, monos.setdefault(tuple([expo[k] for k in idx]), len(monos))))
+    return rows
+
+
 def undense(coeffs, registry, name):
     """The MPoly in `name` with coefficient list `coeffs`; the inverse of `dense`."""
     i = tuple(registry).index(name)

@@ -142,7 +142,8 @@ def _packed(m, p):
     2d(p-1)^2, a bound on every slot of a product of two residues once each
     slot k >= d is folded back, taken mod p, times the row x^k mod m.
     Returns (pack, unpack, mulmod, power); unpack gives the d coefficients of
-    a product or a sum of residues.
+    a product or a sum of residues, and power(x, n) for d <= n <= 2d - 2 is
+    the row x^n mod m itself (for n < d, x^n is slot n).
     """
     d = len(m) - 1
     need = -(-(2 * d * (p - 1) ** 2).bit_length() // 8) or 1
@@ -171,6 +172,8 @@ def _packed(m, p):
         return pack(unpack(a * b))
 
     def power(h, n):  # n >= 1, left-to-right binary powering
+        if h == x and n <= 2 * d - 2:  # x is slot 1 only when d >= 2
+            return 1 << 8 * w * n if n < d else rows[n - d]
         out = h
         for bit in bin(n)[3:]:
             out = mulmod(out, out)
@@ -178,10 +181,10 @@ def _packed(m, p):
                 out = mulmod(out, h)
         return out
 
-    top = rows = [-c % p for c in m[:-1]]  # x^d mod m, then x^(d+1) mod m, ...
-    for _ in range(d - 2):
-        rows = rows + [(rows[-1] * t + c) % p for t, c in zip(top, [0] + rows[-d:-1])]
-    rows = [pack(rows[k * d : k * d + d]) for k in range(d - 1)]
+    x, rows, row = 1 << 8 * w, [], [0] * (d - 1) + [1]  # row starts at x^(d-1)
+    while len(rows) < d - 1:  # x^d mod m, x^(d+1) mod m, ...: each is x times the one before
+        row = [(a - row[-1] * c) % p for a, c in zip([0] + row[:-1], m)]
+        rows.append(pack(row))
     return pack, unpack, mulmod, power
 
 
@@ -262,9 +265,11 @@ def fp_irreducible(f, p):
         if d <= 3:
             return True
     pack, unpack, mulmod, power = _packed(m, p)
-    frobenius = [1, power(pack([0, 1]), p)]
+    x = pack([0, 1])
+    frobenius = [1, power(x, p)]  # a row x^(pj) up to x^(2d-2) is read off, not multiplied
     while len(frobenius) < d:
-        frobenius.append(mulmod(frobenius[-1], frobenius[1]))
+        n = p * len(frobenius)
+        frobenius.append(power(x, n) if n <= 2 * d - 2 else mulmod(frobenius[-1], frobenius[1]))
     hs = [unpack(frobenius[1])]  # x^(p^i) mod m, i = 1 .. d/2
     while len(hs) < d // 2:
         hs.append(unpack(sum(map(operator.mul, hs[-1], frobenius))))

@@ -293,6 +293,21 @@ def test_compose_stage_hypothesis_failure_is_a_refusal(capsys):
     assert d["detail"] == "stage 1: polynomial #1 is reducible over the rationals"
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["compose", "--poly", "T^2-1", "--d", "1"],
+     "stage 1: polynomial #1 is reducible over the rationals"),
+    (["strong", "--poly", "T^2-1", "--params", "T", "--vars", "Y", "--d", "1"],
+     "polynomial #1 is reducible over the rationals"),
+])
+def test_refusal_reports_have_one_shape(argv, detail, capsys):
+    code, out = invoke(capsys, *argv)
+    assert code == 1
+    assert mask(out).splitlines()[-6:] == [
+        "refused = true", "condition = Irred", f"detail = {detail}",
+        "verdict = false", "elapsed_ms = X", "exit = 1",
+    ]
+
+
 def test_compose_stage_without_plan_is_budget_exit(capsys):
     # the one monic shape within the budget, M = Y^2, composes T into Y^2: reducible
     code, out = invoke(capsys, "compose", "--poly", "T", "--d", "2", "--monic",

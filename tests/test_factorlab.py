@@ -1,5 +1,6 @@
 import ast
 import gc
+import itertools
 import math
 import pathlib
 import random
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from schinzel import factorlab
 from schinzel.factorlab import (
+    _IMAGE_PRIME,
+    EVAL_POINT_TRIES,
     MODP_TRIES,
     BudgetError,
     IrredCertificate,
@@ -19,6 +23,8 @@ from schinzel.factorlab import (
     _prem,
     _prime_schedule,
     _signed_divisors,
+    _spiral_images,
+    content_q,
     exact_div,
     gcd_q,
     is_irreducible_fp,
@@ -26,10 +32,12 @@ from schinzel.factorlab import (
     is_irreducible_z,
     is_primitive_wrt,
     kronecker_factor,
+    root_or_oracle,
+    root_verdict,
     univariate_certificate,
 )
-from schinzel.numutil import is_prime, primes_upto, signed_ints
-from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, undense
+from schinzel.numutil import is_prime, primes_upto, signed_ints, spiral
+from schinzel.polyring import MPoly, PolyError, VarSplit, dense, parse_poly, undense
 from schinzel.upoly import evaluate as _eval_dense
 from schinzel.upoly import exact_quotient as _dense_exact_div
 from schinzel.upoly import mul, trim
@@ -581,7 +589,7 @@ def test_gcd_divides_both(e, a, b):
 def test_gcd_inconclusive_image_falls_back():
     # x and x + 10007 agree mod the image prime, so the image proves nothing
     a, b = U("x"), U("x + 10007")
-    assert not _coprime_image(a, b, "x", [])
+    assert not _coprime_image([a, b], "x", [])
     assert gcd_q(a, b) == U("1")
 
 
@@ -593,7 +601,7 @@ def test_gcd_inconclusive_image_falls_back():
 ])
 def test_gcd_image_keeps_both_leading_coefficients(reg, a, b, g):
     a, b = parse_poly(a, reg), parse_poly(b, reg)
-    assert not _coprime_image(a, b, "x", [n for n in reg if n != "x"])
+    assert not _coprime_image([a, b], "x", [n for n in reg if n != "x"])
     assert gcd_q(a, b) == parse_poly(g, reg)
 
 
@@ -713,6 +721,137 @@ def test_gcd_q_matches_sympy(pair):
     if want.leading_coefficient() < 0:
         want = -want
     assert gcd_q(a, b) == want
+
+
+def _reference_content(P, names):
+    """The pairwise gcd_q fold that content_q ran before its F_p image."""
+    g = None
+    for c in P.coefficients(names).values():
+        g = c if g is None else gcd_q(g, c)
+        if g.is_constant():
+            return MPoly.const(P.registry, 1)
+    return g
+
+
+@st.composite
+def _content_case(draw):
+    """(g*h, main) in 2 or 3 names, g free of main: constant, linear, a monomial or any.
+
+    h is sometimes a single main-variable coefficient times a power of main,
+    and sometimes carries a factor whose leads are multiples of the image prime.
+    """
+    names = GCD_REG[: draw(st.integers(2, 3))]
+    main = draw(st.sampled_from(names))
+    rest = [n for n in names if n != main]
+    var = {n: MPoly.var(GCD_REG, n) for n in names}
+    kind = draw(st.sampled_from(["constant", "linear", "monomial", "any"]))
+    c = draw(st.integers(-6, 6).filter(bool))
+    if kind == "constant":
+        g = MPoly.const(GCD_REG, c)
+    elif kind == "linear":
+        g = sum((draw(st.integers(-3, 3)) * var[n] for n in rest), MPoly.const(GCD_REG, c))
+    elif kind == "monomial":
+        g = c * math.prod((var[n] ** draw(st.integers(0, 2)) for n in rest), start=1)
+    else:
+        g = draw(_small_poly(rest))
+    if draw(st.booleans()):
+        h = draw(_small_poly(rest)) * var[main] ** draw(st.integers(0, 2))
+    else:
+        h = draw(_small_poly(names))
+    if draw(st.booleans()):
+        h = h * (_IMAGE_PRIME * var[draw(st.sampled_from(rest))] + draw(st.integers(-2, 2)))
+    return g * h, main
+
+
+@settings(max_examples=200, deadline=None)
+@given(_content_case())
+def test_content_q_matches_the_pairwise_fold(case):
+    P, main = case
+    assume(not P.is_zero())
+    assert content_q(P, (main,)) == _reference_content(P, (main,))
+
+
+@pytest.mark.parametrize("expr, main, want", [
+    ("-2*x*y - x", "x", "-2*y - 1"),  # one coefficient comes back as it is
+    ("(10007*y + 1)*x + 10007*y + 1", "x", "10007*y + 1"),
+    ("(10007*y^2 + 1)*x + 10007*y^2 + 2", "x", "1"),  # leads vanish mod 10007: exact fold
+    ("(y + 1)*x^2 + (y^2 - 1)*x + 3*y + 3", "x", "y + 1"),
+])
+def test_content_q_examples(expr, main, want):
+    P = parse_poly(expr, GCD_REG)
+    assert content_q(P, (main,)) == parse_poly(want, GCD_REG) == _reference_content(P, (main,))
+
+
+def test_unit_content_in_one_name_calls_no_gcd_q(monkeypatch):
+    # the image in F_10007[y] of the three coefficients has a constant gcd
+    calls = []
+    monkeypatch.setattr(factorlab, "gcd_q", lambda *a: calls.append(a) or gcd_q(*a))
+    P = parse_poly("(y^2 + 1)*x^2 + (y^2 - 1)*x + y*(y + 1)", GCD_REG)
+    assert content_q(P, ("x",)) == MPoly.const(GCD_REG, 1)
+    assert calls == []
+
+
+@st.composite
+def _image_case(draw):
+    """(P, main) in 2 or 3 names whose lead in main vanishes where a name is a small a."""
+    names = GCD_REG[: draw(st.integers(2, 3))]
+    main = draw(st.sampled_from(names))
+    rest = [n for n in names if n != main]
+    d = draw(st.integers(1, 3))
+    low = draw(_small_poly(names, max_terms=5))
+    low = sum((c for (e,), c in low.coefficients((main,)).items() if e < d),
+              MPoly.zero(GCD_REG))
+    a = draw(st.integers(-2, 2))
+    lead = MPoly.var(GCD_REG, draw(st.sampled_from(rest))) - a
+    return lead * MPoly.var(GCD_REG, main, d) + low, main
+
+
+@settings(max_examples=150, deadline=None)
+@given(_image_case())
+def test_spiral_images_match_substitute(case):
+    P, main = case
+    others = [n for n in P.variables() if n != main]
+    images = list(_spiral_images(P, others, main, EVAL_POINT_TRIES))
+    assert len(images) == EVAL_POINT_TRIES
+    assert [point for point, _ in images] == list(itertools.islice(spiral(len(others)),
+                                                                   EVAL_POINT_TRIES))
+    for point, f in images:
+        assert len(f) == P.degree_in(main) + 1
+        assert trim(list(f)) == dense(P.substitute(dict(zip(others, point))), main)
+
+
+def test_spiral_images_keep_a_dropped_degree():
+    P = parse_poly("(y - 1)*x^2 + x + y", GCD_REG)
+    images = dict(_spiral_images(P, ["y"], "x", 3))
+    assert images == {(0,): [0, 1, -1], (-1,): [-1, 1, -2], (1,): [1, 1, 0]}
+
+
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_root_verdict_matches_root_or_oracle(low, lead, roots):
+    f = low + [lead]
+    for a, b in roots:  # linear factors b*x - a make the root route decide often
+        f = mul(f, [-a, b])
+    c = math.gcd(*f)
+    f = [v // c for v in f]
+
+    def verdict(route):
+        try:
+            return route(f, X, "x", combo_budget=200)
+        except BudgetError as exc:
+            return str(exc)
+
+    got, want = verdict(root_verdict), verdict(root_or_oracle)
+    if isinstance(want, str):
+        assert got == want
+    elif want.method == "root" and not want.irreducible:
+        assert got == IrredCertificate("reducible", "root")
+    else:
+        assert got == want
 
 
 # -- primitivity ------------------------------------------------------

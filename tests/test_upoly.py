@@ -289,6 +289,37 @@ def test_all_top_coefficients_at_slot_boundaries(d):
         assert unpack(pack([bound] * d)) == [bound % p] * d, p
 
 
+# x^n mod m is a slot for n < d, a fold row for d <= n <= 2d - 2, and powered beyond
+ROW_CASES = {
+    "slot": lambda d: (1, d - 1),
+    "row": lambda d: (d, 2 * d - 2),
+    "powered": lambda d: (2 * d - 1, 300),
+}
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_x_powers_read_off_the_rows_match_sympy(case, data):
+    d = data.draw(st.integers(4, 24))
+    lo, hi = ROW_CASES[case](d)
+    # n for fp_powmod and the prime for fp_irreducible, whose x^p is the same lookup
+    n = data.draw(st.integers(lo, hi))
+    p = data.draw(st.sampled_from([q for q in primes_upto(300) if lo <= q <= hi]))
+    lead = data.draw(INTS.filter(lambda c: c % p))
+    if data.draw(st.booleans()):  # a product of two factors: reducible at every prime
+        k = data.draw(st.integers(1, d - 1))
+        f = mul(data.draw(st.lists(INTS, min_size=k, max_size=k)) + [1],
+                data.draw(st.lists(INTS, min_size=d - k, max_size=d - k)) + [lead])
+    else:
+        f = data.draw(st.lists(INTS, min_size=d, max_size=d)) + [lead]
+    assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+    want = _mod(_poly([0] * n + [1], modulus=p).rem(_poly(f, modulus=p)), p)
+    assert fp_powmod([0, 1], n, f, p) == want
+    pack, unpack, _, power = _packed(_monic(f, p), p)
+    assert trim(unpack(power(pack([0, 1]), n))) == want
+
+
 def _roots(f, p):
     return {r for r in range(p) if evaluate(f, r) % p == 0}
 
