@@ -3,7 +3,7 @@
 Two routes are kept strictly separate: cheap certificates (mod-p, rational
 root and evaluation witnesses) and the exhaustive Kronecker oracle, which
 serves as desk-scale ground truth for everything the certificates claim.
-A univariate input no prime certifies tries p-adically lifted roots first.
+A univariate input's prime walk also lifts its rational roots p-adically.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes, signed_ints, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
-from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_coprime, fp_gcd, fp_irreducible
+from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_gcd, fp_irreducible
 from .upoly import fp_roots, mul, trim
 
 MODP_TRIES = 10
@@ -88,7 +88,7 @@ def is_irreducible_fp(P, p):
     names = R.variables()
     if len(names) != 1:
         raise PolyError("univariate polynomial required")
-    return fp_irreducible(dense(R, names[0]), p)
+    return bool(fp_irreducible(dense(R, names[0]), p))
 
 
 # -- Kronecker oracle ------------------------------------------------
@@ -395,26 +395,26 @@ def _modp_certificate(p):  # one frozen certificate per prime, shared by every i
     return IrredCertificate("irreducible", "mod-p", prime=p)
 
 
-def _rational_roots(f):
-    """The rational roots a/b of a primitive dense f, lazily, as pairs (a, b) with b > 0.
+def _rational_roots(f, p):
+    """(roots, complete): rational roots a/b of a primitive dense f, as pairs (a, b), b > 0.
 
-    Root 0 comes from stripping x^k.  The others are lifted from the roots r
-    of f mod p, for the first scheduled p < _ROOT_SCAN_BELOW that leaves f
-    squarefree, by Newton's step mod p^(2^j): a root a/b has b | lead and
-    a | f(0), so lead*a/b is the symmetric residue of lead*r once p^(2^j)
-    passes 2*|lead*f(0)|.  Each candidate is tested exactly.  None when no
-    such prime exists, as for an f with a repeated factor.
+    Root 0 comes from stripping x^k.  The others are lifted, lazily, from the
+    simple roots r (g'(r) != 0 mod p) of the rest g mod p, a scheduled prime
+    below _ROOT_SCAN_BELOW, by Newton's step mod p^(2^j): a root a/b has
+    b | lead and a | g(0), so lead*a/b is the symmetric residue of lead*r once
+    p^(2^j) passes 2*|lead*g(0)|.  Each candidate is tested exactly.  Each
+    rational root is a root mod p, and a simple one lifts to one p-adic root
+    only, so when every root mod p is simple, `roots` holds all of them and
+    `complete` is True.
     """
     k = next(i for i, c in enumerate(f) if c)
     g, roots = f[k:], ([(0, 1)] if k else [])
     if len(g) == 1:
-        return iter(roots)
+        return iter(roots), True
     lead, d = g[-1], len(g) - 1
     dg = [i * c for i, c in enumerate(g)][1:]
-    primes = itertools.takewhile(lambda p: p < _ROOT_SCAN_BELOW, _prime_schedule(lead))
-    p = next((p for p in primes if fp_coprime(dg, g, p)), None)
-    if p is None:
-        return None
+    scan = list(fp_roots(g, p))
+    simple = [r for r in scan if evaluate(dg, r) % p]
     bound = 2 * abs(lead * g[0])
     def lifted(r):  # the rational root that the root r mod p lifts to, or None
         q = p
@@ -426,7 +426,7 @@ def _rational_roots(f):
         a, b = c // h, lead // h
         if sum(ci * a**i * b ** (d - i) for i, ci in enumerate(g)) == 0:
             return a, b
-    return itertools.chain(roots, filter(None, map(lifted, fp_roots(g, p))))
+    return itertools.chain(roots, filter(None, map(lifted, simple))), len(simple) == len(scan)
 
 
 def univariate_certificate(f, registry, name, **oracle_opts):
@@ -435,16 +435,11 @@ def univariate_certificate(f, registry, name, **oracle_opts):
     `f` is the dense integer coefficient list of a primitive polynomial of
     degree >= 1 in `name`.  The first scheduled prime p (one not dividing
     the leading coefficient, so f mod p keeps its degree) modulo which f is
-    irreducible is the certificate.  When none is, `root_or_oracle` decides.
+    irreducible is the certificate.  The walk's root scans settle the
+    rational roots on the way: a rational root ends it, with the `str`-least
+    b*x - a as the factor (method `root`); see `_walk`.
     """
-    return _scheduled_certificate(f) or root_or_oracle(f, registry, name, **oracle_opts)
-
-
-def _scheduled_certificate(f):
-    """The mod-p certificate of the first scheduled prime certifying f, or None."""
-    for p in _prime_schedule(f[-1]):
-        if fp_irreducible(f, p):
-            return _modp_certificate(p)
+    return _walk(f, fp_irreducible, registry, name, oracle_opts, witness=True)
 
 
 def modp_certificates(fs, verdicts):
@@ -486,30 +481,57 @@ def modp_certificates(fs, verdicts):
 def root_or_oracle(f, registry, name, **oracle_opts):
     """The verdict on a primitive univariate f that no scheduled prime certifies.
 
-    The root route runs first: a rational root a/b makes f reducible, with
-    the `str`-least b*x - a as the factor, and a degree <= 3 without one is
-    irreducible.  Everything else goes to the Kronecker oracle, which
-    decides `undense(f, registry, name)`.
+    The walk of `univariate_certificate` without the F_p tests: the root
+    scans alone settle the rational roots.  A rational root a/b makes f
+    reducible, with the `str`-least b*x - a as the factor, and a degree <= 3
+    without one is irreducible.  Everything else goes to the Kronecker
+    oracle, which decides `undense(f, registry, name)`.
     """
-    return _root_route(f, registry, name, oracle_opts, witness=True)
+    return _walk(f, None, registry, name, oracle_opts, witness=True)
 
 
 def root_verdict(f, registry, name, **oracle_opts):
     """`root_or_oracle`'s verdict, for callers that report no reducible certificate.
 
-    The root route stops at the first rational root, and builds no factor.
+    Its reducible `root` certificate carries no factor, so it lifts the
+    roots mod p only up to the first rational one.
     """
-    return _root_route(f, registry, name, oracle_opts, witness=False)
+    return _walk(f, None, registry, name, oracle_opts, witness=False)
 
 
-def _root_route(f, registry, name, oracle_opts, witness):
-    roots = _rational_roots(f)
-    if root := roots and next(roots, None):
-        if not witness:
-            return IrredCertificate("reducible", "root")
-        factors = (undense([-a, b], registry, name) for a, b in itertools.chain([root], roots))
-        return IrredCertificate("reducible", "root", factor=min(factors, key=str))
-    if roots is not None and len(f) <= 4:
+def _walk(f, test, registry, name, oracle_opts, witness):
+    """The verdict on f from its scheduled primes p, `test(f, p)` and its rational roots.
+
+    `test` is `fp_irreducible`, or None for an f that no scheduled p
+    certifies.  A true test(f, p) is the mod-p certificate.  Until f's
+    rational roots are settled, each p below _ROOT_SCAN_BELOW reads a root
+    scan: a False test means the scan found no root mod p, so f has none;
+    else `_rational_roots` lifts the simple roots mod p.  Once one lifts, no
+    p can certify f (of degree >= 2), so only scans follow, up to a p whose
+    roots mod p are all simple: it ends the walk with a reducible `root`
+    certificate, with the `str`-least b*x - a as the factor if `witness`.
+    After the walk, degree <= 3 without a rational root is irreducible, and
+    the rest goes to the Kronecker oracle.
+    """
+    settled = found = False  # found: f has a rational root; settled: all are known
+    for p in _prime_schedule(f[-1]):
+        verdict = None if found or test is None else test(f, p)
+        if verdict:
+            return _modp_certificate(p)
+        if settled or p >= _ROOT_SCAN_BELOW:
+            continue
+        if verdict is False:  # the root scan found no root mod p
+            settled = True
+            continue
+        roots, settled = _rational_roots(f, p)
+        root = next(roots, None)
+        if root and settled:
+            if not witness:
+                return IrredCertificate("reducible", "root")
+            factors = (undense([-a, b], registry, name) for a, b in itertools.chain([root], roots))
+            return IrredCertificate("reducible", "root", factor=min(factors, key=str))
+        found = found or root is not None
+    if settled and len(f) <= 4:
         return IrredCertificate("irreducible", "root")
     return _kronecker_certificate(undense(f, registry, name), **oracle_opts)
 
@@ -525,8 +547,8 @@ def _kronecker_certificate(P, **oracle_opts):
 def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
     """Irreducibility in Q[registry], with a certificate.
 
-    Univariate: mod-p schedule, the root route, then the Kronecker oracle
-    (see `univariate_certificate`).  Multivariate:
+    Univariate: the mod-p schedule with the root route, then the Kronecker
+    oracle (see `univariate_certificate`).  Multivariate:
     primitivity in a main variable plus a degree-preserving integer
     evaluation with irreducible univariate image (a reducible image, or one
     the oracle cannot decide, tries the next point); full oracle as fallback.
@@ -552,7 +574,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
         c = math.gcd(*f)
         f = [a // c for a in f]
         try:
-            inner = _scheduled_certificate(f) or root_verdict(f, pp.registry, main, **oracle_opts)
+            inner = _walk(f, fp_irreducible, pp.registry, main, oracle_opts, witness=False)
         except BudgetExceeded:
             continue
         if inner.irreducible:

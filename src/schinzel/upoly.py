@@ -249,8 +249,9 @@ def fp_irreducible(f, p):
     p must not divide f's leading coefficient.  True iff f mod p is
     irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2,
     so one gcd with their product mod f decides.  For small p a root scan
-    comes first: a root mod p is a linear factor, a polynomial of degree 2
-    or 3 without one is irreducible, and finding none settles i = 1.  Each
+    comes first: a root mod p is a linear factor (the verdict is then 0, not
+    False, so a caller can tell that exit), a polynomial of degree 2 or 3
+    without one is irreducible, and finding none settles i = 1.  Each
     x^(p^i) past x^p combines the Frobenius rows x^(pj) mod f, j < deg(f), as
     (sum c_j x^j)^p = sum c_j x^(pj) (Modern Computer Algebra, 14.2).
     """
@@ -261,7 +262,7 @@ def fp_irreducible(f, p):
     m = [c * inv % p for c in f]
     if p < _ROOT_SCAN_BELOW:
         if next(fp_roots(m, p), None) is not None:
-            return False
+            return 0
         if d <= 3:
             return True
     pack, unpack, mulmod, power = _packed(m, p)

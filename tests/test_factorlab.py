@@ -40,7 +40,7 @@ from schinzel.numutil import is_prime, primes_upto, signed_ints, spiral
 from schinzel.polyring import MPoly, PolyError, VarSplit, dense, parse_poly, undense
 from schinzel.upoly import evaluate as _eval_dense
 from schinzel.upoly import exact_quotient as _dense_exact_div
-from schinzel.upoly import mul, trim
+from schinzel.upoly import ext_gcd, fp_coprime, fp_irreducible, fp_roots, mul, trim
 
 REG = ("T", "Y")
 X = ("x",)
@@ -852,6 +852,217 @@ def test_root_verdict_matches_root_or_oracle(low, lead, roots):
         assert got == IrredCertificate("reducible", "root")
     else:
         assert got == want
+
+
+# -- the prime walk against the route it replaced ---------------------
+
+
+def _reference_rational_roots(f):
+    """The rational roots of f, lifted at the first scheduled p < 256 that leaves f squarefree.
+
+    The root route before the prime walk; None when no such prime exists.
+    """
+    k = next(i for i, c in enumerate(f) if c)
+    g, roots = f[k:], ([(0, 1)] if k else [])
+    if len(g) == 1:
+        return iter(roots)
+    lead, d = g[-1], len(g) - 1
+    dg = [i * c for i, c in enumerate(g)][1:]
+    scheduled = itertools.takewhile(lambda p: p < 256, _prime_schedule(lead))
+    p = next((p for p in scheduled if fp_coprime(dg, g, p)), None)
+    if p is None:
+        return None
+    bound = 2 * abs(lead * g[0])
+
+    def lifted(r):
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - _eval_dense(g, r) * pow(_eval_dense(dg, r), -1, q)) % q
+        c = (lead * r + q // 2) % q - q // 2
+        h = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
+        a, b = c // h, lead // h
+        if sum(ci * a**i * b ** (d - i) for i, ci in enumerate(g)) == 0:
+            return a, b
+    return itertools.chain(roots, filter(None, map(lifted, fp_roots(g, p))))
+
+
+def _reference_univariate(f, registry, name, witness=True, **oracle_opts):
+    """The ten scheduled F_p tests, then the root route, then the oracle."""
+    for p in _prime_schedule(f[-1]):
+        if fp_irreducible(f, p):
+            return IrredCertificate("irreducible", "mod-p", prime=p)
+    roots = _reference_rational_roots(f)
+    if root := roots and next(roots, None):
+        if not witness:
+            return IrredCertificate("reducible", "root")
+        factors = (undense([-a, b], registry, name) for a, b in itertools.chain([root], roots))
+        return IrredCertificate("reducible", "root", factor=min(factors, key=str))
+    if roots is not None and len(f) <= 4:
+        return IrredCertificate("irreducible", "root")
+    return factorlab._kronecker_certificate(undense(f, registry, name), **oracle_opts)
+
+
+def _reference_irreducible_q(P, **oracle_opts):
+    """`is_irreducible_q` with `_reference_univariate` for its univariate verdicts."""
+    pp = factorlab._normalize_sign(P.primitive_part())
+    names = pp.variables()
+    if len(names) == 1:
+        return _reference_univariate(dense(pp, names[0]), pp.registry, names[0], **oracle_opts)
+    main = max(names, key=lambda n: pp.degree_in(n))
+    others = [n for n in names if n != main]
+    g = content_q(pp, (main,))
+    if not g.is_constant():
+        return IrredCertificate(
+            "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
+        )
+    for point, f in _spiral_images(pp, others, main, EVAL_POINT_TRIES):
+        if not f[-1]:
+            continue
+        c = math.gcd(*f)
+        f = [a // c for a in f]
+        try:
+            inner = _reference_univariate(f, pp.registry, main, witness=False, **oracle_opts)
+        except BudgetError:
+            continue
+        if inner.irreducible:
+            return IrredCertificate("irreducible", "evaluation", prime=inner.prime,
+                                    point=dict(zip(others, point)),
+                                    detail=f"image method {inner.method}")
+    return factorlab._kronecker_certificate(pp, **oracle_opts)
+
+
+def _outcome_of(call):
+    try:
+        return call()
+    except BudgetError as exc:
+        return str(exc)
+
+
+def _dense_poly(draw, degree, lead=None):
+    low = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+    return low + [lead if lead is not None else draw(st.integers(1, 9))]
+
+
+@st.composite
+def _walk_cases(draw):
+    """A primitive dense f of degree 1..10 that stresses the walk's root scans.
+
+    Products with a linear factor b*x - a, |b| > 1, x^k times a cofactor,
+    degree 1, leads divisible by 2*3*5*7 (so the schedule starts at 11), and
+    repeated factors.
+    """
+    kind = draw(st.sampled_from(["linear", "x^k", "degree 1", "lead 210", "repeated"]))
+    if kind == "degree 1":
+        f = _dense_poly(draw, 1, draw(st.integers(-40, 40).filter(bool)))
+    elif kind == "linear":
+        b = draw(st.integers(2, 12)) * draw(st.sampled_from([1, -1]))
+        f = mul([draw(st.integers(-9, 9)), b], _dense_poly(draw, draw(st.integers(1, 4))))
+    elif kind == "x^k":
+        f = [0] * draw(st.integers(1, 3)) + _dense_poly(draw, draw(st.integers(0, 4)))
+    elif kind == "lead 210":
+        f = _dense_poly(draw, draw(st.integers(2, 5)), 210 * draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            f = mul(f, [draw(st.integers(-5, 5)), 1])
+    else:
+        g = _dense_poly(draw, draw(st.integers(1, 2)))
+        f = mul(mul(g, g), _dense_poly(draw, draw(st.integers(0, 3))))
+    assume(len(f) >= 2 and f[-1])
+    c = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+    return [a // c for a in f]
+
+
+def _repeated_factor_and_root(f, cert):
+    """True if f has a repeated factor over Q and the linear factor of `cert` divides it."""
+    g, _, _ = ext_gcd([Fraction(c) for c in f], [Fraction(i * c) for i, c in enumerate(f)][1:])
+    return len(g) > 1 and _dense_exact_div(f, dense(cert.factor, "x")) is not None
+
+
+@given(_walk_cases())
+@settings(max_examples=300, deadline=None)
+def test_univariate_walk_matches_the_route_it_replaced(f):
+    got = _outcome_of(lambda: univariate_certificate(f, X, "x", combo_budget=200))
+    want = _outcome_of(lambda: _reference_univariate(f, X, "x", combo_budget=200))
+    assert got == _outcome_of(lambda: is_irreducible_q(undense(f, X, "x"), combo_budget=200))
+    if got != want:
+        # no prime below 256 leaves such an f squarefree, so the oracle used to decide it
+        assert want == "kronecker oracle exceeded 200 interpolation candidates" or (
+            want.method, want.verdict) == ("kronecker", "reducible")
+        assert (got.method, got.verdict) == ("root", "reducible")
+        assert _repeated_factor_and_root(f, got)
+        assert isinstance(want, str) or got.factor == want.factor
+
+
+@st.composite
+def _bivariate_walk_cases(draw):
+    """g * (b*x + a*y + c) with b >= 2, g^2, or a polynomial linear in x (degree-1 images)."""
+    reg = ("x", "y")
+    small = st.integers(-4, 4)
+    kind = draw(st.sampled_from(["linear factor", "repeated", "degree 1"]))
+    if kind == "degree 1":
+        P = parse_poly(f"({draw(small)}*y + {draw(small)})*x + {draw(small)}*y + "
+                       f"{draw(small)}", reg)
+    else:
+        g = parse_poly(f"{draw(st.integers(1, 4))}*x^{draw(st.integers(1, 3))} + "
+                       f"{draw(small)}*x*y + {draw(small)}*y^2 + {draw(small)}", reg)
+        if kind == "linear factor":
+            h = parse_poly(f"{draw(st.integers(2, 6))}*x + {draw(small)}*y + {draw(small)}",
+                           reg)
+        else:
+            h = g
+        P = g * h
+    assume(len(P.variables()) == 2)
+    return P
+
+
+@given(_bivariate_walk_cases())
+@settings(max_examples=100, deadline=None)
+def test_evaluation_walk_matches_the_route_it_replaced(P):
+    got = _outcome_of(lambda: is_irreducible_q(P, combo_budget=200))
+    assert got == _outcome_of(lambda: _reference_irreducible_q(P, combo_budget=200))
+
+
+def test_a_repeated_factor_with_a_rational_root_is_now_decided_by_its_roots():
+    # seed-5 irred op 16.7: x * (x - 1) * (2x^2 + 2x + 1)^2 * (3x^3 + 3x^2 + 3x + 4); no
+    # prime below 256 leaves it squarefree, but mod 7 its roots are all simple
+    f = dense(U("12*x^9 + 24*x^8 + 24*x^7 + 16*x^6 - 5*x^5 - 24*x^4 - 28*x^3 - 15*x^2 - 4*x"),
+              "x")
+    want = _reference_univariate(f, X, "x", combo_budget=100)
+    got = univariate_certificate(f, X, "x", combo_budget=100)
+    assert (want.method, want.factor) == ("kronecker", U("x"))
+    assert (got.method, got.verdict, got.factor) == ("root", "reducible", U("x"))
+
+
+def _counted(monkeypatch, name):
+    calls, real = [], getattr(factorlab, name)
+    monkeypatch.setattr(factorlab, name, lambda f, p: calls.append(p) or real(f, p))
+    return calls
+
+
+def test_a_known_rational_root_ends_the_f_p_tests_at_each_point(monkeypatch):
+    # every image (x + c)*(x^2 + c^2 + 1) has a root mod 2 that lifts; the ten
+    # scheduled tests per point are down to the first
+    tests = _counted(monkeypatch, "fp_irreducible")
+    cert = is_irreducible_q(parse_poly("(x + y)*(x^2 + y^2 + 1)", ("x", "y")))
+    assert (cert.method, cert.factor) == ("kronecker", parse_poly("x + y", ("x", "y")))
+    assert tests == [2] * EVAL_POINT_TRIES
+
+
+@pytest.mark.parametrize("expr, reg, tests, method", [
+    ("x^2 + x + 1", X, [2], "mod-p"),
+    ("x*y + x + 1", ("x", "y"), [2], "evaluation"),  # x + 1 at y = 0, degree 1
+    ("(2*x - 3)*(x^2 + 1)", X, [3], "root"),
+])
+def test_first_prime_decisions(monkeypatch, expr, reg, tests, method):
+    got = _counted(monkeypatch, "fp_irreducible")
+    lifts = _counted(monkeypatch, "_rational_roots")
+    cert = is_irreducible_q(parse_poly(expr, reg))
+    assert (got, cert.method) == (tests, method)
+    assert lifts == ([3] if method == "root" else [])
+    if method == "evaluation":
+        assert (cert.point, cert.detail, cert.prime) == ({"y": 0}, "image method mod-p", 2)
+    if method == "root":
+        assert cert.factor == U("2*x - 3")
 
 
 # -- primitivity ------------------------------------------------------

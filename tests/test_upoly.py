@@ -189,6 +189,20 @@ def test_fp_irreducible_both_sides_of_the_root_scan(degree, data):
     assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
 
 
+@pytest.mark.parametrize("degree", range(2, 7))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fp_irreducible_tells_its_root_exit(degree, data):
+    # below 256 a root mod p gives 0, and every other verdict is a bool
+    p, f = data.draw(_fp_poly(degree))
+    verdict = fp_irreducible(f, p)
+    root = any(evaluate(f, r) % p == 0 for r in range(p)) if p < 256 else None
+    if root:
+        assert verdict == 0 and verdict is not False
+    else:
+        assert verdict is _poly(f, modulus=p).is_irreducible
+
+
 @st.composite
 def _equal_degree_product(draw, degree):
     """(p, integer list of the given degree): a product of factors of one degree k < degree."""
