@@ -23,7 +23,6 @@ from .fixdiv import fixed_prime_divisors
 from .hilbert import density_report, hilbert_search
 from .polyring import BudgetExceeded, ParseError, PolyError, VarSplit, identifiers, parse_poly
 from .polyschinzel import (
-    SchinzelRefusal,
     iterated_composition,
     sharpness_counterexample,
     solve_polynomial_schinzel,
@@ -255,21 +254,10 @@ def _cmd_progression(args, rep):
 
 def _cmd_schinzel(args, rep):
     split, polys = _family(args)
-    try:
-        plan = solve_polynomial_schinzel(
-            polys, split, args.d, budget=args.budget,
-            exact_degree=not args.no_exact_degree,
-        )
-    except SchinzelRefusal as exc:
-        rep.add("refused", True)
-        rep.add("condition", exc.condition)
-        rep.add("detail", exc.detail)
-        if exc.conditions is not None:
-            rep.add("failed_conditions", exc.conditions.failed())
-        if exc.generic_report is not None:
-            rep.add("generic_fixed_primes", exc.generic_report.confirmed)
-        rep.add("verdict", False)
-        return EXIT_FALSE
+    plan = solve_polynomial_schinzel(
+        polys, split, args.d, budget=args.budget,
+        exact_degree=not args.no_exact_degree,
+    )
     for i, (t, M) in enumerate(zip(split.params, plan.Ms)):
         rep.add(f"M.{t}", M)
     rep.add("theta", [str(chunk) for chunk in plan.theta])
@@ -414,6 +402,10 @@ def run(argv):
         rep.add("refused", True)
         rep.add("condition", exc.condition)
         rep.add("detail", exc.detail)
+        if getattr(exc, "conditions", None) is not None:  # a SchinzelRefusal's diagnosis
+            rep.add("failed_conditions", exc.conditions.failed())
+        if getattr(exc, "generic_report", None) is not None:
+            rep.add("generic_fixed_primes", exc.generic_report.confirmed)
         rep.add("verdict", False)
         code = EXIT_FALSE
     except PolyError as exc:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .numutil import UnprovedPrimeError, divisors, is_prime, primes, signed_ints, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
-from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_gcd, fp_irreducible
-from .upoly import fp_roots, mul, trim
+from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_distinct_degree, fp_gcd
+from .upoly import fp_irreducible, fp_roots, mul, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
@@ -88,7 +88,7 @@ def is_irreducible_fp(P, p):
     names = R.variables()
     if len(names) != 1:
         raise PolyError("univariate polynomial required")
-    return bool(fp_irreducible(dense(R, names[0]), p))
+    return fp_irreducible(dense(R, names[0]), p)
 
 
 # -- Kronecker oracle ------------------------------------------------
@@ -395,38 +395,22 @@ def _modp_certificate(p):  # one frozen certificate per prime, shared by every i
     return IrredCertificate("irreducible", "mod-p", prime=p)
 
 
-def _rational_roots(f, p):
-    """(roots, complete): rational roots a/b of a primitive dense f, as pairs (a, b), b > 0.
+def _lift(g, dg, r, p):
+    """The rational root (a, b), b > 0, of the dense g that the root r mod p lifts to, or None.
 
-    Root 0 comes from stripping x^k.  The others are lifted, lazily, from the
-    simple roots r (g'(r) != 0 mod p) of the rest g mod p, a scheduled prime
-    below _ROOT_SCAN_BELOW, by Newton's step mod p^(2^j): a root a/b has
-    b | lead and a | g(0), so lead*a/b is the symmetric residue of lead*r once
-    p^(2^j) passes 2*|lead*g(0)|.  Each candidate is tested exactly.  Each
-    rational root is a root mod p, and a simple one lifts to one p-adic root
-    only, so when every root mod p is simple, `roots` holds all of them and
-    `complete` is True.
+    g(0) != 0, dg = g', and r is simple: dg(r) != 0 mod p.  Newton's step runs
+    mod p^(2^j), and a root a/b has b | lead and a | g(0), so lead*a/b is the
+    symmetric residue of lead*r once p^(2^j) passes 2*|lead*g(0)|; it is tested exactly.
     """
-    k = next(i for i, c in enumerate(f) if c)
-    g, roots = f[k:], ([(0, 1)] if k else [])
-    if len(g) == 1:
-        return iter(roots), True
-    lead, d = g[-1], len(g) - 1
-    dg = [i * c for i, c in enumerate(g)][1:]
-    scan = list(fp_roots(g, p))
-    simple = [r for r in scan if evaluate(dg, r) % p]
-    bound = 2 * abs(lead * g[0])
-    def lifted(r):  # the rational root that the root r mod p lifts to, or None
-        q = p
-        while q <= bound:
-            q *= q
-            r = (r - evaluate(g, r) * pow(evaluate(dg, r), -1, q)) % q
-        c = (lead * r + q // 2) % q - q // 2  # the symmetric residue
-        h = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
-        a, b = c // h, lead // h
-        if sum(ci * a**i * b ** (d - i) for i, ci in enumerate(g)) == 0:
-            return a, b
-    return itertools.chain(roots, filter(None, map(lifted, simple))), len(simple) == len(scan)
+    lead, q, bound = g[-1], p, 2 * abs(g[-1] * g[0])
+    while q <= bound:
+        q *= q
+        r = (r - evaluate(g, r) * pow(evaluate(dg, r), -1, q)) % q
+    c = (lead * r + q // 2) % q - q // 2  # the symmetric residue
+    h = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
+    a, b = c // h, lead // h
+    if sum(ci * a**i * b ** (len(g) - 1 - i) for i, ci in enumerate(g)) == 0:
+        return a, b
 
 
 def univariate_certificate(f, registry, name, **oracle_opts):
@@ -439,7 +423,7 @@ def univariate_certificate(f, registry, name, **oracle_opts):
     rational roots on the way: a rational root ends it, with the `str`-least
     b*x - a as the factor (method `root`); see `_walk`.
     """
-    return _walk(f, fp_irreducible, registry, name, oracle_opts, witness=True)
+    return _walk(f, registry, name, oracle_opts, tests=True, witness=True)
 
 
 def modp_certificates(fs, verdicts):
@@ -481,13 +465,14 @@ def modp_certificates(fs, verdicts):
 def root_or_oracle(f, registry, name, **oracle_opts):
     """The verdict on a primitive univariate f that no scheduled prime certifies.
 
-    The walk of `univariate_certificate` without the F_p tests: the root
-    scans alone settle the rational roots.  A rational root a/b makes f
-    reducible, with the `str`-least b*x - a as the factor, and a degree <= 3
-    without one is irreducible.  Everything else goes to the Kronecker
-    oracle, which decides `undense(f, registry, name)`.
+    The walk of `univariate_certificate` without the F_p tests: degree 1 keeps
+    its first-prime mod-p certificate, and the root scans alone settle the
+    rational roots.  A rational root a/b makes f reducible, with the
+    `str`-least b*x - a as the factor, and a degree <= 3 without one is
+    irreducible.  Everything else goes to the Kronecker oracle, which
+    decides `undense(f, registry, name)`.
     """
-    return _walk(f, None, registry, name, oracle_opts, witness=True)
+    return _walk(f, registry, name, oracle_opts, tests=False, witness=True)
 
 
 def root_verdict(f, registry, name, **oracle_opts):
@@ -496,34 +481,44 @@ def root_verdict(f, registry, name, **oracle_opts):
     Its reducible `root` certificate carries no factor, so it lifts the
     roots mod p only up to the first rational one.
     """
-    return _walk(f, None, registry, name, oracle_opts, witness=False)
+    return _walk(f, registry, name, oracle_opts, tests=False, witness=False)
 
 
-def _walk(f, test, registry, name, oracle_opts, witness):
-    """The verdict on f from its scheduled primes p, `test(f, p)` and its rational roots.
+def _walk(f, registry, name, oracle_opts, tests, witness):
+    """The verdict on f from its scheduled primes p, its F_p tests if `tests`, and its roots.
 
-    `test` is `fp_irreducible`, or None for an f that no scheduled p
-    certifies.  A true test(f, p) is the mod-p certificate.  Until f's
-    rational roots are settled, each p below _ROOT_SCAN_BELOW reads a root
-    scan: a False test means the scan found no root mod p, so f has none;
-    else `_rational_roots` lifts the simple roots mod p.  Once one lifts, no
-    p can certify f (of degree >= 2), so only scans follow, up to a p whose
-    roots mod p are all simple: it ends the walk with a reducible `root`
-    certificate, with the `str`-least b*x - a as the factor if `witness`.
-    After the walk, degree <= 3 without a rational root is irreducible, and
-    the rest goes to the Kronecker oracle.
+    Degree 1 takes the first p as its mod-p certificate.  Else f = x^k * g,
+    g(0) != 0, and f irreducible mod p, tested while f may lack a rational
+    root, is the mod-p certificate.  Until f's rational roots are settled,
+    each p below _ROOT_SCAN_BELOW scans g mod p once.  No root, with k = 0: f
+    has no rational root, and `fp_distinct_degree` tests f at p.  Roots: f is
+    reducible mod p, and `_lift` lifts the simple ones.  Once f has a root (0
+    if k > 0), only scans follow, up to a p whose roots mod p are all simple:
+    it ends the walk with a reducible `root` certificate, with the `str`-least
+    b*x - a as the factor if `witness`.  After the walk, degree <= 3 without a
+    rational root is irreducible, and the rest goes to the Kronecker oracle.
     """
-    settled = found = False  # found: f has a rational root; settled: all are known
-    for p in _prime_schedule(f[-1]):
-        verdict = None if found or test is None else test(f, p)
-        if verdict:
-            return _modp_certificate(p)
+    schedule = _prime_schedule(f[-1])
+    if len(f) == 2:
+        return _modp_certificate(next(schedule))
+    k = next(i for i, c in enumerate(f) if c)
+    g, dg = f[k:], [i * c for i, c in enumerate(f[k:])][1:]
+    found, settled = k > 0, False  # found: f has a rational root; settled: all are known
+    for p in schedule:
         if settled or p >= _ROOT_SCAN_BELOW:
+            if tests and not found and fp_irreducible(f, p):
+                return _modp_certificate(p)
             continue
-        if verdict is False:  # the root scan found no root mod p
+        scan = list(fp_roots(g, p)) if dg else []  # x^k has no root but 0
+        if not scan and not k:
             settled = True
+            if tests and (len(f) <= 4 or fp_distinct_degree(f, p)):
+                return _modp_certificate(p)
             continue
-        roots, settled = _rational_roots(f, p)
+        simple = [r for r in scan if evaluate(dg, r) % p]
+        settled = len(simple) == len(scan)
+        roots = itertools.chain([(0, 1)] if k else [],
+                                filter(None, (_lift(g, dg, r, p) for r in simple)))
         root = next(roots, None)
         if root and settled:
             if not witness:
@@ -574,7 +569,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
         c = math.gcd(*f)
         f = [a // c for a in f]
         try:
-            inner = _walk(f, fp_irreducible, pp.registry, main, oracle_opts, witness=False)
+            inner = _walk(f, pp.registry, main, oracle_opts, tests=True, witness=False)
         except BudgetExceeded:
             continue
         if inner.irreducible:

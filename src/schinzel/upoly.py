@@ -244,27 +244,32 @@ def fp_roots(f, p):
 
 
 def fp_irreducible(f, p):
-    """Distinct-degree test for the integer list f in F_p[x], p prime.
+    """True iff the integer list f is irreducible in F_p[x], p prime not dividing its lead.
 
-    p must not divide f's leading coefficient.  True iff f mod p is
-    irreducible: gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2,
-    so one gcd with their product mod f decides.  For small p a root scan
-    comes first: a root mod p is a linear factor (the verdict is then 0, not
-    False, so a caller can tell that exit), a polynomial of degree 2 or 3
-    without one is irreducible, and finding none settles i = 1.  Each
-    x^(p^i) past x^p combines the Frobenius rows x^(pj) mod f, j < deg(f), as
-    (sum c_j x^j)^p = sum c_j x^(pj) (Modern Computer Algebra, 14.2).
+    For small p a root scan comes first: a root mod p is a linear factor, and
+    degree 2 or 3 without one is irreducible.  The rest is `fp_distinct_degree`.
+    """
+    if p < _ROOT_SCAN_BELOW and len(f) > 2:
+        if next(fp_roots(f, p), None) is not None:
+            return False
+        if len(f) <= 4:
+            return True
+    return len(f) == 2 or fp_distinct_degree(f, p)
+
+
+def fp_distinct_degree(f, p):
+    """Distinct-degree test for the integer list f of degree >= 2 in F_p[x], p prime.
+
+    p must not divide f's lead, and below _ROOT_SCAN_BELOW f must have no
+    root mod p, which settles i = 1.  True iff f mod p is irreducible:
+    gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2, so one gcd with
+    their product mod f decides.  Each x^(p^i) past x^p combines the Frobenius
+    rows x^(pj) mod f, j < deg(f), as (sum c_j x^j)^p = sum c_j x^(pj) (Modern
+    Computer Algebra, 14.2).
     """
     d = len(f) - 1
-    if d == 1:
-        return True
     inv = pow(f[-1], -1, p)
     m = [c * inv % p for c in f]
-    if p < _ROOT_SCAN_BELOW:
-        if next(fp_roots(m, p), None) is not None:
-            return 0
-        if d <= 3:
-            return True
     pack, unpack, mulmod, power = _packed(m, p)
     x = pack([0, 1])
     frobenius = [1, power(x, p)]  # a row x^(pj) up to x^(2d-2) is read off, not multiplied
@@ -274,5 +279,5 @@ def fp_irreducible(f, p):
     hs = [unpack(frobenius[1])]  # x^(p^i) mod m, i = 1 .. d/2
     while len(hs) < d // 2:
         hs.append(unpack(sum(map(operator.mul, hs[-1], frobenius))))
-    factors = [pack(_minus_x(h, p)) for h in hs[p < _ROOT_SCAN_BELOW :]]  # a scan settled i = 1
-    return fp_coprime(m, trim(unpack(functools.reduce(mulmod, factors))), p)
+    factors = [pack(_minus_x(h, p)) for h in hs[p < _ROOT_SCAN_BELOW :]]  # i = 1 when unscanned
+    return not factors or fp_coprime(m, trim(unpack(functools.reduce(mulmod, factors))), p)

@@ -95,6 +95,13 @@ def test_schinzel_refusal(capsys):
     d = kv(out)
     assert d["condition"] == "(b)"
     assert d["generic_fixed_primes"] == "[2]"
+    # the diagnosis sits between the detail and the verdict of the one refusal report
+    assert mask(out).splitlines()[-8:] == [
+        "refused = true", "condition = (b)",
+        "detail = degree conditions (*), (a), (b), (c) fail; generic family has fixed prime 2",
+        "failed_conditions = [(*), (a), (b), (c)]", "generic_fixed_primes = [2]",
+        "verdict = false", "elapsed_ms = X", "exit = 1",
+    ]
 
 
 def test_schinzel_success(capsys):
@@ -297,6 +304,8 @@ def test_compose_stage_hypothesis_failure_is_a_refusal(capsys):
     (["compose", "--poly", "T^2-1", "--d", "1"],
      "stage 1: polynomial #1 is reducible over the rationals"),
     (["strong", "--poly", "T^2-1", "--params", "T", "--vars", "Y", "--d", "1"],
+     "polynomial #1 is reducible over the rationals"),
+    (["schinzel", "--polys", "T^2-1", "--params", "T", "--vars", "Y", "--d", "1"],
      "polynomial #1 is reducible over the rationals"),
 ])
 def test_refusal_reports_have_one_shape(argv, detail, capsys):

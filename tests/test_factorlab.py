@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schinzel import factorlab
+from schinzel import factorlab, upoly
 from schinzel.factorlab import (
     _IMAGE_PRIME,
     EVAL_POINT_TRIES,
@@ -939,6 +939,9 @@ def _outcome_of(call):
         return str(exc)
 
 
+_PRIMORIAL = math.prod(primes_upto(255))
+
+
 def _dense_poly(draw, degree, lead=None):
     low = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
     return low + [lead if lead is not None else draw(st.integers(1, 9))]
@@ -949,10 +952,12 @@ def _walk_cases(draw):
     """A primitive dense f of degree 1..10 that stresses the walk's root scans.
 
     Products with a linear factor b*x - a, |b| > 1, x^k times a cofactor,
-    degree 1, leads divisible by 2*3*5*7 (so the schedule starts at 11), and
+    degree 1, leads divisible by 2*3*5*7 (so the schedule starts at 11),
+    leads divisible by every prime below 256 (so nothing is scanned), and
     repeated factors.
     """
-    kind = draw(st.sampled_from(["linear", "x^k", "degree 1", "lead 210", "repeated"]))
+    kind = draw(st.sampled_from(["linear", "x^k", "degree 1", "lead 210", "lead 256",
+                                 "repeated"]))
     if kind == "degree 1":
         f = _dense_poly(draw, 1, draw(st.integers(-40, 40).filter(bool)))
     elif kind == "linear":
@@ -964,6 +969,11 @@ def _walk_cases(draw):
         f = _dense_poly(draw, draw(st.integers(2, 5)), 210 * draw(st.integers(1, 3)))
         if draw(st.booleans()):
             f = mul(f, [draw(st.integers(-5, 5)), 1])
+    elif kind == "lead 256":
+        # x^k, x - 1 or 1 times P*c*x +- 1: the oracle samples the roots 0 and 1 before it
+        # lists divisors, so it never factors a value near P
+        cofactor = [0] * draw(st.integers(0, 2)) + draw(st.sampled_from([[0, 1], [-1, 1], [1]]))
+        f = mul(cofactor, [draw(st.sampled_from([1, -1])), _PRIMORIAL * draw(st.integers(1, 3))])
     else:
         g = _dense_poly(draw, draw(st.integers(1, 2)))
         f = mul(mul(g, g), _dense_poly(draw, draw(st.integers(0, 3))))
@@ -1033,36 +1043,65 @@ def test_a_repeated_factor_with_a_rational_root_is_now_decided_by_its_roots():
     assert (got.method, got.verdict, got.factor) == ("root", "reducible", U("x"))
 
 
-def _counted(monkeypatch, name):
-    calls, real = [], getattr(factorlab, name)
-    monkeypatch.setattr(factorlab, name, lambda f, p: calls.append(p) or real(f, p))
+def _counted(monkeypatch, names, modules=(factorlab,)):
+    """The prime of each call of the functions `names` of `modules`, in call order."""
+    calls = []
+    for module, name in itertools.product(modules, names):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a[-1]) or real(*a))
     return calls
 
 
+def _walk_counts(monkeypatch):
+    """The primes of the walk's root scans, of its F_p tests and of its lifts."""
+    return (_counted(monkeypatch, ["fp_roots"], (factorlab, upoly)),
+            _counted(monkeypatch, ["fp_irreducible", "fp_distinct_degree"]),
+            _counted(monkeypatch, ["_lift"]))
+
+
 def test_a_known_rational_root_ends_the_f_p_tests_at_each_point(monkeypatch):
-    # every image (x + c)*(x^2 + c^2 + 1) has a root mod 2 that lifts; the ten
-    # scheduled tests per point are down to the first
-    tests = _counted(monkeypatch, "fp_irreducible")
+    # every image (x + c)*(x^2 + c^2 + 1) is (x + c)*(x + c + 1)^2 mod 2, and its
+    # simple root lifts: no scheduled prime is tested, and each is scanned once, up
+    # to one at which the image's roots are all simple
+    scans, tests, _ = _walk_counts(monkeypatch)
     cert = is_irreducible_q(parse_poly("(x + y)*(x^2 + y^2 + 1)", ("x", "y")))
     assert (cert.method, cert.factor) == ("kronecker", parse_poly("x + y", ("x", "y")))
-    assert tests == [2] * EVAL_POINT_TRIES
+    assert tests == []
+    assert (scans.count(2), len(scans)) == (EVAL_POINT_TRIES, 117)
 
 
 @pytest.mark.parametrize("expr, reg, tests, method", [
-    ("x^2 + x + 1", X, [2], "mod-p"),
-    ("x*y + x + 1", ("x", "y"), [2], "evaluation"),  # x + 1 at y = 0, degree 1
-    ("(2*x - 3)*(x^2 + 1)", X, [3], "root"),
+    ("x^2 + x + 1", X, ([2], [], []), "mod-p"),  # no root mod 2 at degree 2
+    ("x*y + x + 1", ("x", "y"), ([], [], []), "evaluation"),  # x + 1 at y = 0, degree 1
+    ("(2*x - 3)*(x^2 + 1)", X, ([3], [], [3]), "root"),
+    ("x^4 + x + 1", X, ([2], [2], []), "mod-p"),  # the scan's own prime is tested once
 ])
 def test_first_prime_decisions(monkeypatch, expr, reg, tests, method):
-    got = _counted(monkeypatch, "fp_irreducible")
-    lifts = _counted(monkeypatch, "_rational_roots")
+    # tests: the primes of the root scans, of the F_p tests and of the lifts
+    counts = _walk_counts(monkeypatch)
     cert = is_irreducible_q(parse_poly(expr, reg))
-    assert (got, cert.method) == (tests, method)
-    assert lifts == ([3] if method == "root" else [])
+    assert (counts, cert.method) == (tests, method)
     if method == "evaluation":
         assert (cert.point, cert.detail, cert.prime) == ({"y": 0}, "image method mod-p", 2)
     if method == "root":
         assert cert.factor == U("2*x - 3")
+
+
+def test_degree_1_takes_the_first_scheduled_prime_on_every_route():
+    want = IrredCertificate("irreducible", "mod-p", prime=3)  # 2 divides the lead
+    for route in (univariate_certificate, root_or_oracle, root_verdict):
+        assert route([3, 2], X, "x") == want
+    assert root_or_oracle([0, 1], X, "x").prime == 2
+
+
+def test_a_lead_divisible_by_every_prime_below_256_runs_unscanned(monkeypatch):
+    # the root 1 of (x - 1)*(P*x + 1) is a root mod each scheduled prime, all above 256,
+    # and no scan has excluded it: the distinct-degree test must find it
+    scans, tests, lifts = _walk_counts(monkeypatch)
+    cert = univariate_certificate(mul([-1, 1], [1, _PRIMORIAL]), X, "x")
+    assert (cert.verdict, cert.method) == ("reducible", "kronecker")
+    assert tests == list(itertools.islice(_prime_schedule(_PRIMORIAL), MODP_TRIES))
+    assert tests[0] == 257 and (scans, lifts) == ([], [])
 
 
 # -- primitivity ------------------------------------------------------

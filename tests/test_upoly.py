@@ -20,6 +20,7 @@ from schinzel.upoly import (
     ext_gcd,
     fp_coprime,
     fp_gcd,
+    fp_distinct_degree,
     fp_has_root,
     fp_irreducible,
     fp_powmod,
@@ -193,14 +194,23 @@ def test_fp_irreducible_both_sides_of_the_root_scan(degree, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fp_irreducible_tells_its_root_exit(degree, data):
-    # below 256 a root mod p gives 0, and every other verdict is a bool
+    # below 256 a root mod p exits with False, like every other reducible verdict
     p, f = data.draw(_fp_poly(degree))
     verdict = fp_irreducible(f, p)
-    root = any(evaluate(f, r) % p == 0 for r in range(p)) if p < 256 else None
-    if root:
-        assert verdict == 0 and verdict is not False
-    else:
-        assert verdict is _poly(f, modulus=p).is_irreducible
+    assert verdict is True or verdict is False
+    assert verdict == _poly(f, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fp_distinct_degree_after_a_root_free_scan(degree, data):
+    # below 256 it takes i = 1 as settled by a scan; above, it tests i = 1 itself
+    p, f = data.draw(_fp_poly(degree))
+    root = any(evaluate(f, r) % p == 0 for r in range(p))
+    if p < 256 and root:
+        return
+    assert fp_distinct_degree(f, p) is (not root and _poly(f, modulus=p).is_irreducible)
 
 
 @st.composite
