@@ -13,7 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .numutil import UnprovedPrimeError, divisors, is_prime, primes, signed_ints, spiral
+from .numutil import RhoBudgetError, UnprovedPrimeError, divisors, is_prime, primes, signed_ints
+from .numutil import spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
 from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_distinct_degree, fp_gcd
@@ -97,7 +98,7 @@ def is_irreducible_fp(P, p):
 def _signed_divisors(v, positive_only=False):
     try:
         ds = divisors(v)
-    except UnprovedPrimeError as exc:
+    except (UnprovedPrimeError, RhoBudgetError) as exc:
         raise BudgetExceeded(f"kronecker oracle cannot list the divisors of {v}: {exc}")
     if positive_only:
         return ds
@@ -426,39 +427,49 @@ def univariate_certificate(f, registry, name, **oracle_opts):
     return _walk(f, registry, name, oracle_opts, tests=True, witness=True)
 
 
-def modp_certificates(fs, verdicts):
+def modp_certificates(fs, verdicts, ts, contents):
     """The mod-p certificate of `univariate_certificate` for each f of `fs`, or None.
 
-    The schedule is walked one prime at a time, by coefficient columns of
-    the uncertified f of one length.  `verdicts` memoizes `fp_irreducible`
-    by (p, *f mod p), which fixes it when p does not divide the lead.
+    The fs are primitive images of one polynomial F in Z[T][Y], and `verdicts`,
+    a dict shared by the calls on F's images, memoizes their F_p tests:
+    verdicts[p] maps an image's key at p to 0 if p divides the lead (p is
+    skipped), 1 if the image is reducible mod p (one of MODP_TRIES tries), or
+    else the certificate.  ts[i] is t when F has one parameter and
+    contents[i] * fs[i] = F(t, Y) keeps F's degree in Y, else None.  At a p
+    that does not divide contents[i], fs[i] is then F(t mod p, Y) mod p up to a
+    unit, so t mod p keys it: one column per prime decides whole residue
+    classes.  Any other key is the tuple fs[i] mod p.  The schedule is walked
+    one prime at a time, by key columns of the uncertified fs of one length
+    and content.
     """
     certs = [None] * len(fs)
     groups = {}
-    for i, f in enumerate(fs):
-        groups.setdefault(len(f), []).append(i)
-    for idx in groups.values():
-        columns = list(zip(*[fs[i] for i in idx]))
-        tries = [0] * len(idx)
+    for i, (f, t, c) in enumerate(zip(fs, ts, contents)):
+        # every p divides 0: an f without t keeps its image key
+        groups.setdefault((len(f), 0 if t is None else c), []).append(i)
+    for (_, c), idx in groups.items():
+        column, tries = [ts[i] for i in idx], [0] * len(idx)
         for p in primes():
-            keep, cert = [], _modp_certificate(p)
-            keys = zip(itertools.repeat(p), *[[x % p for x in column] for column in columns])
+            cert, memo = _modp_certificate(p), verdicts.setdefault(p, {})
+            if c % p:
+                keys = [t % p for t in column]
+            else:
+                keys = zip(*[[x % p for x in coeffs] for coeffs in zip(*[fs[i] for i in idx])])
+            keep = []
             for j, key in enumerate(keys):
-                if key[-1]:  # p does not divide the lead
-                    verdict = verdicts.get(key)
-                    if verdict is None:
-                        verdict = verdicts[key] = fp_irreducible(list(key[1:]), p)
-                    if verdict:
-                        certs[idx[j]] = cert
-                        continue
-                    tries[j] += 1
-                    if tries[j] == MODP_TRIES:
-                        continue
-                keep.append(j)
+                step = memo.get(key)
+                if step is None:
+                    f = fs[idx[j]]
+                    step = memo[key] = 0 if not f[-1] % p else cert if fp_irreducible(f, p) else 1
+                if step is cert:
+                    certs[idx[j]] = cert
+                    continue
+                tries[j] += step
+                if tries[j] < MODP_TRIES:
+                    keep.append(j)
             if not keep:
                 break
-            idx, tries = [idx[j] for j in keep], [tries[j] for j in keep]
-            columns = [[column[j] for j in keep] for column in columns]
+            idx, column, tries = ([v[j] for j in keep] for v in (idx, column, tries))
     return certs
 
 

@@ -11,16 +11,17 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .numutil import UnprovedPrimeError, prime_factors, prime_powers_upto, primes_upto
+from .numutil import RhoBudgetError, UnprovedPrimeError, prime_factors, prime_powers_upto
+from .numutil import primes_upto
 from .polyring import BudgetExceeded, PolyError
 from .upoly import fp_gcd, fp_has_root
 
 
 def proved_prime_factors(n):
-    """prime_factors(n); a cofactor that cannot be proved prime is a budget exit."""
+    """prime_factors(n); a cofactor that cannot be proved prime or split is a budget exit."""
     try:
         return prime_factors(n)
-    except UnprovedPrimeError as exc:
+    except (UnprovedPrimeError, RhoBudgetError) as exc:
         raise BudgetExceeded(str(exc)) from exc
 
 

@@ -121,8 +121,10 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
     """(t, the fields of `specialization_check` at t) for each t of `points`, in order.
 
     For one variable Y, blocks of `size` points, doubling up to _BLOCK, are
-    evaluated at once and go to `modp_certificates`, with one F_p verdict
-    table per call.  That pass cannot raise.  An image no prime certifies
+    evaluated at once and go to `modp_certificates` a member at a time, with
+    one F_p verdict table per member and call.  With one parameter, an image
+    of the member's full degree in Y passes its t, so its verdicts are keyed
+    by t mod p.  That pass cannot raise.  An image no prime certifies
     goes to `root_verdict` only as the consumer reaches its point, in
     (point, member) order, so every result and BudgetExceeded is pointwise.
     Its reducible certificates carry no factor: callers report members only.
@@ -139,21 +141,23 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
     # monos numbers the parameter monomials, evaluated once per block
     y, monos = split.variables[0], {}
     members = [coefficient_rows(P, split.params, y, monos) for P in polys]
-    verdicts = {}  # shared by the blocks: see `modp_certificates`
+    tables = [{} for _ in polys]  # a member's F_p verdicts, shared by the blocks
     points = iter(points)
     while block := list(itertools.islice(points, size)):
         size = min(2 * size, _BLOCK)
         values = [[math.prod(map(pow, t, m)) for t in block] for m in monos]
         # per point, [content, g, certificate] per member, up to one constant there (None)
         images = [[] for _ in block]
-        for rows in members:
+        for rows, verdicts in zip(members, tables):
             columns = []
             for row in rows:
                 column = [0] * len(block)
                 for c, j in row:
                     column = [a + c * v for a, v in zip(column, values[j])]
                 columns.append(column)
-            for image, f in zip(images, zip(*columns)):
+            # with one parameter, an image of the member's full degree in Y passes its t
+            live, ts, full = [], [], len(rows) if split.k == 1 else 0
+            for t, image, f in zip(block, images, zip(*columns)):
                 if image and image[-1] is None:
                     continue
                 f = trim(list(f))
@@ -162,9 +166,11 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
                     continue
                 c = math.gcd(*f)
                 image.append([c, f if c == 1 else [x // c for x in f]])
-        live = [e for image in images for e in image if e is not None]
-        for e, cert in zip(live, modp_certificates([e[1] for e in live], verdicts)):
-            e.append(cert)
+                live.append(image[-1])
+                ts.append(t[0] if len(f) == full else None)
+            fs, contents = [e[1] for e in live], [e[0] for e in live]
+            for e, cert in zip(live, modp_certificates(fs, verdicts, ts, contents)):
+                e.append(cert)
         for t, image in zip(block, images):
             for i, e in enumerate(image):
                 if e is not None and e[2] is None:

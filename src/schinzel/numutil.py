@@ -69,6 +69,15 @@ def _miller_rabin(n):
     return True
 
 
+class RhoBudgetError(ArithmeticError):
+    """Pollard rho took RHO_STEPS steps and found no factor of a composite."""
+
+
+# steps of y -> y^2 + c in one `_rho` call, over every c; a prime factor q
+# takes about sqrt(q) of them
+RHO_STEPS = 1 << 19
+
+
 def primes():
     """2, 3, 5, 7, ... endless: the sieved primes below 1000, then `is_prime`."""
     yield from _TRIAL_PRIMES
@@ -76,10 +85,18 @@ def primes():
 
 
 def _rho(n):
-    """A proper factor of the odd composite n: Pollard rho, Brent's cycle search."""
+    """A proper factor of the odd composite n: Pollard rho, Brent's cycle search.
+
+    Raises RhoBudgetError instead of starting a round that could take the
+    search past RHO_STEPS steps.
+    """
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # r steps to move x on, at most r more to the next x
+            if steps > RHO_STEPS:
+                raise RhoBudgetError(f"Pollard rho found no factor of {n} in {RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -107,7 +124,8 @@ def factorize(n):
 
     0 and +-1 give {}.  One trial pass below 1000, then `_miller_rabin` and
     Pollard-Brent rho on the cofactors; raises UnprovedPrimeError, as
-    `is_prime` does, for a cofactor whose primality is not proved.
+    `is_prime` does, for a cofactor whose primality is not proved, and
+    RhoBudgetError for a composite cofactor that rho cannot split.
     """
     n = abs(n)
     out = {}

@@ -246,9 +246,15 @@ def fp_roots(f, p):
 def fp_irreducible(f, p):
     """True iff the integer list f is irreducible in F_p[x], p prime not dividing its lead.
 
-    For small p a root scan comes first: a root mod p is a linear factor, and
-    degree 2 or 3 without one is irreducible.  The rest is `fp_distinct_degree`.
+    A quadratic a*x^2 + b*x + c at odd p is irreducible iff its discriminant
+    b^2 - 4ac is not a square mod p, which Euler's criterion decides with one
+    modular power (Modern Computer Algebra, ch. 14).  Else, for small p, a root
+    scan comes first: a root mod p is a linear factor, and degree 2 or 3
+    without one is irreducible.  The rest is `fp_distinct_degree`.
     """
+    if len(f) == 3 and p > 2:
+        c, b, a = f
+        return pow(b * b - 4 * a * c, (p - 1) // 2, p) == p - 1
     if p < _ROOT_SCAN_BELOW and len(f) > 2:
         if next(fp_roots(f, p), None) is not None:
             return False

@@ -290,6 +290,16 @@ def test_oracle_unproved_prime_is_a_budget_exit():
     assert time.monotonic() - start < 1.0
 
 
+def test_oracle_unsplit_divisor_is_a_quick_budget_exit():
+    # (x + 2)(P x + 1), P the product of the primes below 256: every scheduled prime
+    # sees its roots, and f(1) = 3(P + 1) leaves rho a 335-bit cofactor it cannot split
+    f = mul([2, 1], [1, math.prod(primes_upto(255))])
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="cannot list the divisors .* Pollard rho"):
+        univariate_certificate(f, X, "x", combo_budget=200)
+    assert time.process_time() - start < 2.0
+
+
 @pytest.mark.parametrize(
     "expr, opts",
     [

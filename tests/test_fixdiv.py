@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from schinzel import numutil
 from schinzel.fixdiv import (
     BudgetExceeded,
     candidate_fixed_primes,
@@ -128,6 +129,14 @@ def test_unproved_prime_content_is_a_budget_exit():
         fixed_prime_divisors(q, SPLIT)
     with pytest.raises(BudgetExceeded, match="exact-primality bound"):
         bad_prime_set(P("T*Y + 2"), SPLIT, 3317044064679887385962123)
+
+
+def test_unsplit_content_is_a_budget_exit(monkeypatch):
+    # Pollard rho gives up on the content's cofactor, a product of two primes near 10^9
+    monkeypatch.setattr(numutil, "RHO_STEPS", 64)
+    c = 999999937 * 1000000007
+    with pytest.raises(BudgetExceeded, match="Pollard rho found no factor"):
+        fixed_prime_divisors(P(f"{c}*T*Y + {c}"), SPLIT)
 
 
 def test_large_candidate_primes_cost_their_first_tuple_only():

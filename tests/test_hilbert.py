@@ -159,6 +159,7 @@ one_param_families = st.one_of(
     st.lists(members, min_size=1, max_size=3),
     st.sampled_from([
         [P("(T^2-T)*Y^2 + 3*T*Y + T + 1")],  # the lead vanishes at t = 0 and 1
+        [P("(2*T + 1)*Y^2 + Y + T")],  # never over Z, but mod each odd p on one class
         [P("Y^2 - T"), P("T*Y + 1")],  # Kronecker, then degenerate at t = 0
         [P("(T^2+T)*Y + 2")],  # content 2 at every t, and 2 is often scheduled
         [P("2*Y^2 - 4*T"), P("3*Y + 3*T^2")],
@@ -200,6 +201,15 @@ def test_residue_table_matches_pointwise_reference_two_params(polys, N, L):
     _assert_matches_reference(polys, SPLIT2, N, L)
 
 
+def test_a_lead_that_vanishes_on_one_class_mod_p_skips_p_there():
+    # 2t + 1 is never 0, but it is 0 mod each odd p where t = (p - 1)/2 mod p: such a
+    # point skips p without a try.  At t = 1, 3Y^2 - 2302 skips 3 and splits mod 2
+    # and mod 5 to 29, so 31 is its tenth try and its certificate
+    polys = [P("(2*T + 1)*Y^2 - 2302")]
+    _assert_matches_reference(polys, SPLIT, 40, 4)
+    assert specialization_check(polys, SPLIT, (1,)).certificates[0].prime == 31
+
+
 def test_residue_table_serves_lead_divisible_by_every_sieved_prime():
     assert list(_prime_schedule(PRIMORIAL_1000))[0] > 1000
     polys = [P(f"{PRIMORIAL_1000}*Y^2 + Y - T^2 - 1")]
@@ -238,10 +248,12 @@ def test_residue_table_never_calls_the_oracle(monkeypatch, expr, reducible):
 @pytest.mark.parametrize("expr, non_members", [
     ("Y^2 - T", 45),  # the squares 0, 1, ..., 44^2
     ("6*Y^2 - 6*T", 4001),  # content 6 everywhere; 2 and 3 still key on Y^2 - t
+    ("Y^3 - T", 25),  # the cubes 0, +-1, ..., +-12^3
 ])
 def test_density_tables_one_fp_verdict_per_image_mod_p(monkeypatch, expr, non_members):
-    # the primitive image Y^2 - t mod p takes p values, so the ten scheduled
-    # primes need at most 129 distinct-degree verdicts over 4001 points
+    # a member's verdict at p is keyed by t mod p, or by its primitive image mod p
+    # where p divides the content; either way the ten scheduled primes need at most
+    # one verdict per (p, t mod p), 129 over 4001 points
     calls = []
     fp_irreducible = factorlab.fp_irreducible
     monkeypatch.setattr(factorlab, "fp_irreducible",

@@ -7,6 +7,7 @@ import pytest
 from schinzel import numutil
 from schinzel.numutil import (
     MR_EXACT_BOUND,
+    RhoBudgetError,
     UnprovedPrimeError,
     divisors,
     factorize,
@@ -76,6 +77,15 @@ def test_unproved_prime_is_refused():
     for n in (MR_EXACT_BOUND, 3317044064679887385962123, 6 * 3317044064679887385962123):
         with pytest.raises(UnprovedPrimeError, match="exact-primality bound"):
             factorize(n)
+
+
+def test_rho_gives_up_after_its_step_budget(monkeypatch):
+    # two primes near 10^9 take rho tens of thousands of steps to split
+    n = 999999937 * 1000000007
+    assert factorize(n) == {999999937: 1, 1000000007: 1}
+    monkeypatch.setattr(numutil, "RHO_STEPS", 64)
+    with pytest.raises(RhoBudgetError, match=f"no factor of {n} in 64 steps"):
+        factorize(n)
 
 
 class _CountingPrimes(list):

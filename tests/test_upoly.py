@@ -201,6 +201,33 @@ def test_fp_irreducible_tells_its_root_exit(degree, data):
     assert verdict == _poly(f, modulus=p).is_irreducible
 
 
+@st.composite
+def _quadratic(draw, primes):
+    """(p, [c, b, a]) with p not dividing a; half of them with b^2 - 4ac = 0 mod p."""
+    p = draw(st.sampled_from(primes))
+    a = draw(INTS.filter(lambda v: v % p))  # negative and non-unit leads included
+    b, c = draw(INTS), draw(INTS)
+    if draw(st.booleans()):
+        if p == 2:
+            b -= b % 2
+        else:  # c = b^2 / 4a mod p, shifted by a multiple of p
+            c = b * b * pow(4 * a, -1, p) % p + p * draw(st.integers(-3, 3))
+        assert (b * b - 4 * a * c) % p == 0
+    return p, [c, b, a]
+
+
+@pytest.mark.parametrize("primes", [
+    [2],  # Euler's criterion needs an odd p: 2 keeps the root scan
+    primes_upto(255)[1:],  # odd p below the root scan's bound
+    [p for p in primes_upto(300) if p > 256],  # above it
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fp_irreducible_decides_quadratics(primes, data):
+    p, f = data.draw(_quadratic(primes))
+    assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+
+
 @pytest.mark.parametrize("degree", range(2, 9))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
