@@ -25,6 +25,7 @@ EVAL_POINT_TRIES = 40
 _IMAGE_PRIME = 10007  # gcd_q's coprimality image lives in F_p[x] for this p
 _IMAGE_POINTS = 4  # spiral points tried for one where both leading coefficients survive
 MAX_VARS = 3  # the Kronecker oracle packs at most this many variables into one
+MAX_TOTAL_DEGREE = 12  # and factors at most this total degree
 
 
 BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
@@ -281,13 +282,14 @@ def _normalize_sign(P):
     return -P if P.leading_coefficient() < 0 else P
 
 
-def kronecker_factor(P, max_total_degree=12, combo_budget=2_000_000):
+def kronecker_factor(P, combo_budget=2_000_000):
     """Complete factorization over Z by the Kronecker method.
 
     Returns Factorization(unit, content, factors).  Multivariate inputs are
     packed into one variable by Kronecker substitution, the image is
     factored by divisor interpolation, and candidate factors are lifted
-    back with exact division checks.  Raises BudgetExceeded beyond desk scale.
+    back with exact division checks.  Raises BudgetExceeded beyond desk scale:
+    MAX_VARS variables, total degree MAX_TOTAL_DEGREE, `combo_budget` candidates.
     """
     if P.is_zero():
         raise PolyError("cannot factor the zero polynomial")
@@ -302,9 +304,9 @@ def kronecker_factor(P, max_total_degree=12, combo_budget=2_000_000):
         return Factorization(unit, content, ())
     if len(names) > MAX_VARS:
         raise BudgetExceeded(f"{len(names)} variables exceeds the {MAX_VARS}-variable budget")
-    if pp.total_degree() > max_total_degree:
+    if pp.total_degree() > MAX_TOTAL_DEGREE:
         raise BudgetExceeded(
-            f"total degree {pp.total_degree()} exceeds the degree-{max_total_degree} budget"
+            f"total degree {pp.total_degree()} exceeds the degree-{MAX_TOTAL_DEGREE} budget"
         )
 
     try:
@@ -421,8 +423,9 @@ def univariate_certificate(f, registry, name, **oracle_opts):
     degree >= 1 in `name`.  The first scheduled prime p (one not dividing
     the leading coefficient, so f mod p keeps its degree) modulo which f is
     irreducible is the certificate.  The walk's root scans settle the
-    rational roots on the way: a rational root ends it, with the `str`-least
-    b*x - a as the factor (method `root`); see `_walk`.
+    rational roots on the way, lifted at the first prime whose roots mod p
+    are all simple: a rational root ends it, with the `str`-least b*x - a as
+    the factor (method `root`); see `_walk`.
     """
     return _walk(f, registry, name, oracle_opts, tests=True, witness=True)
 
@@ -473,24 +476,16 @@ def modp_certificates(fs, verdicts, ts, contents):
     return certs
 
 
-def root_or_oracle(f, registry, name, **oracle_opts):
+def root_verdict(f, registry, name, **oracle_opts):
     """The verdict on a primitive univariate f that no scheduled prime certifies.
 
     The walk of `univariate_certificate` without the F_p tests: degree 1 keeps
     its first-prime mod-p certificate, and the root scans alone settle the
-    rational roots.  A rational root a/b makes f reducible, with the
-    `str`-least b*x - a as the factor, and a degree <= 3 without one is
-    irreducible.  Everything else goes to the Kronecker oracle, which
-    decides `undense(f, registry, name)`.
-    """
-    return _walk(f, registry, name, oracle_opts, tests=False, witness=True)
-
-
-def root_verdict(f, registry, name, **oracle_opts):
-    """`root_or_oracle`'s verdict, for callers that report no reducible certificate.
-
-    Its reducible `root` certificate carries no factor, so it lifts the
-    roots mod p only up to the first rational one.
+    rational roots.  A rational root makes f reducible, with a `root`
+    certificate that carries no factor, so the settling prime's roots are
+    lifted only up to the first rational one; a degree <= 3 without one is
+    irreducible.  Everything else goes to the Kronecker oracle, which decides
+    `undense(f, registry, name)`.
     """
     return _walk(f, registry, name, oracle_opts, tests=False, witness=False)
 
@@ -501,12 +496,12 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
     Degree 1 takes the first p as its mod-p certificate.  Else f = x^k * g,
     g(0) != 0, and f irreducible mod p, tested while f may lack a rational
     root, is the mod-p certificate.  Until f's rational roots are settled,
-    each p below _ROOT_SCAN_BELOW scans g mod p once.  No root, with k = 0: f
-    has no rational root, and `fp_distinct_degree` tests f at p.  Roots: f is
-    reducible mod p, and `_lift` lifts the simple ones.  Once f has a root (0
-    if k > 0), only scans follow, up to a p whose roots mod p are all simple:
-    it ends the walk with a reducible `root` certificate, with the `str`-least
-    b*x - a as the factor if `witness`.  After the walk, degree <= 3 without a
+    each p below _ROOT_SCAN_BELOW scans g mod p once, and a p with a multiple
+    root mod p moves on.  The first p whose roots mod p are all simple settles
+    them: `_lift` lifts each rational root of f from its root mod p, so a root
+    (0 if k > 0) ends the walk with a reducible `root` certificate, with the
+    `str`-least b*x - a as the factor if `witness`; with no root mod p, f is
+    tested at p by `fp_distinct_degree`.  After the walk, degree <= 3 without a
     rational root is irreducible, and the rest goes to the Kronecker oracle.
     """
     schedule = _prime_schedule(f[-1])
@@ -514,29 +509,26 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
         return _modp_certificate(next(schedule))
     k = next(i for i, c in enumerate(f) if c)
     g, dg = f[k:], [i * c for i, c in enumerate(f[k:])][1:]
-    found, settled = k > 0, False  # found: f has a rational root; settled: all are known
+    settled = False  # f's rational roots are all known, and f has none
     for p in schedule:
         if settled or p >= _ROOT_SCAN_BELOW:
-            if tests and not found and fp_irreducible(f, p):
+            if tests and not k and fp_irreducible(f, p):
                 return _modp_certificate(p)
             continue
         scan = list(fp_roots(g, p)) if dg else []  # x^k has no root but 0
-        if not scan and not k:
-            settled = True
-            if tests and (len(f) <= 4 or fp_distinct_degree(f, p)):
-                return _modp_certificate(p)
-            continue
-        simple = [r for r in scan if evaluate(dg, r) % p]
-        settled = len(simple) == len(scan)
+        if not all(evaluate(dg, r) % p for r in scan):
+            continue  # a multiple root mod p settles nothing
+        settled = True
         roots = itertools.chain([(0, 1)] if k else [],
-                                filter(None, (_lift(g, dg, r, p) for r in simple)))
+                                filter(None, (_lift(g, dg, r, p) for r in scan)))
         root = next(roots, None)
-        if root and settled:
+        if root:
             if not witness:
                 return IrredCertificate("reducible", "root")
             factors = (undense([-a, b], registry, name) for a, b in itertools.chain([root], roots))
             return IrredCertificate("reducible", "root", factor=min(factors, key=str))
-        found = found or root is not None
+        if tests and not scan and (len(f) <= 4 or fp_distinct_degree(f, p)):
+            return _modp_certificate(p)
     if settled and len(f) <= 4:
         return IrredCertificate("irreducible", "root")
     return _kronecker_certificate(undense(f, registry, name), **oracle_opts)
@@ -550,14 +542,15 @@ def _kronecker_certificate(P, **oracle_opts):
     return IrredCertificate("reducible", "kronecker", factor=fac.factors[0][0])
 
 
-def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
+def is_irreducible_q(P, **oracle_opts):
     """Irreducibility in Q[registry], with a certificate.
 
     Univariate: the mod-p schedule with the root route, then the Kronecker
     oracle (see `univariate_certificate`).  Multivariate:
     primitivity in a main variable plus a degree-preserving integer
-    evaluation with irreducible univariate image (a reducible image, or one
-    the oracle cannot decide, tries the next point); full oracle as fallback.
+    evaluation with irreducible univariate image at one of the first
+    EVAL_POINT_TRIES spiral points (a reducible image, or one the oracle
+    cannot decide, tries the next point); full oracle as fallback.
     """
     if P.is_zero() or P.is_constant():
         raise PolyError("irreducibility undefined for constants")
@@ -574,7 +567,7 @@ def is_irreducible_q(P, eval_tries=EVAL_POINT_TRIES, **oracle_opts):
         return IrredCertificate(
             "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
         )
-    for point, f in _spiral_images(pp, others, main, eval_tries):
+    for point, f in _spiral_images(pp, others, main, EVAL_POINT_TRIES):
         if not f[-1]:
             continue
         c = math.gcd(*f)

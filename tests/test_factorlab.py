@@ -32,7 +32,6 @@ from schinzel.factorlab import (
     is_irreducible_z,
     is_primitive_wrt,
     kronecker_factor,
-    root_or_oracle,
     root_verdict,
     univariate_certificate,
 )
@@ -278,8 +277,8 @@ def test_oracle_budget():
 ])
 def test_oracle_options_reach_the_oracle(expr, reg):
     # no prime certifies a reducible input, so the oracle runs with the caller's budget
-    with pytest.raises(BudgetError, match="total degree 4 exceeds the degree-3 budget"):
-        is_irreducible_q(parse_poly(expr, reg), max_total_degree=3)
+    with pytest.raises(BudgetError, match="exceeded 1 interpolation candidates"):
+        is_irreducible_q(parse_poly(expr, reg), combo_budget=1)
 
 
 def test_oracle_unproved_prime_is_a_budget_exit():
@@ -303,11 +302,12 @@ def test_oracle_unsplit_divisor_is_a_quick_budget_exit():
 @pytest.mark.parametrize(
     "expr, opts",
     [
-        ("x^13 + x + 1", {"max_total_degree": 13, "combo_budget": 100}),
+        ("x^13 + x + 1", {"combo_budget": 100}),
         ("x^2 + 3317044064679887385962123", {}),
     ],
 )
-def test_budget_error_pins_no_search_frame(expr, opts):
+def test_budget_error_pins_no_search_frame(monkeypatch, expr, opts):
+    monkeypatch.setattr(factorlab, "MAX_TOTAL_DEGREE", 13)  # x^13 + x + 1 reaches the search
     with pytest.raises(BudgetError) as info:
         kronecker_factor(U(expr), **opts)
     tb = info.value.__traceback__
@@ -541,13 +541,15 @@ def test_swinnerton_dyer_needs_oracle():
     assert cert.irreducible
 
 
-def test_multivariate_evaluation_witness():
+def test_multivariate_evaluation_witness(monkeypatch):
     cert = is_irreducible_q(P("Y^2 - T"))
     assert cert.irreducible
     # T = 0 gives the reducible Y^2; T = -1, the second spiral point, Y^2 + 1
     assert (cert.method, cert.point) == ("evaluation", {"T": -1})
-    assert is_irreducible_q(P("Y^2 - T"), eval_tries=2).method == "evaluation"
-    assert is_irreducible_q(P("Y^2 - T"), eval_tries=1).method == "kronecker"
+    monkeypatch.setattr(factorlab, "EVAL_POINT_TRIES", 2)
+    assert is_irreducible_q(P("Y^2 - T")).method == "evaluation"
+    monkeypatch.setattr(factorlab, "EVAL_POINT_TRIES", 1)
+    assert is_irreducible_q(P("Y^2 - T")).method == "kronecker"
 
 
 def test_multivariate_reducible():
@@ -842,7 +844,7 @@ def test_spiral_images_keep_a_dropped_degree():
     st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=2),
 )
 @settings(max_examples=200, deadline=None)
-def test_root_verdict_matches_root_or_oracle(low, lead, roots):
+def test_root_verdict_matches_the_walk_that_builds_the_factor(low, lead, roots):
     f = low + [lead]
     for a, b in roots:  # linear factors b*x - a make the root route decide often
         f = mul(f, [-a, b])
@@ -851,11 +853,13 @@ def test_root_verdict_matches_root_or_oracle(low, lead, roots):
 
     def verdict(route):
         try:
-            return route(f, X, "x", combo_budget=200)
+            return route()
         except BudgetError as exc:
             return str(exc)
 
-    got, want = verdict(root_verdict), verdict(root_or_oracle)
+    got = verdict(lambda: root_verdict(f, X, "x", combo_budget=200))
+    want = verdict(lambda: factorlab._walk(f, X, "x", {"combo_budget": 200}, tests=False,
+                                           witness=True))
     if isinstance(want, str):
         assert got == want
     elif want.method == "root" and not want.irreducible:
@@ -1070,38 +1074,41 @@ def _walk_counts(monkeypatch):
 
 
 def test_a_known_rational_root_ends_the_f_p_tests_at_each_point(monkeypatch):
-    # every image (x + c)*(x^2 + c^2 + 1) is (x + c)*(x + c + 1)^2 mod 2, and its
-    # simple root lifts: no scheduled prime is tested, and each is scanned once, up
-    # to one at which the image's roots are all simple
-    scans, tests, _ = _walk_counts(monkeypatch)
+    # every image (x + c)*(x^2 + c^2 + 1) is (x + c)*(x + c + 1)^2 mod 2, with a
+    # double root, so nothing lifts at 2: no scheduled prime is tested, and each is
+    # scanned once, up to one at which the image's roots are all simple and -c lifts
+    scans, tests, lifts = _walk_counts(monkeypatch)
     cert = is_irreducible_q(parse_poly("(x + y)*(x^2 + y^2 + 1)", ("x", "y")))
     assert (cert.method, cert.factor) == ("kronecker", parse_poly("x + y", ("x", "y")))
     assert tests == []
     assert (scans.count(2), len(scans)) == (EVAL_POINT_TRIES, 117)
+    assert 2 not in lifts
 
 
-@pytest.mark.parametrize("expr, reg, tests, method", [
-    ("x^2 + x + 1", X, ([2], [], []), "mod-p"),  # no root mod 2 at degree 2
-    ("x*y + x + 1", ("x", "y"), ([], [], []), "evaluation"),  # x + 1 at y = 0, degree 1
-    ("(2*x - 3)*(x^2 + 1)", X, ([3], [], [3]), "root"),
-    ("x^4 + x + 1", X, ([2], [2], []), "mod-p"),  # the scan's own prime is tested once
+@pytest.mark.parametrize("expr, reg, tests, method, factor", [
+    ("x^2 + x + 1", X, ([2], [], []), "mod-p", None),  # no root mod 2 at degree 2
+    ("x*y + x + 1", ("x", "y"), ([], [], []), "evaluation", None),  # x + 1 at y = 0
+    ("(2*x - 3)*(x^2 + 1)", X, ([3], [], [3]), "root", "2*x - 3"),
+    ("x^4 + x + 1", X, ([2], [2], []), "mod-p", None),  # the scan's own prime is tested once
+    # mod 2 and mod 3 a root is double; 5 settles the roots, and only there do they lift
+    ("(x + 1)*(x^2 + 2)", X, ([2, 3, 5], [], [5]), "root", "x + 1"),
 ])
-def test_first_prime_decisions(monkeypatch, expr, reg, tests, method):
+def test_first_prime_decisions(monkeypatch, expr, reg, tests, method, factor):
     # tests: the primes of the root scans, of the F_p tests and of the lifts
     counts = _walk_counts(monkeypatch)
     cert = is_irreducible_q(parse_poly(expr, reg))
     assert (counts, cert.method) == (tests, method)
+    assert cert.factor == (factor and U(factor))
     if method == "evaluation":
         assert (cert.point, cert.detail, cert.prime) == ({"y": 0}, "image method mod-p", 2)
-    if method == "root":
-        assert cert.factor == U("2*x - 3")
 
 
 def test_degree_1_takes_the_first_scheduled_prime_on_every_route():
     want = IrredCertificate("irreducible", "mod-p", prime=3)  # 2 divides the lead
-    for route in (univariate_certificate, root_or_oracle, root_verdict):
+    for route in (univariate_certificate, root_verdict):
         assert route([3, 2], X, "x") == want
-    assert root_or_oracle([0, 1], X, "x").prime == 2
+    assert factorlab._walk([3, 2], X, "x", {}, tests=False, witness=True) == want
+    assert root_verdict([0, 1], X, "x").prime == 2
 
 
 def test_a_lead_divisible_by_every_prime_below_256_runs_unscanned(monkeypatch):

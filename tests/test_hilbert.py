@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -408,14 +411,26 @@ def test_engine_matches_reference_across_blocks():
         next(hilbert_search([P("(T^2+T)*Y + 2")], SPLIT, budget=1500))
 
 
+_DENSITY_PEAK = """
+import sys, tracemalloc
+from schinzel.hilbert import density_report
+from schinzel.polyring import VarSplit, parse_poly
+F = parse_poly("Y^2 - T", ("T", "Y"))
+tracemalloc.start()
+density_report([F], VarSplit(("T",), ("Y",)), int(sys.argv[1]))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def test_density_memory_does_not_grow_with_the_box():
+    # each peak is taken in a fresh interpreter: in this one it would count the
+    # free lists that earlier tests filled
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hilbert.__file__).parents[1])}
+
     def peak(N):
-        tracemalloc.start()
-        try:
-            density_report([P("Y^2 - T")], SPLIT, N)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        run = subprocess.run([sys.executable, "-c", _DENSITY_PEAK, str(N)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        return int(run.stdout)
 
     # one block's working set, about 0.7 MB, at both sizes (a block at N = 1000 holds
     # small ints Python caches, so it peaks a little lower); a pool of the box's 2N + 1
