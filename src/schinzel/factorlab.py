@@ -13,12 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .numutil import RhoBudgetError, UnprovedPrimeError, divisors, is_prime, primes, signed_ints
+from .numutil import RhoBudgetError, UnprovedPrimeError, divisors, primes, signed_ints
 from .numutil import spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
 from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_distinct_degree, fp_gcd
-from .upoly import fp_irreducible, fp_roots, mul, trim
+from .upoly import fp_irreducible, fp_roots, mul, require_prime, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
@@ -81,12 +81,8 @@ def is_irreducible_fp(P, p):
     reduction is irreducible: gcd(f, x^(p^i) - x) is constant for every
     i <= deg(f)/2.
     """
+    require_prime(p)
     R = reduce_mod(P, p)
-    try:
-        if not is_prime(p):
-            raise PolyError(f"modulus {p} is not prime")
-    except UnprovedPrimeError as exc:
-        raise PolyError(f"modulus {p} is not proved prime: {exc}") from exc
     names = R.variables()
     if len(names) != 1:
         raise PolyError("univariate polynomial required")

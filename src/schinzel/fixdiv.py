@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .numutil import RhoBudgetError, UnprovedPrimeError, prime_factors, prime_powers_upto
 from .numutil import primes_upto
 from .polyring import BudgetExceeded, PolyError
-from .upoly import fp_gcd, fp_has_root
+from .upoly import fp_gcd, fp_has_root, require_prime
 
 
 def proved_prime_factors(n):
@@ -44,6 +44,7 @@ def _fermat_table(polys, params, p):
     family vanishes at every tuple iff the table is empty.  As in
     `substitute`, a repeated parameter takes its last value.
     """
+    require_prime(p)
     where = {name: j for j, name in enumerate(params)}
     table, groups = {}, {}
     for i, P in enumerate(polys):

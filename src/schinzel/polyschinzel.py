@@ -283,18 +283,21 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
     then rules out fixed primes of the compositions, so this mode may
     exhaust the budget.
     """
-    variables = tuple(variables)
+    return _stage(polys, tuple(variables), d, budget, monic, None)
+
+
+def _stage(polys, variables, d, budget, monic, report):
+    """`strong_pipeline` (report None), or a later stage given prod(polys)'s report."""
     (d,) = _degree_matrix((d,), 1, len(variables))
     if all(x == 0 for x in d):
         raise PolyError("d must be nonzero")
     t1 = _as_univariate(polys)
-    _require_irreducible(polys, HypothesisError)
     product = prod(polys)
-    in_report = fixed_prime_divisors(product, (t1,))
-    if in_report.confirmed:
-        raise HypothesisError(
-            "NoFixDiv", f"fixed prime {in_report.confirmed[0]} in input"
-        )
+    if report is None:
+        _require_irreducible(polys, HypothesisError)
+        report = fixed_prime_divisors(product, (t1,))
+        if report.confirmed:
+            raise HypothesisError("NoFixDiv", f"fixed prime {report.confirmed[0]} in input")
 
     monomials = _monomials_upto(d)  # ascending; top monomial last
 
@@ -306,13 +309,10 @@ def strong_pipeline(polys, variables, d, budget=2000, monic=False):
         delta = r * sum(d)
         S = sorted(set(primes_upto(delta)) | set(proved_prime_factors(abs(a_r))))
 
-    residues = []
-    for p in S:
-        hit = least_witness([product], (t1,), p)
-        if hit is None:
-            raise HypothesisError("NoFixDiv", f"fixed prime {p} in input")
-        residues.append(hit[0][0])
-    theta = crt(residues, S) if S else 0
+    # every fixed prime is one of the report's candidates, and it confirms none
+    seen = report.witnesses
+    residues = [(seen[p] if p in seen else least_witness([product], (t1,), p)[0])[0] for p in S]
+    theta = crt(residues, S)
     omega = prod(S)
 
     tried = 0
@@ -355,21 +355,23 @@ class IteratedPlan:
 def iterated_composition(polys, degrees, budget=2000, monic=False):
     """Run the pipeline stage by stage on the family it composed so far.
 
-    Each stage's plan is its evidence: its certificates and fixed-prime
-    report cover the stage's compositions, which are the new family with
-    the variable renamed back to the parameter.
+    Only stage 1 checks the hypotheses.  Each stage's plan is the next
+    stage's: its certificates and fixed-prime report cover its
+    compositions, the new family with the variable renamed back to the
+    parameter, so that family is not verified a second time.
     """
     t1 = _as_univariate(polys)
     reg = polys[0].registry
     yname = "Y" if t1 != "Y" else "Z"
     current = list(polys)
     C = MPoly.var(reg, t1)
-    stages, Ms = [], []
+    stages, Ms, report = [], [], None
     for stage, dm in enumerate(degrees, start=1):
         try:
-            plan = strong_pipeline(current, (yname,), (dm,), budget=budget, monic=monic)
+            plan = _stage(current, (yname,), (dm,), budget, monic, report)
         except HypothesisError as exc:
             raise HypothesisError(exc.condition, f"stage {stage}: {exc.detail}") from exc
+        report = plan.fixdiv_report
         M = plan.Ms[0].rename(reg, {yname: t1})
         stages.append(plan)
         Ms.append(M)

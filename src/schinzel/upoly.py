@@ -15,7 +15,18 @@ import operator
 from array import array
 from itertools import zip_longest
 
+from .numutil import UnprovedPrimeError, is_prime
 from .polyring import PolyError
+
+
+def require_prime(p):
+    """Raise PolyError unless the modulus p is proved prime."""
+    try:
+        prime = is_prime(p)
+    except UnprovedPrimeError as exc:
+        raise PolyError(f"modulus {p} is not proved prime: {exc}") from exc
+    if not prime:
+        raise PolyError(f"modulus {p} is not prime")
 
 
 def trim(f):

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from schinzel import cli, factorlab, fixdiv
 from schinzel.cli import run
+from schinzel.numutil import primes_upto
 from schinzel.polyring import identifiers
 
 
@@ -476,3 +478,36 @@ def test_golden_report(name, capsys):
     code, out = invoke(capsys, *job["argv"])
     assert code == job["exit"]
     assert mask(out) == job["report"]
+
+
+# A ledger of outcomes outside the golden corpus: a job whose verdict, exit
+# code or budget detail changes shows here.  Each row is (argv, exit code,
+# report key, leading words of its value).
+_PROGRESSION_POLY = (
+    "(-20*T^16 + 18*T^15 + 7*T^14 + 4*T^13 - 19*T^12 + 11*T^11 - 14*T^10 - 7*T^9"
+    " + 4*T^8 + 10*T^7 + 8*T^6 + 11*T^5 - 13*T^4 - 4*T^3 - 16*T^2 + 16*T - 12)*Y"
+    " + -6*T^16 + 13*T^15 - 19*T^14 + 7*T^13 - 7*T^12 + 4*T^11 - 20*T^10 + 14*T^9"
+    " - 19*T^8 - 19*T^7 - 19*T^6 - 14*T^4 + 17*T^3 - 6*T^2 - 3*T + 8"
+)
+_PRIMORIAL = math.prod(primes_upto(255))  # the product of the primes below 256
+OUTCOMES = [
+    (["compose", "--poly", "T^3+2", "--d", "2,2"], 3,
+     "detail", "kronecker oracle cannot list the divisors of"),
+    (["compose", "--poly", "T^4+T+1", "--d", "2,2"], 3,
+     "detail", "total degree 16 exceeds the degree-12 budget"),
+    (["compose", "--poly", "T^2+1", "--d", "2,3"], 0, "verdict", "true"),
+    (["irred", "--poly", "x^200+x+1"], 3, "detail", "total degree 200 exceeds"),
+    (["irred", "--poly", "x^16+1"], 3, "detail", "total degree 16 exceeds"),
+    (["hilbert", "--polys", "Y^16 - T", "--params", "T", "--vars", "Y"], 3,
+     "detail", "total degree 16 exceeds"),
+    (["progression", "--params", "T", "--vars", "Y", "--polys", _PROGRESSION_POLY], 3,
+     "detail", "cofactor 70303981698445634336783083886897029410799267 passes Miller-Rabin"),
+    (["irred", "--poly", f"(x+2)*({_PRIMORIAL}*x+1)"], 3,
+     "detail", "kronecker oracle cannot list the divisors of"),
+]
+
+
+@pytest.mark.parametrize("argv, code, key, lead", OUTCOMES)
+def test_outcome_ledger(argv, code, key, lead, capsys):
+    got, out = invoke(capsys, *argv)
+    assert (got, kv(out)[key][: len(lead)]) == (code, lead)

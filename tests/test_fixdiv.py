@@ -14,6 +14,7 @@ from schinzel.fixdiv import (
     is_fixed_prime,
     least_witness,
     removal_scalar,
+    vanishes_somewhere,
 )
 from schinzel.numutil import primes_upto
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
@@ -150,6 +151,23 @@ def test_large_candidate_primes_cost_their_first_tuple_only():
     assert report.confirmed == (2,)
     assert report.witnesses == {p: (0,) for p in report.candidates[1:]}
     assert elapsed < 2.0, elapsed
+
+
+def test_modulus_must_be_proved_prime():
+    # at a composite modulus the Fermat reduction changes values: T = 2 gives
+    # T^4 - T = 14, nonzero mod 4, and T^4 - T + 2 = 16, zero mod 4
+    T = ("T",)
+    for call, p in [
+        (lambda p: is_fixed_prime(parse_poly("T^4 - T", T), T, p), 4),
+        (lambda p: vanishes_somewhere([parse_poly("T^4 - T + 2", T)], T, p), 4),
+        (lambda p: is_fixed_prime(parse_poly("T^4 - T", T), T, p), 1),
+        (lambda p: least_witness([parse_poly("T + 1", T)], T, p), 0),
+    ]:
+        with pytest.raises(PolyError, match=f"^modulus {p} is not prime$"):
+            call(p)
+    q = 3317044064679887385962123  # above the exact Miller-Rabin bound
+    with pytest.raises(PolyError, match=f"modulus {q} is not proved prime"):
+        is_fixed_prime(parse_poly("T^4 - T", T), T, q)
 
 
 def test_no_module_imports_private_fixdiv_names():

@@ -1,5 +1,8 @@
+import collections
+
 import pytest
 
+from schinzel import polyschinzel
 from schinzel.factorlab import is_irreducible_z, kronecker_factor
 from schinzel.fixdiv import BudgetExceeded, fixed_prime_divisors, is_fixed_prime
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
@@ -295,6 +298,36 @@ def test_compose_degree_two_stage():
     assert M.degree_in("T") == 2
     flag, _ = is_irreducible_z(plan.family[0])
     assert flag
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (1, 1, 1)])
+def test_compose_decides_each_tower_polynomial_once(monkeypatch, degrees):
+    # a stage's plan certifies the next stage's family, so no polynomial of
+    # the tower is decided or given a fixed-prime report a second time
+    decided, reported = collections.Counter(), collections.Counter()
+
+    def key(Q):  # one key for a polynomial, whether its name is T or Y
+        return tuple(sorted(Q.terms.items()))
+
+    def counting(name, counter):
+        inner = getattr(polyschinzel, name)
+
+        def wrapper(Q, *args, **kwargs):
+            counter[key(Q)] += 1
+            return inner(Q, *args, **kwargs)
+
+        monkeypatch.setattr(polyschinzel, name, wrapper)
+
+    counting("is_irreducible_q", decided)
+    counting("is_irreducible_z", decided)
+    counting("fixed_prime_divisors", reported)
+    plan = iterated_composition([T1("T^2 + 1")], degrees)
+    tower = [T1("T^2 + 1")]
+    for M in plan.Ms:
+        tower.append(tower[-1].substitute({"T": M}))
+    assert tower[-1] == plan.family[0]
+    assert [(decided[key(Q)], reported[key(Q)]) for Q in tower] == [(1, 1)] * len(tower)
+    assert max(decided.values()) == max(reported.values()) == 1
 
 
 def test_compose_empty():
