@@ -4,6 +4,9 @@ Two routes are kept strictly separate: cheap certificates (mod-p, rational
 root and evaluation witnesses) and the exhaustive Kronecker oracle, which
 serves as desk-scale ground truth for everything the certificates claim.
 A univariate input's prime walk also lifts its rational roots p-adically.
+Every decision here is on a single polynomial: `hilbert` keys the F_p
+verdicts of a family's images by residue class itself, with the shared
+`modp_certificate` and `MODP_TRIES` from here.
 """
 
 from __future__ import annotations
@@ -390,7 +393,8 @@ def _prime_schedule(lead):
 
 
 @functools.cache
-def _modp_certificate(p):  # one frozen certificate per prime, shared by every input
+def modp_certificate(p):
+    """The mod-p certificate with witness p: one frozen object per prime, shared by every input."""
     return IrredCertificate("irreducible", "mod-p", prime=p)
 
 
@@ -426,52 +430,6 @@ def univariate_certificate(f, registry, name, **oracle_opts):
     return _walk(f, registry, name, oracle_opts, tests=True, witness=True)
 
 
-def modp_certificates(fs, verdicts, ts, contents):
-    """The mod-p certificate of `univariate_certificate` for each f of `fs`, or None.
-
-    The fs are primitive images of one polynomial F in Z[T][Y], and `verdicts`,
-    a dict shared by the calls on F's images, memoizes their F_p tests:
-    verdicts[p] maps an image's key at p to 0 if p divides the lead (p is
-    skipped), 1 if the image is reducible mod p (one of MODP_TRIES tries), or
-    else the certificate.  ts[i] is t when F has one parameter and
-    contents[i] * fs[i] = F(t, Y) keeps F's degree in Y, else None.  At a p
-    that does not divide contents[i], fs[i] is then F(t mod p, Y) mod p up to a
-    unit, so t mod p keys it: one column per prime decides whole residue
-    classes.  Any other key is the tuple fs[i] mod p.  The schedule is walked
-    one prime at a time, by key columns of the uncertified fs of one length
-    and content.
-    """
-    certs = [None] * len(fs)
-    groups = {}
-    for i, (f, t, c) in enumerate(zip(fs, ts, contents)):
-        # every p divides 0: an f without t keeps its image key
-        groups.setdefault((len(f), 0 if t is None else c), []).append(i)
-    for (_, c), idx in groups.items():
-        column, tries = [ts[i] for i in idx], [0] * len(idx)
-        for p in primes():
-            cert, memo = _modp_certificate(p), verdicts.setdefault(p, {})
-            if c % p:
-                keys = [t % p for t in column]
-            else:
-                keys = zip(*[[x % p for x in coeffs] for coeffs in zip(*[fs[i] for i in idx])])
-            keep = []
-            for j, key in enumerate(keys):
-                step = memo.get(key)
-                if step is None:
-                    f = fs[idx[j]]
-                    step = memo[key] = 0 if not f[-1] % p else cert if fp_irreducible(f, p) else 1
-                if step is cert:
-                    certs[idx[j]] = cert
-                    continue
-                tries[j] += step
-                if tries[j] < MODP_TRIES:
-                    keep.append(j)
-            if not keep:
-                break
-            idx, column, tries = ([v[j] for j in keep] for v in (idx, column, tries))
-    return certs
-
-
 def root_verdict(f, registry, name, **oracle_opts):
     """The verdict on a primitive univariate f that no scheduled prime certifies.
 
@@ -502,14 +460,14 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
     """
     schedule = _prime_schedule(f[-1])
     if len(f) == 2:
-        return _modp_certificate(next(schedule))
+        return modp_certificate(next(schedule))
     k = next(i for i, c in enumerate(f) if c)
     g, dg = f[k:], [i * c for i, c in enumerate(f[k:])][1:]
     settled = False  # f's rational roots are all known, and f has none
     for p in schedule:
         if settled or p >= _ROOT_SCAN_BELOW:
             if tests and not k and fp_irreducible(f, p):
-                return _modp_certificate(p)
+                return modp_certificate(p)
             continue
         scan = list(fp_roots(g, p)) if dg else []  # x^k has no root but 0
         if not all(evaluate(dg, r) % p for r in scan):
@@ -524,7 +482,7 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
             factors = (undense([-a, b], registry, name) for a, b in itertools.chain([root], roots))
             return IrredCertificate("reducible", "root", factor=min(factors, key=str))
         if tests and not scan and (len(f) <= 4 or fp_distinct_degree(f, p)):
-            return _modp_certificate(p)
+            return modp_certificate(p)
     if settled and len(f) <= 4:
         return IrredCertificate("irreducible", "root")
     return _kronecker_certificate(undense(f, registry, name), **oracle_opts)

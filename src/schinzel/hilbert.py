@@ -12,17 +12,18 @@ import math
 from dataclasses import dataclass
 
 from .factorlab import (
+    MODP_TRIES,
     content_q,
     exact_div,
     is_irreducible_q,
     is_primitive_wrt,
-    modp_certificates,
+    modp_certificate,
     root_verdict,
 )
 from .fixdiv import fixed_prime_divisors
 from .polyring import BudgetExceeded, PolyError, coefficient_rows
-from .numutil import spiral
-from .upoly import trim
+from .numutil import primes, spiral
+from .upoly import fp_irreducible, trim
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,52 @@ def specialization_check(polys, split, t):
 _BLOCK = 1024  # points per block at most: the engine's memory does not grow with the box
 
 
+def _modp_pass(groups, verdicts):
+    """Give each image of one member F its mod-p certificate of `univariate_certificate`, or None.
+
+    `groups` maps (length, content) to the records (image, t) of F's
+    primitive images [content, g, None] with that length of g and content.
+    `verdicts`, shared by the blocks, memoizes their F_p tests: verdicts[p]
+    maps an image's key at p to 0 if p divides the lead (p is skipped), 1 if
+    the image is reducible mod p (one of MODP_TRIES tries), or else the
+    certificate.  The key is t mod p where t is not None and p does not
+    divide the content: content * g = F(t, Y) then keeps F's degree in Y, so
+    g is F(t mod p, Y) mod p up to a unit, and one column per prime decides
+    whole residue classes.  Any other key is the tuple g mod p; a record
+    without t has content 0, which every p divides.  The schedule is walked one
+    prime at a time, by key columns of a group's uncertified images.
+    """
+    for (_, c), records in groups.items():
+        tries = [0] * len(records)
+        for p in primes():
+            cert, memo = modp_certificate(p), verdicts.setdefault(p, {})
+            if c % p:
+                keys = [t % p for _, t in records]
+            else:
+                keys = zip(*[[x % p for x in coeffs] for coeffs in zip(*[e[1] for e, _ in records])])
+            kept = []
+            for record, key, n in zip(records, keys, tries):
+                step = memo.get(key)
+                if step is None:
+                    g = record[0][1]
+                    step = memo[key] = 0 if not g[-1] % p else cert if fp_irreducible(g, p) else 1
+                if step is cert:
+                    record[0][2] = cert
+                elif n + step < MODP_TRIES:
+                    kept.append((record, n + step))
+            if not kept:
+                break
+            records, tries = zip(*kept)
+
+
 def _evidence_stream(polys, split, points, size=_BLOCK):
     """(t, the fields of `specialization_check` at t) for each t of `points`, in order.
 
     For one variable Y, blocks of `size` points, doubling up to _BLOCK, are
-    evaluated at once and go to `modp_certificates` a member at a time, with
-    one F_p verdict table per member and call.  With one parameter, an image
-    of the member's full degree in Y passes its t, so its verdicts are keyed
-    by t mod p.  That pass cannot raise.  An image no prime certifies
+    evaluated at once and go to `_modp_pass` a member at a time, with one F_p
+    verdict table per member and call.  With one parameter, an image of the
+    member's full degree in Y passes its t, so its verdicts are keyed by
+    t mod p.  That pass cannot raise.  An image no prime certifies
     goes to `root_verdict` only as the consumer reaches its point, in
     (point, member) order, so every result and BudgetExceeded is pointwise.
     Its reducible certificates carry no factor: callers report members only.
@@ -155,8 +194,7 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
                 for c, j in row:
                     column = [a + c * v for a, v in zip(column, values[j])]
                 columns.append(column)
-            # with one parameter, an image of the member's full degree in Y passes its t
-            live, ts, full = [], [], len(rows) if split.k == 1 else 0
+            groups, full = {}, len(rows) if split.k == 1 else 0
             for t, image, f in zip(block, images, zip(*columns)):
                 if image and image[-1] is None:
                     continue
@@ -165,12 +203,11 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
                     image.append(None)
                     continue
                 c = math.gcd(*f)
-                image.append([c, f if c == 1 else [x // c for x in f]])
-                live.append(image[-1])
-                ts.append(t[0] if len(f) == full else None)
-            fs, contents = [e[1] for e in live], [e[0] for e in live]
-            for e, cert in zip(live, modp_certificates(fs, verdicts, ts, contents)):
-                e.append(cert)
+                image.append(e := [c, f if c == 1 else [x // c for x in f], None])
+                # with one parameter, an image of the member's full degree in Y passes its t
+                t1 = t[0] if len(f) == full else None
+                groups.setdefault((len(f), 0 if t1 is None else c), []).append((e, t1))
+            _modp_pass(groups, verdicts)
         for t, image in zip(block, images):
             for i, e in enumerate(image):
                 if e is not None and e[2] is None:

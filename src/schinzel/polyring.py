@@ -527,6 +527,7 @@ def parse_poly(text, registry):
 
     Grammar: integers, registered identifiers, + - * ^ and parentheses.
     Multiplication is always explicit.  The registry names must be distinct.
+    Nesting past the interpreter's recursion limit is a ParseError.
     """
     registry = _distinct(registry)
     toks = _Tokens(text)
@@ -592,7 +593,10 @@ def parse_poly(text, registry):
             return MPoly.var(registry, name)
         raise ParseError(f"unexpected character {c!r}", toks.pos)
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:  # four frames per parenthesis
+        raise ParseError("expression nested too deeply", toks.pos) from None
     if toks.peek() is not None:
         raise ParseError(f"trailing input {toks.peek()!r}", toks.pos)
     return result

@@ -40,7 +40,6 @@ class ProgressionWitness:
     bad_primes: tuple
     omega: int
     base_point: tuple
-    residue_witnesses: dict  # constrained prime -> residue tuple
 
     @property
     def progression(self):
@@ -158,11 +157,7 @@ def progression_witness(polys, split):
     delta = bezout_constant(list(product.coefficients(others).values()))
     bad = bad_prime_set(product, split, delta)
     v = nonvanishing_point(product, split, bad)
-    omega = prod(bad)
-    constrained = {}
-    for p in bad:
-        constrained[p] = tuple(c % p for c in v)
-    return ProgressionWitness(1, delta, tuple(bad), omega, v, constrained)
+    return ProgressionWitness(1, delta, tuple(bad), prod(bad), v)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,12 @@ def test_usage_error_no_command(capsys):
 def test_usage_error_bad_expression(capsys):
     code = run(["irred", "--poly", "Y +* 2"])
     assert code == 2
+    capsys.readouterr()
+    # nesting past the recursion limit is a parse error too, not a traceback
+    assert run(["irred", "--poly", "(" * 3000 + "x" + ")" * 3000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error = expression nested too deeply (at position ")
 
 
 def test_non_ascii_digits_are_usage_errors(capsys):

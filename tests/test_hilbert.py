@@ -213,6 +213,16 @@ def test_a_lead_that_vanishes_on_one_class_mod_p_skips_p_there():
     assert specialization_check(polys, SPLIT, (1,)).certificates[0].prime == 31
 
 
+def test_an_image_whose_degree_drops_keeps_its_tuple_key():
+    # at t = 0, T*Y^2 + Y + 1 drops to Y + 1, which 2 certifies.  The full-degree
+    # images of class 0 mod 2 (t = +-2, +-4, +-6) skip 2, as their lead is even, so
+    # a t mod 2 key would hand Y + 1 their skip and a later prime
+    polys = [P("T*Y^2 + Y + 1")]
+    _assert_matches_reference(polys, SPLIT, 6, 2)
+    stream = dict(_evidence_stream(polys, SPLIT, [(t,) for t in range(-6, 7)], 3))
+    assert stream[(0,)][0][0].prime == 2
+
+
 def test_residue_table_serves_lead_divisible_by_every_sieved_prime():
     assert list(_prime_schedule(PRIMORIAL_1000))[0] > 1000
     polys = [P(f"{PRIMORIAL_1000}*Y^2 + Y - T^2 - 1")]
@@ -258,8 +268,8 @@ def test_density_tables_one_fp_verdict_per_image_mod_p(monkeypatch, expr, non_me
     # where p divides the content; either way the ten scheduled primes need at most
     # one verdict per (p, t mod p), 129 over 4001 points
     calls = []
-    fp_irreducible = factorlab.fp_irreducible
-    monkeypatch.setattr(factorlab, "fp_irreducible",
+    fp_irreducible = hilbert.fp_irreducible
+    monkeypatch.setattr(hilbert, "fp_irreducible",
                         lambda g, p: calls.append((p, *[x % p for x in g])) or fp_irreducible(g, p))
     report = density_report([P(expr)], SPLIT, 2000)
     assert (report.total, report.non_members) == (4001, non_members)

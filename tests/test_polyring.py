@@ -57,6 +57,13 @@ def test_parse_ascii_digits_only():
     assert P("T^2 + 13") == P("13 + T*T")
 
 
+def test_parse_deep_nesting_is_a_parse_error():
+    # each parenthesis costs the parser four frames: 3,000 levels pass the default limit
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        P("(" * 3000 + "T" + ")" * 3000)
+    assert P("(" * 100 + "T" + ")" * 100) == P("T")
+
+
 def test_parse_power():
     assert P("(T+1)^3") == P("T^3 + 3*T^2 + 3*T + 1")
 
