@@ -19,7 +19,7 @@ from .fixdiv import (
     candidate_fixed_primes,
     is_fixed_prime,
     least_witness,
-    vanishes_somewhere,
+    residue_scan,
     fixed_prime_divisors,
     removal_scalar,
     gamma_b_witness,

@@ -109,13 +109,12 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, polys=True, split=True, budget=None):
+    def common(p, polys=True, names=("--params", "--vars"), budget=None):
         if polys:
             p.add_argument("--poly", "--polys", action="append", dest="polys",
                            required=True, metavar="EXPR")
-        if split:
-            p.add_argument("--params", default="", metavar="NAMES")
-            p.add_argument("--vars", default="", metavar="NAMES")
+        for name in names:  # only the name lists the command reads
+            p.add_argument(name, default="", metavar="NAMES")
         if budget is not None:  # the default applies only when --budget is absent
             p.add_argument("--budget", type=int, default=budget)
         p.add_argument("--seed", type=int, default=0)
@@ -124,7 +123,7 @@ def _build_parser():
     p = sub.add_parser("fixdiv", help="fixed prime divisors w.r.t. the parameters")
     common(p)
     p = sub.add_parser("irred", help="irreducibility over Q and over Z")
-    common(p, split=False)
+    common(p, names=())
     p.add_argument("--factor", action="store_true",
                    help="also run the Kronecker oracle")
     p = sub.add_parser("hilbert", help="search irreducibility-preserving points")
@@ -141,15 +140,15 @@ def _build_parser():
     p.add_argument("--d", type=_parse_row, required=True, metavar="TUPLE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("compose", help="iterated composition of pipeline stages")
-    common(p, budget=2000)
+    common(p, names=(), budget=2000)
     p.add_argument("--d", type=_parse_row, required=True, metavar="SEQUENCE")
     p.add_argument("--monic", action="store_true")
     p = sub.add_parser("counterexample", help="sharpness counterexample bundle")
-    common(p, polys=False, split=False, budget=200)
+    common(p, polys=False, names=(), budget=200)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=_positive_int, default=100, help="number of sampled M")
     p = sub.add_parser("coprime", help="coprime values of a polynomial family")
-    common(p, budget=10**5)
+    common(p, names=("--params",), budget=10**5)
     p = sub.add_parser("density", help="member counts over a box")
     common(p, budget=10**7)
     p.add_argument("--N", type=int, required=True)

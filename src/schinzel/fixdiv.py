@@ -87,11 +87,15 @@ def least_witness(polys, params, p):
     nonzero coefficient of degree <= deg in the coordinate has at most deg
     roots.
     """
-    table, owner = _fermat_table(polys, params, p)
+    return _descend(*_fermat_table(polys, params, p), len(params), p)
+
+
+def _descend(table, owner, k, p):
+    """`least_witness` over a built table of k coordinates."""
     if not table:
         return None
     t = []
-    for _ in params:
+    for _ in range(k):
         for h in range(max(mono[0] for _, mono in table) + 1):
             rest = _fix_first(table, h, p)
             if rest:
@@ -112,15 +116,17 @@ def _common_root(table, p):
     return fp_has_root(common, p)
 
 
-def vanishes_somewhere(polys, params, p):
-    """True iff some residue tuple mod p makes every member vanish.
+def residue_scan(polys, params, p):
+    """(least_witness(polys, params, p), whether all members vanish at one tuple).
 
-    A depth-first walk with the descent's step, stopping at the first empty
-    table; a group whose polynomial no longer depends on the coordinates
-    left never vanishes, so its subtree is skipped, and a coordinate that
-    no term uses is fixed once.  On the last coordinate every group is a
-    nonconstant univariate polynomial, and they vanish together iff their
-    gcd over F_p has a root.
+    One table serves both.  Every tuple before the witness vanishes, so a
+    fixed prime or a nonzero witness settles the second value; only a zero
+    witness runs the vanishing walk: depth-first with the descent's step,
+    stopping at the first empty table.  A group whose polynomial no longer
+    depends on the coordinates left never vanishes, so its subtree is
+    skipped, and a coordinate that no term uses is fixed once.  On the last
+    coordinate every group is a nonconstant univariate polynomial, and they
+    vanish together iff their gcd over F_p has a root.
     """
 
     def walk(table, left):
@@ -134,7 +140,9 @@ def vanishes_somewhere(polys, params, p):
         hs = range(p) if any(mono[0] for _, mono in table) else (0,)
         return any(walk(_fix_first(table, h, p), left - 1) for h in hs)
 
-    return walk(_fermat_table(polys, params, p)[0], len(params))
+    table, owner = _fermat_table(polys, params, p)
+    hit = _descend(table, owner, len(params), p)
+    return hit, hit is None or any(hit[0]) or walk(table, len(params))
 
 
 @dataclass(frozen=True)

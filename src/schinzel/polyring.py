@@ -533,29 +533,18 @@ def parse_poly(text, registry):
     toks = _Tokens(text)
 
     def parse_expr():
-        sign = 1
+        # a run of signs, then a term; a term after the first needs a sign
+        result = None
         while True:
-            c = toks.take_op("+-")
-            if c is None:
-                break
-            if c == "-":
-                sign = -sign
-        result = parse_term()
-        if sign < 0:
-            result = -result
-        while True:
-            c = toks.take_op("+-")
-            if c is None:
+            sign = 0  # 0 until the run has a sign
+            while c := toks.take_op("+-"):
+                sign = -(sign or 1) if c == "-" else sign or 1
+            if result is not None and not sign:
                 return result
-            sign = -1 if c == "-" else 1
-            while True:
-                c2 = toks.take_op("+-")
-                if c2 is None:
-                    break
-                if c2 == "-":
-                    sign = -sign
-            rhs = parse_term()
-            result = result + (rhs if sign > 0 else -rhs)
+            term = parse_term()
+            if sign < 0:
+                term = -term
+            result = term if result is None else result + term
 
     def parse_term():
         result = parse_factor()

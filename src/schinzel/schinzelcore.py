@@ -14,9 +14,8 @@ from math import lcm, prod
 from .fixdiv import (
     candidate_fixed_primes,
     fixed_prime_divisors,
-    least_witness,
     proved_prime_factors,
-    vanishes_somewhere,
+    residue_scan,
 )
 from .factorlab import is_primitive_wrt
 from .numutil import crt
@@ -109,16 +108,13 @@ def nonvanishing_point(P, split, primes):
     k = split.k
     constrained = {}
     for p in primes:
-        hit = least_witness([P], split.params, p)
+        hit, vanishes = residue_scan([P], split.params, p)
         if hit is None:
             raise HypothesisError(
                 "NoFixDiv", f"prime {p} is a fixed prime of the product"
             )
-        # p constrains the point iff some residue tuple vanishes: one before
-        # the witness (so the witness is not the zero tuple) or one after it
-        witness = hit[0]
-        if any(witness) or vanishes_somewhere([P], split.params, p):
-            constrained[p] = witness
+        if vanishes:
+            constrained[p] = hit[0]
     if not constrained:
         return (0,) * k
     mods = sorted(constrained)

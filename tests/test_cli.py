@@ -423,6 +423,18 @@ def test_budget_only_where_it_is_read(command, rest, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["compose", "--poly", "T^2+1", "--d", "1,1"], ["--params", "U,V"]),
+    (["compose", "--poly", "T^2+1", "--d", "1,1"], ["--vars", "Q"]),
+    (["coprime", "--polys", "T1", "--polys", "T1+2"], ["--vars", "Y"]),
+])
+def test_name_lists_only_where_they_are_read(argv, names, capsys):
+    assert run([*argv, *names]) == 2
+    assert f"unrecognized arguments: {' '.join(names)}" in capsys.readouterr().err
+    assert run(argv) == 0
+    capsys.readouterr()
+
+
 JOBS = [
     ["fixdiv", "--poly", "(T^2-T)*Y + T^2 - T - 2", "--params", "T", "--vars", "Y"],
     ["irred", "--poly", "Y^2 - Y - 1", "--factor"],

@@ -14,7 +14,7 @@ from schinzel.fixdiv import (
     is_fixed_prime,
     least_witness,
     removal_scalar,
-    vanishes_somewhere,
+    residue_scan,
 )
 from schinzel.numutil import primes_upto
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
@@ -159,7 +159,7 @@ def test_modulus_must_be_proved_prime():
     T = ("T",)
     for call, p in [
         (lambda p: is_fixed_prime(parse_poly("T^4 - T", T), T, p), 4),
-        (lambda p: vanishes_somewhere([parse_poly("T^4 - T + 2", T)], T, p), 4),
+        (lambda p: residue_scan([parse_poly("T^4 - T + 2", T)], T, p), 4),
         (lambda p: is_fixed_prime(parse_poly("T^4 - T", T), T, p), 1),
         (lambda p: least_witness([parse_poly("T + 1", T)], T, p), 0),
     ]:

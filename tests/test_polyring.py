@@ -37,6 +37,24 @@ def test_parse_unary_minus_and_parens():
     assert P("2 - -3") == MPoly.const(REG, 5)
 
 
+@pytest.mark.parametrize("expr, want", [
+    ("+T", "T"),
+    ("--T", "T"),
+    ("T +- Y", "T - Y"),
+    ("T - - - Y", "T - Y"),
+    ("-T^2 + +Y", "-T^2 + Y"),
+    ("T +", ParseError("unexpected end of expression", 3)),
+    ("+", ParseError("unexpected end of expression", 1)),
+])
+def test_parse_sign_runs(expr, want):
+    # a run of signs before any term; a term after the first needs a nonempty run
+    if isinstance(want, ParseError):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(want))}$"):
+            P(expr)
+    else:
+        assert str(P(expr)) == want
+
+
 def test_parse_explicit_multiplication_required():
     with pytest.raises(ParseError):
         P("2T")

@@ -1,6 +1,6 @@
 """The residue decisions of `fixdiv` against a brute-force reference.
 
-`least_witness` and `vanishes_somewhere` reduce parameter exponents by
+`least_witness` and `residue_scan` reduce parameter exponents by
 Fermat and descend one coordinate at a time; every reference here instead
 specializes with `MPoly.substitute` and reduces with `reduce_mod`, tuple by
 tuple in lexicographic order: the definition, with no coefficient table.
@@ -20,7 +20,7 @@ from schinzel.fixdiv import (
     candidate_fixed_primes,
     is_fixed_prime,
     least_witness,
-    vanishes_somewhere,
+    residue_scan,
 )
 from schinzel.numutil import crt
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly, reduce_mod
@@ -215,7 +215,7 @@ def test_bare_parameter_tuples():
         is_fixed_prime(Q, ("T", "U"), 2)
 
 
-# -- least_witness and vanishes_somewhere ------------------------------
+# -- least_witness and residue_scan ------------------------------------
 
 LW_REG = ("T", "U", "V", "Y")
 
@@ -252,9 +252,10 @@ def test_least_witness_matches_lex_enumeration(case):
             least_witness(members, params, p)
         return
     tuples = list(_lex(p, len(params)))
-    assert least_witness(members, params, p) == _reference_first(members, params, p, tuples)
+    first = _reference_first(members, params, p, tuples)
+    assert least_witness(members, params, p) == first
     vanishing = any(all(_vanishes(Q, params, t, p) for Q in members) for t in tuples)
-    assert vanishes_somewhere(members, params, p) == vanishing
+    assert residue_scan(members, params, p) == (first, vanishing)
 
 
 def test_least_witness_cases():
@@ -267,18 +268,18 @@ def test_least_witness_cases():
     # the last of a repeated name binds it; no parameters leave the empty tuple
     assert least_witness([parse_poly("U*Y", reg)], ("U", "T", "U"), 5) == ((0, 0, 1), 0)
     assert least_witness([parse_poly("7*T*Y + 14", reg), Q], (), 7) == ((), 1)
-    assert not vanishes_somewhere([parse_poly("U*Y + 1", reg)], ("T", "U"), 10007)
-    assert vanishes_somewhere([parse_poly("(U - 3)*(T - 9)*Y", reg)], ("T", "U"), 10007)
+    assert not residue_scan([parse_poly("U*Y + 1", reg)], ("T", "U"), 10007)[1]
+    assert residue_scan([parse_poly("(U - 3)*(T - 9)*Y", reg)], ("T", "U"), 10007)[1]
     # the only vanishing tuple has the last residue, p - 1
-    assert vanishes_somewhere([parse_poly("(T + 1)*(U + 1)*Y", reg)], ("T", "U"), 5)
-    assert not vanishes_somewhere([parse_poly("(T + 1)*Y + 1 + 2*T", reg)], ("T",), 5)
+    assert residue_scan([parse_poly("(T + 1)*(U + 1)*Y", reg)], ("T", "U"), 5)[1]
+    assert not residue_scan([parse_poly("(T + 1)*Y + 1 + 2*T", reg)], ("T",), 5)[1]
 
 
 def test_vanishes_somewhere_fixes_an_unused_coordinate_once():
     # no tuple vanishes, so every U is tried, but under one T, not 1009
     Q = parse_poly("U*Y + U + 1", ("T", "U", "Y"))
     t0 = time.perf_counter()
-    assert not vanishes_somewhere([Q], ("T", "U"), 1009)
+    assert not residue_scan([Q], ("T", "U"), 1009)[1]
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -306,4 +307,4 @@ def test_vanishes_somewhere_root_test_matches_enumeration(case):
     p, params, members = case
     want = any(all(_vanishes(Q, params, t, p) for Q in members)
                for t in _lex(p, len(params)))
-    assert vanishes_somewhere(members, params, p) == want
+    assert residue_scan(members, params, p)[1] == want

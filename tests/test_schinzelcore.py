@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from schinzel import fixdiv
 from schinzel.polyring import PolyError, VarSplit, parse_poly
 from schinzel.schinzelcore import (
     HypothesisError,
@@ -107,6 +108,22 @@ def test_nonvanishing_point_skips_vanishing_prefixes():
     t0 = time.perf_counter()
     assert nonvanishing_point(q, split, [1000003]) == (1, 0)
     assert time.perf_counter() - t0 < 0.05
+
+
+def test_nonvanishing_point_builds_one_table_per_prime(monkeypatch):
+    # mod 3 the witness t = 0 is zero and t = 1 vanishes, so 3 constrains the
+    # point; mod 5 the witness is t = 2; mod 2 and 7 no residue vanishes
+    built = []
+    table = fixdiv._fermat_table
+
+    def counted(polys, params, p):
+        built.append(p)
+        return table(polys, params, p)
+
+    monkeypatch.setattr(fixdiv, "_fermat_table", counted)
+    q = P("(T - 1)*(T - 5)*Y + 15")
+    assert nonvanishing_point(q, SPLIT, [2, 3, 5, 7]) == (12,)
+    assert built == [2, 3, 5, 7]
 
 
 # -- progressions -----------------------------------------------------
