@@ -42,9 +42,9 @@ def _fermat_table(polys, params, p):
     exponents are all below p vanishes on all of F_p^k only if every
     coefficient is 0 mod p (Alon, Combinatorial Nullstellensatz).  So the
     family vanishes at every tuple iff the table is empty.  As in
-    `substitute`, a repeated parameter takes its last value.
+    `substitute`, a repeated parameter takes its last value.  p must be
+    prime; the public entry points check it.
     """
-    require_prime(p)
     where = {name: j for j, name in enumerate(params)}
     table, groups = {}, {}
     for i, P in enumerate(polys):
@@ -87,6 +87,7 @@ def least_witness(polys, params, p):
     nonzero coefficient of degree <= deg in the coordinate has at most deg
     roots.
     """
+    require_prime(p)
     return _descend(*_fermat_table(polys, params, p), len(params), p)
 
 
@@ -140,6 +141,7 @@ def residue_scan(polys, params, p):
         hs = range(p) if any(mono[0] for _, mono in table) else (0,)
         return any(walk(_fix_first(table, h, p), left - 1) for h in hs)
 
+    require_prime(p)
     table, owner = _fermat_table(polys, params, p)
     hit = _descend(table, owner, len(params), p)
     return hit, hit is None or any(hit[0]) or walk(table, len(params))
@@ -192,15 +194,18 @@ def fixed_prime_divisors(P, split):
 
     Over Z an empty confirmed set is equivalent to having no fixed divisor
     among all nonunits: a fixed composite would force a fixed prime.
+    Every candidate is a proved prime, so the loop runs `least_witness`'s
+    descent without proving it again.
     """
     candidates = candidate_fixed_primes(P, split)
+    params = _params_of(split)
     confirmed, witnesses = [], {}
     for p in candidates:
-        fixed, witness = is_fixed_prime(P, split, p)
-        if fixed:
+        hit = _descend(*_fermat_table([P], params, p), len(params), p)
+        if hit is None:
             confirmed.append(p)
         else:
-            witnesses[p] = witness
+            witnesses[p] = hit[0]
     return FixedDivisorReport(
         tuple(candidates), tuple(confirmed), witnesses, param_degree(P, split), P.content()
     )

@@ -7,8 +7,10 @@ unit content.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .factorlab import (
@@ -156,23 +158,52 @@ def _modp_pass(groups, verdicts):
             records, tries = zip(*kept)
 
 
-def _evidence_stream(polys, split, points, size=_BLOCK):
+def _engine_applies(polys, split):
+    """True iff the block engine serves the family: one variable, and no member has other names."""
+    names = split.params + split.variables
+    return split.n == 1 and all(
+        set(names) <= set(P.registry) and set(P.variables()) <= set(names) for P in polys
+    )
+
+
+def _block_columns(members, monos, block):
+    """Each member's Y-coefficient columns over the points of `block`.
+
+    `members` holds the members' `coefficient_rows`, whose parameter
+    monomials `monos` numbers; each monomial is evaluated once per block.
+    """
+    axes, values = list(zip(*block)), []
+    for m in monos:
+        value = [1] * len(block)
+        for axis, e in zip(axes, m):
+            if e:
+                value = [v * x**e for v, x in zip(value, axis)]
+        values.append(value)
+    out = []
+    for rows in members:
+        columns = []
+        for row in rows:
+            column = [0] * len(block)
+            for c, j in row:
+                column = [a + c * v for a, v in zip(column, values[j])]
+            columns.append(column)
+        out.append(columns)
+    return out
+
+
+def _evidence_stream(polys, split, points, size=_BLOCK, tables=None):
     """(t, the fields of `specialization_check` at t) for each t of `points`, in order.
 
     For one variable Y, blocks of `size` points, doubling up to _BLOCK, are
     evaluated at once and go to `_modp_pass` a member at a time, with one F_p
-    verdict table per member and call.  With one parameter, an image of the
-    member's full degree in Y passes its t, so its verdicts are keyed by
-    t mod p.  That pass cannot raise.  An image no prime certifies
-    goes to `root_verdict` only as the consumer reaches its point, in
+    verdict table per member, from `tables` or new for the call.  With one
+    parameter, an image of the member's full degree in Y passes its t, so its
+    verdicts are keyed by t mod p.  That pass cannot raise.  An image no prime
+    certifies goes to `root_verdict` only as the consumer reaches its point, in
     (point, member) order, so every result and BudgetExceeded is pointwise.
     Its reducible certificates carry no factor: callers report members only.
     """
-    names = split.params + split.variables
-    if split.n != 1 or any(
-        not set(names) <= set(P.registry) or not set(P.variables()) <= set(names)
-        for P in polys
-    ):
+    if not _engine_applies(polys, split):
         for t in points:
             yield t, _evidence(_images(polys, split, t))
         return
@@ -180,20 +211,13 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
     # monos numbers the parameter monomials, evaluated once per block
     y, monos = split.variables[0], {}
     members = [coefficient_rows(P, split.params, y, monos) for P in polys]
-    tables = [{} for _ in polys]  # a member's F_p verdicts, shared by the blocks
+    tables = tables if tables is not None else [{} for _ in polys]
     points = iter(points)
     while block := list(itertools.islice(points, size)):
         size = min(2 * size, _BLOCK)
-        values = [[math.prod(map(pow, t, m)) for t in block] for m in monos]
         # per point, [content, g, certificate] per member, up to one constant there (None)
         images = [[] for _ in block]
-        for rows, verdicts in zip(members, tables):
-            columns = []
-            for row in rows:
-                column = [0] * len(block)
-                for c, j in row:
-                    column = [a + c * v for a, v in zip(column, values[j])]
-                columns.append(column)
+        for rows, columns, verdicts in zip(members, _block_columns(members, monos, block), tables):
             groups, full = {}, len(rows) if split.k == 1 else 0
             for t, image, f in zip(block, images, zip(*columns)):
                 if image and image[-1] is None:
@@ -213,6 +237,55 @@ def _evidence_stream(polys, split, points, size=_BLOCK):
                 if e is not None and e[2] is None:
                     e[2] = root_verdict(e[1], polys[i].registry, y)
             yield t, _evidence(image)
+
+
+def _sieve(polys, split, points, tables, counts):
+    """The points of `points`, consecutive one-parameter (t,), that the class sieve leaves.
+
+    Per block of _BLOCK points and member, each class r mod p of the first
+    MODP_TRIES primes that still holds an uncertified point is decided once,
+    from the member's Y-coefficients at its first point in the block, into
+    the member's table of `tables` under the key r, as `_modp_pass` would
+    write it.  A certifying class marks all its points at once.  Where p
+    does not divide lead(F(r, Y)), no point of the class drops in degree or
+    has content divisible by p, and p is in its schedule unless an earlier
+    prime certifies it, so the engine certifies every marked point too.  A
+    point that every member marks is tallied in `counts`, under None (a
+    member) if the product of the members' contents is 1, else under
+    `content c`; the rest are yielded, in order, for the engine.
+    """
+    y, monos = split.variables[0], {}
+    members = [coefficient_rows(P, split.params, y, monos) for P in polys]
+    if any(len(rows) < 2 for rows in members):  # a member without Y is constant everywhere
+        yield from points
+        return
+    sieve = [(p, modp_certificate(p)) for p in itertools.islice(primes(), MODP_TRIES)]
+    points = iter(points)
+    while block := list(itertools.islice(points, _BLOCK)):
+        t0, size = block[0][0], len(block)
+        # a byte per point, 1 where every member so far is marked
+        everywhere, contents = (1 << 8 * size) - 1, itertools.repeat(1)
+        for columns, verdicts in zip(_block_columns(members, monos, block), tables):
+            marked = bytearray(size)
+            for p, cert in sieve:
+                memo = verdicts.setdefault(p, {})
+                for o in range(min(p, size)):
+                    if 0 not in marked[o::p]:
+                        continue
+                    step = memo.get(key := (t0 + o) % p)
+                    if step is None:
+                        f = [column[o] for column in columns]
+                        step = memo[key] = 0 if not f[-1] % p else cert if fp_irreducible(f, p) else 1
+                    if step is cert:
+                        marked[o::p] = b"\x01" * len(range(o, size, p))
+                if 0 not in marked:
+                    break
+            everywhere &= int.from_bytes(marked, "little")
+            contents = map(operator.mul, contents, map(math.gcd, *columns))
+        certified = everywhere.to_bytes(size, "little")
+        for c, n in collections.Counter(itertools.compress(contents, certified)).items():
+            counts[None if c == 1 else f"content {c}"] += n
+        yield from (t for t, done in zip(block, certified) if not done)
 
 
 def hilbert_search(polys, split, budget=10**6):
@@ -248,14 +321,13 @@ def density_report(polys, split, N, budget=10**7):
     total = (2 * N + 1) ** split.k
     if total > budget:
         raise BudgetExceeded(f"{total} points exceed the budget {budget}")
-    members = 0
-    reasons = {}
+    counts = collections.Counter()  # reason label -> points, None for members
+    tables = [{} for _ in polys]  # each member's F_p verdicts, shared by the sieve and the engine
     axis = range(-N, N + 1)  # zip(axis) pools no 2N + 1 values, unlike product
     points = zip(axis) if split.k == 1 else itertools.product(axis, repeat=split.k)
-    for _, (_, _, member, reason) in _evidence_stream(polys, split, points):
-        if member:
-            members += 1
-        else:
-            label = (reason or "unknown").split(":")[0]
-            reasons[label] = reasons.get(label, 0) + 1
-    return DensityReport(N, total, members, total - members, dict(sorted(reasons.items())))
+    if split.k == 1 and _engine_applies(polys, split):
+        points = _sieve(polys, split, points, tables, counts)
+    for _, (_, _, member, reason) in _evidence_stream(polys, split, points, tables=tables):
+        counts[None if member else (reason or "unknown").split(":")[0]] += 1
+    members = counts.pop(None, 0)
+    return DensityReport(N, total, members, total - members, dict(sorted(counts.items())))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from schinzel import numutil
+from schinzel import fixdiv, numutil
 from schinzel.fixdiv import (
     BudgetExceeded,
     candidate_fixed_primes,
@@ -151,6 +151,20 @@ def test_large_candidate_primes_cost_their_first_tuple_only():
     assert report.confirmed == (2,)
     assert report.witnesses == {p: (0,) for p in report.candidates[1:]}
     assert elapsed < 2.0, elapsed
+
+
+def test_report_proves_no_candidate_prime_again(monkeypatch):
+    # the candidates come from primes_upto and proved_prime_factors, so the report's
+    # 9,592 descents run without require_prime; the public entry points keep it
+    calls = []
+    require_prime = fixdiv.require_prime
+    monkeypatch.setattr(fixdiv, "require_prime", lambda p: calls.append(p) or require_prime(p))
+    report = fixed_prime_divisors(P("T^100000*Y + T*Y + 2"), SPLIT)
+    assert len(report.candidates) == 9592 and report.confirmed == (2,)
+    assert calls == []
+    assert is_fixed_prime(P("T*Y + 2"), SPLIT, 2) == (False, (1,))
+    assert residue_scan([P("T*Y + 2")], ("T",), 3) == (((0,), 0), False)
+    assert calls == [2, 3]
 
 
 def test_modulus_must_be_proved_prime():

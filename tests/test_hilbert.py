@@ -9,13 +9,14 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schinzel import factorlab, hilbert
 from schinzel.factorlab import _prime_schedule
 from schinzel.fixdiv import BudgetExceeded
 from schinzel.hilbert import (
+    DensityReport,
     SpecializationPoint,
     _evidence_stream,
     density_report,
@@ -469,3 +470,113 @@ def test_density_rejects_a_negative_half_width():
             density_report([P("Y^2 - T")], SPLIT, N)
     with pytest.raises(PolyError, match="negative"):
         density_report([P("Y^2 - T*U", ("T", "U", "Y"))], VarSplit(("T", "U"), ("Y",)), -1)
+
+
+# -- the class sieve of density_report against the block engine alone -----------
+
+
+def _engine_density(polys, split, N):
+    """density_report's fields from the engine stream over the box, without the sieve."""
+    counts = Counter()
+    for _, (_, _, member, reason) in _evidence_stream(polys, split, zip(range(-N, N + 1))):
+        counts[None if member else reason.split(":")[0]] += 1
+    members = counts.pop(None, 0)
+    return DensityReport(N, 2 * N + 1, members, 2 * N + 1 - members, dict(sorted(counts.items())))
+
+
+def _fallback_outcome(consume, memo):
+    """consume()'s result or BudgetExceeded text, with root_verdict's inputs in order.
+
+    `memo` shares the verdicts between runs: root_verdict depends on its input only.
+    """
+    calls = []
+    root_verdict = hilbert.root_verdict
+
+    def spy(f, *args):
+        calls.append(key := tuple(f))
+        if key not in memo:
+            try:
+                memo[key] = root_verdict(f, *args)
+            except BudgetExceeded as exc:
+                memo[key] = exc
+        if isinstance(memo[key], BudgetExceeded):
+            raise memo[key]
+        return memo[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hilbert, "root_verdict", spy)
+        try:
+            result = consume()
+        except BudgetExceeded as exc:
+            result = str(exc)
+    return result, calls
+
+
+# Each Y-coefficient is M*b + m*c: with (T - r, p), every coefficient is 0 mod p on
+# the class t = r mod p, a forced content class; with (T^2 - T, 2) and (T^3 - T, 3),
+# p divides the member at every t, a fixed prime.  Different classes in different
+# members make a fixed prime of the product only
+_FORCED = [(P("1"), 0)] * 4 + [(P("T"), 2), (P("T - 1"), 3), (P("T + 1"), 2),
+           (P("T^2 - T"), 2), (P("T^3 - T"), 3)]
+
+
+def _in_t(coeffs):
+    return _poly(REG, [((i, 0), c) for i, c in enumerate(coeffs)])
+
+
+@st.composite
+def sieved_members(draw):
+    """A member of degree <= 4 in T and in Y, often with content classes or a fixed prime.
+
+    The lead may get an integer root s, where the point is degenerate or drops in
+    degree, and the member a common integer factor k.
+    """
+    M, m = draw(st.sampled_from(_FORCED))
+    root = draw(st.none() | st.integers(-3, 3))
+    room = 4 - M.degree_in("T") - (root is not None)
+    dy = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 3, 4]))  # few quartics: their fallbacks are slow
+    member = MPoly.zero(REG)
+    for j in range(dy + 1):
+        b = draw(st.lists(st.integers(-4, 4), max_size=room + 1))
+        c = draw(st.lists(st.integers(-4, 4), max_size=4 - (root is not None)))
+        a = M * _in_t(b) + m * _in_t(c)
+        if j in (0, dy):  # Y does not divide the member
+            a = a + draw(st.sampled_from([-2, -1, 1, 3]))
+        if j == dy and root is not None:
+            a = a * P(f"T - ({root})")
+        member = member + a * P(f"Y^{j}")
+    assume(not member.is_zero())
+    return draw(st.sampled_from([1, 1, 1, 2, 3, 6])) * member
+
+
+@given(st.lists(sieved_members(), min_size=1, max_size=3), st.integers(0, 300))
+@settings(max_examples=15, deadline=None)
+def test_sieve_matches_the_block_engine(polys, N):
+    # the same report or exit, from the same fallbacks in the same order
+    memo = {}
+    want = _fallback_outcome(lambda: _engine_density(polys, SPLIT, N), memo)
+    assert _fallback_outcome(lambda: density_report(polys, SPLIT, N), memo) == want
+
+
+@pytest.mark.parametrize("exprs, N", [
+    (["Y^2 - T", "2*Y^3 + T*Y + 1"], 600),  # two blocks of the box
+    (["Y^3 - (2*T + 1)"], 600),  # a cubic splits mod 2 and mod every p = 2 mod 3
+])
+def test_sieve_sends_the_engine_its_fallbacks_in_order(exprs, N):
+    polys, memo = [P(e) for e in exprs], {}
+    want = _fallback_outcome(lambda: _engine_density(polys, SPLIT, N), memo)
+    got = _fallback_outcome(lambda: density_report(polys, SPLIT, N), memo)
+    assert got == want and want[1]
+
+
+def test_sieve_leaves_few_points_to_the_engine(monkeypatch):
+    # of the 4,001 points of Y^2 - T, the sieve passes on only those that reach root_verdict
+    sent = []
+    stream = hilbert._evidence_stream
+
+    def spy(polys, split, points, *args, **kwargs):
+        return stream(polys, split, (sent.append(t) or t for t in points), *args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "_evidence_stream", spy)
+    report, calls = _fallback_outcome(lambda: density_report([P("Y^2 - T")], SPLIT, 2000), {})
+    assert report.non_members == 45 and len(sent) == len(calls) <= 50
