@@ -21,7 +21,7 @@ from .numutil import spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
 from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_distinct_degree, fp_gcd
-from .upoly import fp_irreducible, fp_roots, mul, require_prime, trim
+from .upoly import discriminant, fp_irreducible, fp_roots, mul, require_prime, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
@@ -439,9 +439,51 @@ def root_verdict(f, registry, name, **oracle_opts):
     certificate that carries no factor, so the settling prime's roots are
     lifted only up to the first rational one; a degree <= 3 without one is
     irreducible.  Everything else goes to the Kronecker oracle, which decides
-    `undense(f, registry, name)`.
+    `undense(f, registry, name)`.  A quadratic or cubic with f(0) != 0 takes
+    `_discriminant_verdict` first, which gives the walk's verdict where it settles.
     """
+    if len(f) in (3, 4) and f[0]:
+        verdict = _discriminant_verdict(f)
+        if verdict:
+            return IrredCertificate(verdict, "root")
     return _walk(f, registry, name, oracle_opts, tests=False, witness=False)
+
+
+def _discriminant_verdict(f):
+    """'reducible' or 'irreducible' for the dense f of degree 2 or 3, f(0) != 0, or None.
+
+    The walk settles f's rational roots at a scheduled p < _ROOT_SCAN_BELOW iff p
+    does not divide the discriminant D; None if no such p exists.  Else f is
+    reducible iff it has a rational root: for a quadratic, iff D is a square; for
+    a*x^3 + b*x^2 + c*x + d, iff h(y) = y^3 + b*y^2 + ac*y + a^2*d, whose roots are
+    a*x, has an integer root.  Float estimates of h's real roots (one if D < 0,
+    three if D > 0) propose unit intervals (n, n + 1), which exact values of h
+    decide: h = 0 at an end is a root, and a sign change in a separate interval
+    for every real root leaves none at an integer.  Anything else is None.
+    """
+    a, D = f[-1], discriminant(f)
+    if not any(D % p for p in itertools.takewhile(_ROOT_SCAN_BELOW.__gt__, _prime_schedule(a))):
+        return None
+    if len(f) == 3:
+        return "reducible" if D > 0 and math.isqrt(D) ** 2 == D else "irreducible"
+    B, C, E = f[2], a * f[1], a * a * f[0]
+    try:
+        Q, R = (B * B - 3 * C) / 9, (2 * B**3 - 9 * B * C + 27 * E) / 54  # h at y = z - B/3
+        if D > 0:  # three real roots, by the cosine; Q > 0
+            q = math.sqrt(Q)
+            t = math.acos(max(-1.0, min(1.0, R / q**3)))
+            zs = [-2 * q * math.cos((t + 2 * math.pi * k) / 3) for k in range(3)]
+        else:  # one, by Cardano, with R^2 - Q^3 = -a^2 D / 108 from the exact D
+            A = -math.copysign((abs(R) + math.sqrt(-a * a * D / 108)) ** (1 / 3), R)
+            zs = [A + Q / A]
+        starts = {math.floor(z - B / 3) for z in zs}
+    except (OverflowError, ValueError):
+        return None
+    ends = [[((y + B) * y + C) * y + E for y in (n, n + 1)] for n in starts]
+    if not all(lo and hi for lo, hi in ends):
+        return "reducible"
+    if len(ends) == len(zs) and all((lo > 0) != (hi > 0) for lo, hi in ends):
+        return "irreducible"
 
 
 def _walk(f, registry, name, oracle_opts, tests, witness):
@@ -455,8 +497,10 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
     them: `_lift` lifts each rational root of f from its root mod p, so a root
     (0 if k > 0) ends the walk with a reducible `root` certificate, with the
     `str`-least b*x - a as the factor if `witness`; with no root mod p, f is
-    tested at p by `fp_distinct_degree`.  After the walk, degree <= 3 without a
-    rational root is irreducible, and the rest goes to the Kronecker oracle.
+    tested at p by `fp_distinct_degree`.  If no p below _ROOT_SCAN_BELOW settles
+    them, the scans' simple roots are lifted first: a rational one is a root mod
+    every p, so the F_p tests are skipped.  After the walk, degree <= 3 without
+    a rational root is irreducible, and the rest goes to the Kronecker oracle.
     """
     schedule = _prime_schedule(f[-1])
     if len(f) == 2:
@@ -464,14 +508,20 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
     k = next(i for i, c in enumerate(f) if c)
     g, dg = f[k:], [i * c for i, c in enumerate(f[k:])][1:]
     settled = False  # f's rational roots are all known, and f has none
+    lifts = []  # the simple roots (r, p) of the scans that settle nothing
     for p in schedule:
         if settled or p >= _ROOT_SCAN_BELOW:
+            if tests and not k and not settled and any(_lift(g, dg, r, q) for r, q in lifts):
+                tests = False  # a rational root is a root mod every p: no F_p test succeeds
+            lifts = []
             if tests and not k and fp_irreducible(f, p):
                 return modp_certificate(p)
             continue
         scan = list(fp_roots(g, p)) if dg else []  # x^k has no root but 0
-        if not all(evaluate(dg, r) % p for r in scan):
-            continue  # a multiple root mod p settles nothing
+        simple = [r for r in scan if evaluate(dg, r) % p]
+        if len(simple) < len(scan):  # a multiple root mod p settles nothing
+            lifts += [(r, p) for r in simple]
+            continue
         settled = True
         roots = itertools.chain([(0, 1)] if k else [],
                                 filter(None, (_lift(g, dg, r, p) for r in scan)))

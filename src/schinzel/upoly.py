@@ -243,6 +243,15 @@ def _minus_x(h, p):
 _ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, x^p mod f O(log p) products
 
 
+def discriminant(f):
+    """The discriminant of the quadratic [c, b, a] or of the cubic [d, c, b, a]."""
+    if len(f) == 3:
+        c, b, a = f
+        return b * b - 4 * a * c
+    d, c, b, a = f
+    return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+
+
 def fp_roots(f, p):
     """The roots in F_p of the integer list f, in increasing order, lazily.
 
@@ -257,15 +266,19 @@ def fp_roots(f, p):
 def fp_irreducible(f, p):
     """True iff the integer list f is irreducible in F_p[x], p prime not dividing its lead.
 
-    A quadratic a*x^2 + b*x + c at odd p is irreducible iff its discriminant
-    b^2 - 4ac is not a square mod p, which Euler's criterion decides with one
-    modular power (Modern Computer Algebra, ch. 14).  Else, for small p, a root
-    scan comes first: a root mod p is a linear factor, and degree 2 or 3
-    without one is irreducible.  The rest is `fp_distinct_degree`.
+    At odd p, Euler's criterion tells with one modular power whether the
+    discriminant D of a quadratic or cubic is a square mod p.  A quadratic is
+    irreducible iff D is not a square (Modern Computer Algebra, ch. 14).  A
+    cubic is reducible if D = 0 (a repeated linear factor) or D is not a
+    square: by Stickelberger's parity theorem (Swan 1962) a squarefree cubic
+    then has an even number of irreducible factors, so a root.  Else, for
+    small p, a root scan comes first: a root mod p is a linear factor, and
+    degree 2 or 3 without one is irreducible.  The rest is `fp_distinct_degree`.
     """
     if len(f) == 3 and p > 2:
-        c, b, a = f
-        return pow(b * b - 4 * a * c, (p - 1) // 2, p) == p - 1
+        return pow(discriminant(f), (p - 1) // 2, p) == p - 1
+    if len(f) == 4 and p > 2 and pow(discriminant(f), (p - 1) // 2, p) != 1:
+        return False
     if p < _ROOT_SCAN_BELOW and len(f) > 2:
         if next(fp_roots(f, p), None) is not None:
             return False

@@ -868,6 +868,58 @@ def test_root_verdict_matches_the_walk_that_builds_the_factor(low, lead, roots):
         assert got == want
 
 
+_SCHEDULED = math.prod(primes_upto(29))  # the ten primes scheduled for a lead of 1
+
+
+@st.composite
+def _low_degree_cases(draw):
+    """(kind, primitive dense f of degree 2 or 3) for the discriminant route against the walk."""
+    big = st.integers(-10**30, 10**30)
+    small = st.integers(-9, 9)
+    kind = draw(st.sampled_from(["factors", "large", "discriminant", "repeated", "x^k",
+                                 "lead 256", "one interval"]))
+    if kind == "factors":  # a linear factor times a linear or quadratic one, or one factor
+        linear = [draw(small), draw(st.integers(1, 12))]
+        f = mul(linear, _dense_poly(draw, draw(st.integers(1, 2))))
+        if draw(st.booleans()):
+            f = _dense_poly(draw, draw(st.integers(2, 3)), draw(st.integers(1, 40)))
+    elif kind == "large":
+        f = draw(st.lists(big, min_size=2, max_size=3)) + [draw(big.filter(bool))]
+        if draw(st.booleans()):
+            f = mul([draw(big), draw(big.filter(bool))], f[1:])
+    elif kind == "discriminant":  # (x - r)^2 * (x - s) mod each of the ten scheduled primes
+        r, s = draw(small), draw(small)
+        square = mul([-r, 1], [-r, 1])
+        f = square if draw(st.booleans()) else mul(square, [-s, 1])
+        f = [v + _SCHEDULED * draw(small) for v in f[:-1]] + [1]
+    elif kind == "repeated":
+        g = [draw(small), draw(st.integers(1, 9))]
+        f = mul(mul(g, g), [draw(small), draw(st.integers(1, 9))][: draw(st.integers(1, 2))])
+    elif kind == "x^k":
+        f = [0] + _dense_poly(draw, draw(st.integers(1, 2)))
+    elif kind == "lead 256":  # the oracle samples the roots 0 and 1 before it lists divisors
+        cofactor = draw(st.sampled_from([[0, 1], [-1, 1], [0, 0, 1], [0, -1, 1]]))
+        f = mul(cofactor, [draw(st.sampled_from([1, -1])), _PRIMORIAL * draw(st.integers(1, 3))])
+    else:  # x^3 + (B - 1)x^2 - Bx + 1 at x - n: two real roots in (n, n + 1), none rational
+        n, B = draw(st.integers(-20, 20)), draw(st.integers(5, 30))
+        f = mul(mul([-n, 1], [-n - 1, 1]), [B - n, 1])
+        f[0] += 1
+    assume(f[-1] and len(f) in (3, 4))
+    c = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+    return kind, [a // c for a in f]
+
+
+@given(_low_degree_cases())
+@settings(max_examples=300, deadline=None)
+def test_root_verdict_decides_quadratics_and_cubics_as_the_walk(case):
+    kind, f = case
+    want = _outcome_of(lambda: factorlab._walk(f, X, "x", {"combo_budget": 200}, tests=False,
+                                               witness=False))
+    assert _outcome_of(lambda: root_verdict(f, X, "x", combo_budget=200)) == want
+    if kind == "one interval":  # no unit interval isolates each real root: the walk decides
+        assert f[0] and factorlab._discriminant_verdict(f) is None
+
+
 # -- the prime walk against the route it replaced ---------------------
 
 
@@ -1119,6 +1171,20 @@ def test_a_lead_divisible_by_every_prime_below_256_runs_unscanned(monkeypatch):
     assert (cert.verdict, cert.method) == ("reducible", "kronecker")
     assert tests == list(itertools.islice(_prime_schedule(_PRIMORIAL), MODP_TRIES))
     assert tests[0] == 257 and (scans, lifts) == ([], [])
+
+
+def test_a_rational_root_of_an_unsettled_scan_skips_the_f_p_tests(monkeypatch):
+    # mod 2, (x - 1)*(L*x^2 + 2*x + 2) is x^2*(x + 1): 0 is double, so 2 settles nothing,
+    # and every later scheduled prime is above 256; the simple root 1 lifts to a rational
+    # root, so no F_p test can succeed, and the walk ends in the oracle as before
+    f = mul([-1, 1], [2, 2, math.prod(primes_upto(255)[1:])])
+    with pytest.raises(BudgetError) as oracle:
+        kronecker_factor(undense(f, X, "x"))
+    scans, tests, lifts = _walk_counts(monkeypatch)
+    with pytest.raises(BudgetError) as walk:
+        univariate_certificate(f, X, "x")
+    assert str(walk.value) == str(oracle.value)
+    assert (scans, tests, lifts) == ([2], [], [2])
 
 
 # -- primitivity ------------------------------------------------------

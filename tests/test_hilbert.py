@@ -580,3 +580,18 @@ def test_sieve_leaves_few_points_to_the_engine(monkeypatch):
     monkeypatch.setattr(hilbert, "_evidence_stream", spy)
     report, calls = _fallback_outcome(lambda: density_report([P("Y^2 - T")], SPLIT, 2000), {})
     assert report.non_members == 45 and len(sent) == len(calls) <= 50
+
+
+@pytest.mark.parametrize("expr, N, members, reducible, walks", [
+    ("Y^2 - T", 2000, 3956, 45, [(0, 0, 1)]),  # only the image Y^2 at t = 0, where f(0) = 0
+    ("Y^3 - (2*T + 1)", 600, 1191, 10, []),
+])
+def test_discriminants_decide_the_points_no_prime_certifies(monkeypatch, expr, N, members,
+                                                            reducible, walks):
+    # the quadratic and cubic images that reach root_verdict skip its prime walk
+    calls, walk = [], factorlab._walk
+    monkeypatch.setattr(factorlab, "_walk", lambda f, *a, **k: calls.append(tuple(f))
+                        or walk(f, *a, **k))
+    report = density_report([P(expr)], SPLIT, N)
+    assert (report.members, report.reasons) == (members, {"reducible": reducible})
+    assert calls == walks

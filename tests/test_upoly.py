@@ -4,6 +4,7 @@ Every operation is checked over Z, over Q or over F_p (`modulus=p`), on
 Hypothesis-drawn coefficient lists, constant term first.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import zip_longest
 from math import isqrt
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from schinzel.numutil import is_prime, primes_upto
 from schinzel.upoly import (
     _packed,
+    discriminant,
     evaluate,
     exact_quotient,
     ext_gcd,
@@ -225,6 +227,41 @@ def _quadratic(draw, primes):
 @given(data=st.data())
 def test_fp_irreducible_decides_quadratics(primes, data):
     p, f = data.draw(_quadratic(primes))
+    assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fp_irreducible_decides_every_cubic_mod_small_primes(p):
+    # a cubic is irreducible iff it has no root; the discriminant test must agree
+    for d, c, b, a in itertools.product(range(p), range(p), range(p), range(1, p)):
+        f = [d, c, b, a]
+        assert fp_irreducible(f, p) == all(evaluate(f, r) % p for r in range(p)), f
+
+
+@st.composite
+def _cubic(draw, primes):
+    """(p, [d, c, b, a]) with p not dividing a; half of them with discriminant 0 mod p."""
+    p = draw(st.sampled_from(primes))
+    a = draw(INTS.filter(lambda v: v % p))  # negative and non-unit leads included
+    if draw(st.booleans()):  # a*(x - r)^2*(x - s), shifted by multiples of p
+        r, s = draw(INTS), draw(INTS)
+        f = mul(mul([-r, 1], [-r, 1]), [-a * s, a])
+        f = [v + p * draw(st.integers(-3, 3)) for v in f]
+        assert discriminant(f) % p == 0
+        return p, f
+    return p, draw(st.lists(INTS, min_size=3, max_size=3)) + [a]
+
+
+@pytest.mark.parametrize("primes", [
+    [2],  # Stickelberger's test needs an odd p: 2 keeps the root scan
+    primes_upto(255)[1:],  # odd p below the root scan's bound
+    [p for p in primes_upto(300) if p > 256],  # above it
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fp_irreducible_decides_cubics(primes, data):
+    p, f = data.draw(_cubic(primes))
+    assert discriminant(f) == _poly(f).discriminant()
     assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
 
 
