@@ -4,8 +4,10 @@ Every subcommand runs one library operation and prints a structured
 `key = value` report with stable key order, suitable for golden-file
 comparison (timing lines are the only nondeterministic fields).
 
-Exit codes: 0 verdict-true / success, 1 verdict-false / refusal,
-2 usage error, 3 budget exhaustion.
+Each `_cmd_*` returns its verdict, and `run` alone writes the `verdict`
+line and picks the exit code: 0 verdict true, 1 verdict false or
+refusal, 2 usage error, 3 budget exhaustion. Only `counterexample`
+takes `--seed`; the other reports echo `seed = 0`.
 """
 
 from __future__ import annotations
@@ -117,7 +119,6 @@ def _build_parser():
             p.add_argument(name, default="", metavar="NAMES")
         if budget is not None:  # the default applies only when --budget is absent
             p.add_argument("--budget", type=int, default=budget)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("fixdiv", help="fixed prime divisors w.r.t. the parameters")
@@ -146,6 +147,7 @@ def _build_parser():
     p = sub.add_parser("counterexample", help="sharpness counterexample bundle")
     common(p, polys=False, names=(), budget=200)
     p.add_argument("--d", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled M")
     p.add_argument("--N", type=_positive_int, default=100, help="number of sampled M")
     p = sub.add_parser("coprime", help="coprime values of a polynomial family")
     common(p, names=("--params",), budget=10**5)
@@ -202,8 +204,7 @@ def _cmd_fixdiv(args, rep):
     for p in sorted(report.witnesses):
         rep.add(f"witness.p{p}", report.witnesses[p])
     rep.add("scalar", math.prod(report.confirmed))
-    rep.add("verdict", not report.confirmed)
-    return EXIT_OK if not report.confirmed else EXIT_FALSE
+    return not report.confirmed
 
 
 def _cmd_irred(args, rep):
@@ -218,8 +219,7 @@ def _cmd_irred(args, rep):
         rep.add("factorization.content", fact.content)
         for i, (f, mult) in enumerate(fact.factors):
             rep.add(f"factorization.f{i + 1}", f"({f})^{mult}")
-    rep.add("verdict", cert_z.irreducible)
-    return EXIT_OK if cert_z.irreducible else EXIT_FALSE
+    return cert_z.irreducible
 
 
 def _cmd_hilbert(args, rep):
@@ -234,8 +234,7 @@ def _cmd_hilbert(args, rep):
         if found >= args.limit:
             break
     rep.add("members", found)
-    rep.add("verdict", found > 0)
-    return EXIT_OK
+    return found > 0
 
 
 def _cmd_progression(args, rep):
@@ -247,8 +246,7 @@ def _cmd_progression(args, rep):
     rep.add("omega", w.omega)
     rep.add("base_point", w.base_point)
     rep.add("progression", w.progression)
-    rep.add("verdict", True)
-    return EXIT_OK
+    return True
 
 
 def _cmd_schinzel(args, rep):
@@ -257,14 +255,13 @@ def _cmd_schinzel(args, rep):
         polys, split, args.d, budget=args.budget,
         exact_degree=not args.no_exact_degree,
     )
-    for i, (t, M) in enumerate(zip(split.params, plan.Ms)):
+    for t, M in zip(split.params, plan.Ms):
         rep.add(f"M.{t}", M)
     rep.add("theta", [str(chunk) for chunk in plan.theta])
     for i, cert in enumerate(plan.certificates):
         _cert_lines(rep, f"comp{i + 1}", cert)
     rep.add("tried", plan.tried)
-    rep.add("verdict", True)
-    return EXIT_OK
+    return True
 
 
 def _cmd_strong(args, rep):
@@ -280,8 +277,7 @@ def _cmd_strong(args, rep):
         _cert_lines(rep, f"comp{i + 1}", cert)
     rep.add("fixed_primes_wrt_vars", plan.fixdiv_report.confirmed)
     rep.add("tried", plan.tried)
-    rep.add("verdict", True)
-    return EXIT_OK
+    return True
 
 
 def _cmd_compose(args, rep):
@@ -293,8 +289,7 @@ def _cmd_compose(args, rep):
     for i, Q in enumerate(plan.family):
         rep.add(f"final{i + 1}", Q)
     rep.add("stages", len(plan.stages))
-    rep.add("verdict", True)
-    return EXIT_OK
+    return True
 
 
 def _cmd_counterexample(args, rep):
@@ -309,8 +304,7 @@ def _cmd_counterexample(args, rep):
     _cert_lines(rep, "cert", bundle.certificate)
     rep.add("samples", len(bundle.samples))
     rep.add("all_even", bundle.all_even)
-    rep.add("verdict", bundle.all_even)
-    return EXIT_OK if bundle.all_even else EXIT_FALSE
+    return bundle.all_even
 
 
 def _cmd_coprime(args, rep):
@@ -322,15 +316,13 @@ def _cmd_coprime(args, rep):
             raise
         rep.add("refused", True)
         rep.add("detail", str(exc))
-        rep.add("verdict", False)
-        return EXIT_FALSE
+        return False
     rep.add("local_candidates", report.local.candidates)
     rep.add("m", report.m)
     rep.add("values", report.values)
     rep.add("gcd", report.gcd)
     rep.add("tried", report.tried)
-    rep.add("verdict", True)
-    return EXIT_OK
+    return True
 
 
 def _cmd_density(args, rep):
@@ -342,8 +334,7 @@ def _cmd_density(args, rep):
     rep.add("non_members", report.non_members)
     for label, count in report.reasons.items():
         rep.add(f"reason.{label}", count)
-    rep.add("verdict", True)
-    return EXIT_OK
+    return True
 
 
 _COMMANDS = {
@@ -380,7 +371,7 @@ def run(argv):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
@@ -389,11 +380,11 @@ def run(argv):
     _echo(rep, args)
     start = time.monotonic()
     try:
-        code = _COMMANDS[args.command](args, rep)
+        verdict = _COMMANDS[args.command](args, rep)
     except BudgetExceeded as exc:
         rep.add("budget_exceeded", True)
         rep.add("detail", str(exc))
-        code = EXIT_BUDGET
+        verdict = None  # a spent budget has no verdict
     except ParseError as exc:
         print(f"error = {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -405,19 +396,20 @@ def run(argv):
             rep.add("failed_conditions", exc.conditions.failed())
         if getattr(exc, "generic_report", None) is not None:
             rep.add("generic_fixed_primes", exc.generic_report.confirmed)
-        rep.add("verdict", False)
-        code = EXIT_FALSE
+        verdict = False
     except PolyError as exc:
         print(f"error = {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if verdict is not None:
+        rep.add("verdict", verdict)
+    code = EXIT_BUDGET if verdict is None else EXIT_OK if verdict else EXIT_FALSE
     rep.add("elapsed_ms", int((time.monotonic() - start) * 1000))
     rep.add("exit", code)
     text = rep.render()
     sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:  # every subcommand has --out
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error = {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .numutil import RhoBudgetError, UnprovedPrimeError, prime_factors, prime_powers_upto
 from .numutil import primes_upto
-from .polyring import BudgetExceeded, PolyError
+from .polyring import BudgetExceeded, PolyError, _names
 from .upoly import fp_gcd, fp_has_root, require_prime
 
 
@@ -27,9 +27,7 @@ def proved_prime_factors(n):
 
 def _params_of(split_or_params):
     """Accept a VarSplit or a bare tuple of parameter names."""
-    if hasattr(split_or_params, "params"):
-        return tuple(split_or_params.params)
-    return tuple(split_or_params)
+    return _names(getattr(split_or_params, "params", split_or_params))
 
 
 def _fermat_table(polys, params, p):

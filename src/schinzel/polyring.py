@@ -49,13 +49,15 @@ def _mul_terms(t1, t2):
 class MPoly:
     """Sparse polynomial in Z[registry].
 
-    The public constructor validates and normalizes its input.  Results
-    computed from already-valid polynomials are built with the private
-    ``MPoly._make(registry, terms)``, which checks nothing.  Only code in
-    this module may call it, and the caller guarantees the invariant:
-    ``registry`` is a tuple, every key of ``terms`` is a tuple of
-    nonnegative ints of length ``len(registry)``, every value is a nonzero
-    int, and ``terms`` is a fresh dict that nothing else holds.
+    The public constructor validates and normalizes its input: each
+    coefficient and exponent must be an int (a bool is one), and no
+    exponent negative.  Results computed from already-valid polynomials
+    are built with the private ``MPoly._make(registry, terms)``, which
+    checks nothing.  Only code in this module may call it, and the caller
+    guarantees the invariant: ``registry`` is a tuple, every key of
+    ``terms`` is a tuple of nonnegative ints of length ``len(registry)``,
+    every value is a nonzero int, and ``terms`` is a fresh dict that
+    nothing else holds.
     """
 
     __slots__ = ("registry", "terms")
@@ -67,8 +69,8 @@ class MPoly:
             expo = tuple(expo)
             if len(expo) != len(registry):
                 raise PolyError("exponent vector length does not match registry")
-            if any(e < 0 for e in expo):
-                raise PolyError("negative exponent")
+            if not isinstance(coeff, int) or not all(isinstance(e, int) and e >= 0 for e in expo):
+                raise PolyError(f"term {coeff!r} at {expo!r}: not an int, or not ints >= 0")
             if coeff:
                 clean[expo] = int(coeff)
         object.__setattr__(self, "registry", registry)
@@ -93,9 +95,7 @@ class MPoly:
     @classmethod
     def const(cls, registry, c):
         registry = tuple(registry)
-        if c == 0:
-            return cls(registry, {})
-        return cls(registry, {(0,) * len(registry): int(c)})
+        return cls(registry, {(0,) * len(registry): c})
 
     @classmethod
     def var(cls, registry, name, power=1):
@@ -378,9 +378,16 @@ class MPoly:
         return f"MPoly({self})"
 
 
+def _names(names):
+    """`names` as a tuple; one bare str, which tuple() would split, is a PolyError."""
+    if isinstance(names, str):
+        raise PolyError(f"names {names!r} must be a tuple of str, not a str")
+    return tuple(names)
+
+
 def _distinct(names):
-    """`names` as a tuple; a repeated name is a PolyError."""
-    names = tuple(names)
+    """`names` as a tuple (see `_names`); a repeated name is a PolyError."""
+    names = _names(names)
     for i, name in enumerate(names):
         if name in names[:i]:
             raise PolyError(f"repeated name {name!r}")
@@ -395,8 +402,8 @@ class VarSplit:
     variables: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))
-        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "params", _names(self.params))
+        object.__setattr__(self, "variables", _names(self.variables))
         if set(self.params) & set(self.variables):
             raise PolyError("parameter and variable names overlap")
         _distinct(self.params + self.variables)

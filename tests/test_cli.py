@@ -376,11 +376,17 @@ def test_registry_inference_matches_reference(texts, params):
 
 
 def test_determinism_masked_golden(capsys):
-    args = ["strong", "--poly", "T^2+1", "--params", "T", "--vars", "Y",
-            "--d", "1", "--seed", "5"]
-    _, out1 = invoke(capsys, *args)
-    _, out2 = invoke(capsys, *args)
+    args = ["strong", "--poly", "T^2+1", "--params", "T", "--vars", "Y", "--d", "1"]
+    code1, out1 = invoke(capsys, *args)
+    code2, out2 = invoke(capsys, *args)
+    assert code1 == code2 == 0
     assert mask(out1) == mask(out2)
+
+
+def test_counterexample_echoes_its_seed(capsys):
+    code, out = invoke(capsys, "counterexample", "--d", "1", "--seed", "7")
+    assert code == 0
+    assert kv(out)["seed"] == "7"
 
 
 def test_out_file(tmp_path, capsys):
@@ -411,14 +417,30 @@ def test_unreadable_job_file_is_usage_error(tmp_path, capsys):
         assert captured.err.startswith("error = ") and detail in captured.err
 
 
-@pytest.mark.parametrize("command, rest", [
-    ("irred", ["--poly", "x^2+1"]),
-    ("fixdiv", ["--poly", "T*Y + 2", "--params", "T", "--vars", "Y"]),
-    ("progression", ["--poly", "T*Y + 2", "--params", "T", "--vars", "Y"]),
-])
-def test_budget_only_where_it_is_read(command, rest, capsys):
-    assert run([command, *rest, "--budget", "5"]) == 2
-    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+_FAMILY = ["--params", "T", "--vars", "Y"]
+# (flag, command, the rest of a valid command line): --budget is absent where no
+# budget is read, and --seed everywhere but counterexample
+_UNREAD_FLAGS = [
+    ("--budget", "irred", ["--poly", "x^2+1"]),
+    ("--budget", "fixdiv", ["--poly", "T*Y + 2", *_FAMILY]),
+    ("--budget", "progression", ["--poly", "T*Y + 2", *_FAMILY]),
+    ("--seed", "fixdiv", ["--poly", "T*Y + 2", *_FAMILY]),
+    ("--seed", "irred", ["--poly", "x^2+1"]),
+    ("--seed", "hilbert", ["--polys", "Y^2 - T", *_FAMILY]),
+    ("--seed", "progression", ["--poly", "T*Y + 2", *_FAMILY]),
+    ("--seed", "schinzel", ["--polys", "Y^2 - T", *_FAMILY, "--d", "1"]),
+    ("--seed", "strong", ["--poly", "T^2+1", *_FAMILY, "--d", "1"]),
+    ("--seed", "compose", ["--poly", "T^2+1", "--d", "1,1"]),
+    ("--seed", "coprime", ["--polys", "T1", "--polys", "T1+2", "--params", "T1"]),
+    ("--seed", "density", ["--polys", "Y^2 - T", *_FAMILY, "--N", "3"]),
+]
+
+
+@pytest.mark.parametrize("flag, command, rest", _UNREAD_FLAGS,
+                         ids=[f"{c}-rest{i}" for i, (_, c, _) in enumerate(_UNREAD_FLAGS)])
+def test_budget_only_where_it_is_read(flag, command, rest, capsys):
+    assert run([command, *rest, flag, "5"]) == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
     assert run([command, *rest]) in (0, 1)
     capsys.readouterr()
 

@@ -277,6 +277,25 @@ def test_density_tables_one_fp_verdict_per_image_mod_p(monkeypatch, expr, non_me
     assert calls and len(set(calls)) == len(calls) <= sum(_prime_schedule(1)) == 129
 
 
+@pytest.mark.parametrize("expr, reg, split, N, most", [
+    ("Y^3 - (2*T + 1)", REG, SPLIT, 120, 104),  # one-parameter classes: t mod p keys
+    ("Y^2 - (3*T + 2*U + 1)", REG2, SPLIT2, 6, 61),  # two parameters: image tuple keys
+])
+def test_key_rule_bounds_fp_tests(monkeypatch, expr, reg, split, N, most):
+    # The sieve and the engine key a verdict by class where one parameter makes
+    # that exact, and by the image mod p elsewhere.  Keying the engine's images by
+    # tuple alone reads 180 F_p tests on the cubic, and class keys everywhere read
+    # 247 on the second family (p^2 classes against at most p images).  One tuple
+    # key for both the sieve and the engine reads 103 and 61: only timing shows
+    # its loss, the cost of building a tuple key per image.
+    calls = []
+    fp_irreducible = hilbert.fp_irreducible
+    monkeypatch.setattr(hilbert, "fp_irreducible",
+                        lambda g, p: calls.append(p) or fp_irreducible(g, p))
+    density_report([P(expr, reg)], split, N)
+    assert 0 < len(calls) <= most
+
+
 def _built_points(monkeypatch):
     built = []
     monkeypatch.setattr(hilbert, "SpecializationPoint",

@@ -1,9 +1,11 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schinzel.fixdiv import fixed_prime_divisors
 from schinzel.polyring import (
     MPoly,
     ParseError,
@@ -387,6 +389,25 @@ def test_repeated_names_are_rejected():
         VarSplit(("T",), ("Y", "Y"))
     with pytest.raises(PolyError, match="repeated name 'T'"):
         parse_poly("T + Y", ("T", "Y", "T"))
+
+
+@pytest.mark.parametrize("build", [
+    # int() would store 1/2 as a zero term: "0*x + 3", which is_constant() denies
+    lambda: MPoly(("x",), {(1,): Fraction(1, 2), (0,): 3}),
+    lambda: MPoly(("x",), {(1,): 2.5}),  # int() would truncate it to 2*x
+    lambda: MPoly(("x",), {(1.5,): 1}),  # x^1.5 is no polynomial
+    lambda: MPoly.const(("x",), 2.9),  # int() would truncate it to 2
+    lambda: VarSplit("T1", "Y"),  # tuple() would split it into ('T', '1')
+    lambda: fixed_prime_divisors(parse_poly("T1*Y + 2", ("T1", "Y")), "T1"),  # likewise
+], ids=["fraction", "float", "float-exponent", "float-const", "str-split", "str-params"])
+def test_malformed_input_is_a_poly_error(build):
+    with pytest.raises(PolyError):
+        build()
+
+
+def test_bool_terms_are_ints():
+    assert MPoly(("x",), {(True,): True}) == MPoly(("x",), {(1,): 1})
+    assert MPoly.const(("x",), False).is_zero()
 
 
 # -- coefficient view -------------------------------------------------
