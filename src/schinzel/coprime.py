@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .factorlab import gcd_q_fold
-from .fixdiv import candidate_fixed_primes, least_witness
+from .fixdiv import ResidueTables, candidate_fixed_primes
 from .polyring import BudgetExceeded, PolyError
 from .numutil import spiral
 
@@ -58,9 +58,10 @@ def check_copsch_local(Qs):
         raise PolyError(f"inputs share the rational factor {g}")
 
     candidates = candidate_fixed_primes(Qs[0], params)
+    tables = ResidueTables(Qs, params)  # every candidate is a proved prime
     refuted, violations = {}, []
     for p in candidates:
-        witness = least_witness(Qs, params, p)
+        witness = tables.least_witness(p)
         if witness is None:
             violations.append(p)
         else:

@@ -12,15 +12,15 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .fixdiv import (
+    ResidueTables,
     candidate_fixed_primes,
     fixed_prime_divisors,
     proved_prime_factors,
-    residue_scan,
 )
 from .factorlab import is_primitive_wrt
 from .numutil import crt
 from .polyring import PolyError, VarSplit, dense
-from .upoly import ext_gcd, mul
+from .upoly import ext_gcd, mul, require_prime
 
 
 class HypothesisError(PolyError):
@@ -98,17 +98,24 @@ def bad_prime_set(P, split, delta):
     return sorted(set(proved_prime_factors(delta)).union(candidate_fixed_primes(P, split)))
 
 
-def nonvanishing_point(P, split, primes):
+def nonvanishing_point(P, split, primes, tables=None):
     """Point v in Z^k with P(v, Y) nonzero mod every listed prime.
 
-    Per prime, the lexicographically least nonvanishing residue tuple is
-    taken; primes where every residue tuple works impose no congruence.
-    The coordinates are the least non-negative CRT representatives.
+    Per prime, `fixdiv.residue_scan` gives the lexicographically least
+    nonvanishing residue tuple and whether some tuple vanishes; primes
+    where every residue tuple works impose no congruence.  One
+    `ResidueTables` of P serves every prime: `tables` when given, such as
+    a `fixed_prime_divisors(P, split)` report's, so that no prime is
+    tabled twice.  The coordinates are the least non-negative CRT
+    representatives.
     """
     k = split.k
+    if tables is None:
+        tables = ResidueTables([P], split.params)
     constrained = {}
     for p in primes:
-        hit, vanishes = residue_scan([P], split.params, p)
+        require_prime(p)
+        hit, vanishes = tables.residue_scan(p)
         if hit is None:
             raise HypothesisError(
                 "NoFixDiv", f"prime {p} is a fixed prime of the product"
@@ -152,7 +159,7 @@ def progression_witness(polys, split):
     others = [n for n in product.registry if n != split.params[0]]
     delta = bezout_constant(list(product.coefficients(others).values()))
     bad = bad_prime_set(product, split, delta)
-    v = nonvanishing_point(product, split, bad)
+    v = nonvanishing_point(product, split, bad, report.tables)
     return ProgressionWitness(1, delta, tuple(bad), prod(bad), v)
 
 

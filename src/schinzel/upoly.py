@@ -146,20 +146,17 @@ def fp_rem(a, b, p):
 _ITEM_CODES = {array(c).itemsize: c for c in "BHIQ"} if array("H", b"\1\0")[0] == 1 else {}
 
 
-def _packed(m, p):
-    """Arithmetic mod the monic integer list m of degree d in F_p[x], a residue per int.
+def slot_codec(bound):
+    """(w, pack, slots) for integers in [0, bound], each in a byte-aligned slot of one int.
 
-    Coefficient j, in [0, p), fills byte-aligned slot j.  A slot holds
-    2d(p-1)^2, a bound on every slot of a product of two residues once each
-    slot k >= d is folded back, taken mod p, times the row x^k mod m.
-    Returns (pack, unpack, mulmod, power); unpack gives the d coefficients of
-    a product or a sum of residues, and power(x, n) for d <= n <= 2d - 2 is
-    the row x^n mod m itself (for n < d, x^n is slot n).
+    Slot j of an int is its j-th run of w bytes, little-endian first: w is
+    the least array item size that holds bound, else just enough bytes.
+    pack(cs) is the int whose slot j is cs[j]; slots(v, n) lists the first n
+    slots of an int v below 2^(8wn).
     """
-    d = len(m) - 1
-    need = -(-(2 * d * (p - 1) ** 2).bit_length() // 8) or 1
+    need = -(-bound.bit_length() // 8) or 1
     w = next((k for k in _ITEM_CODES if k >= need), need)
-    code, split = _ITEM_CODES.get(w), 8 * w * d
+    code = _ITEM_CODES.get(w)
 
     def pack(cs):
         if code:
@@ -171,6 +168,23 @@ def _packed(m, p):
         if code:
             return array(code, b).tolist()
         return [int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w)]
+
+    return w, pack, slots
+
+
+def _packed(m, p):
+    """Arithmetic mod the monic integer list m of degree d in F_p[x], a residue per int.
+
+    Coefficient j, in [0, p), fills byte-aligned slot j (`slot_codec`).  A
+    slot holds 2d(p-1)^2, a bound on every slot of a product of two residues
+    once each slot k >= d is folded back, taken mod p, times the row x^k mod m.
+    Returns (pack, unpack, mulmod, power); unpack gives the d coefficients of
+    a product or a sum of residues, and power(x, n) for d <= n <= 2d - 2 is
+    the row x^n mod m itself (for n < d, x^n is slot n).
+    """
+    d = len(m) - 1
+    w, pack, slots = slot_codec(2 * d * (p - 1) ** 2)
+    split = 8 * w * d
 
     def unpack(v):
         high = v >> split

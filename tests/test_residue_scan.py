@@ -1,7 +1,8 @@
 """The residue decisions of `fixdiv` against a brute-force reference.
 
 `least_witness` and `residue_scan` reduce parameter exponents by
-Fermat and descend one coordinate at a time; every reference here instead
+Fermat and descend one coordinate at a time, and `residue_scan` evaluates a
+zero witness's family on the whole grid F_p^k; every reference here instead
 specializes with `MPoly.substitute` and reduces with `reduce_mod`, tuple by
 tuple in lexicographic order: the definition, with no coefficient table.
 """
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from schinzel import fixdiv
 from schinzel.coprime import check_copsch_local
 from schinzel.factorlab import gcd_q_fold
 from schinzel.fixdiv import (
@@ -308,3 +310,77 @@ def test_vanishes_somewhere_root_test_matches_enumeration(case):
     want = any(all(_vanishes(Q, params, t, p) for Q in members)
                for t in _lex(p, len(params)))
     assert residue_scan(members, params, p)[1] == want
+
+
+GRID_TERMS = 4  # the most terms `grid_case` draws per member, before its root factors
+GRID_MEMBERS = 3
+
+
+def _grid_agrees(p, params, members):
+    """The grid, the depth-first walk and `_lex` enumeration give one answer."""
+    k = len(params)
+    table, _ = fixdiv._fermat_table(fixdiv._split_terms(members, params), p)
+    want = any(all(_vanishes(Q, params, t, p) for Q in members) for t in _lex(p, k))
+    assert fixdiv._walk(table, k, p) == want
+    assert fixdiv._grid_vanishes(table, k, p) == want
+    hit = _reference_first(members, params, p, _lex(p, k))
+    assert residue_scan(members, params, p) == (hit, want)
+
+
+@st.composite
+def grid_case(draw):
+    """(p, params, members) with two or three parameters, sharing roots often."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    params = tuple(draw(st.permutations(("T", "U", "V")))[: draw(st.integers(2, 3))])
+    expo = st.tuples(*[st.integers(0, p + 2)] * len(LW_REG))
+    roots = draw(st.lists(st.tuples(st.sampled_from(params), st.integers(0, p - 1)),
+                          max_size=2))
+    members = []
+    for _ in range(draw(st.integers(1, GRID_MEMBERS))):
+        Q = MPoly(LW_REG, draw(st.dictionaries(expo, st.integers(-p, p), min_size=1,
+                                               max_size=GRID_TERMS)))
+        for name, a in roots:
+            Q = Q * (MPoly.var(LW_REG, name) - a)
+        members.append(Q)
+    return p, params, members
+
+
+@given(grid_case())
+@settings(max_examples=120, deadline=None)
+def test_grid_matches_walk_and_enumeration(case):
+    _grid_agrees(*case)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_grid_slots_hold_the_widest_values(p, k):
+    # every coefficient is p - 1 and every exponent odd, GRID_TERMS terms per
+    # member where p leaves that many monomials: at t = (p - 1, ..., p - 1)
+    # each slot is a sum of products (p - 1)^(k + 1), the most a slot holds
+    # (p = 7, k = 2: 4 * 216 needs two bytes where one product needs one)
+    params = ("T", "U", "V")[:k]
+    odd = [e for e in range(1, p) if e % 2]
+    monos = list(itertools.islice(itertools.product(odd, repeat=k), GRID_TERMS))
+    members = [MPoly(LW_REG, {m + (0,) * (3 - k) + (i,): p - 1 for m in monos})
+               for i in range(GRID_MEMBERS)]
+    _grid_agrees(p, params, members)
+    # and with a factor U - 1, every member vanishes at U = 1
+    _grid_agrees(p, params, [Q * (MPoly.var(LW_REG, "U") - 1) for Q in members])
+
+
+def test_three_parameter_scan_makes_no_root_test(monkeypatch):
+    calls = []
+    common_root = fixdiv._common_root
+
+    def counted(table, p):
+        calls.append(p)
+        return common_root(table, p)
+
+    monkeypatch.setattr(fixdiv, "_common_root", counted)
+    Q = parse_poly("(T + 1)*(U + 2)*(V + 3)*Y", LW_REG)
+    # nonzero at (0, 0, 0), zero wherever T = 6: the zero witness asks the grid
+    assert residue_scan([Q], ("T", "U", "V"), 7) == (((0, 0, 0), 0), True)
+    assert calls == []
+    table, _ = fixdiv._fermat_table(fixdiv._split_terms([Q], ("T", "U", "V")), 7)
+    assert fixdiv._walk(table, 3, 7)
+    assert calls  # the walk settles its last coordinate by the root test

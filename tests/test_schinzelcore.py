@@ -116,9 +116,9 @@ def test_nonvanishing_point_builds_one_table_per_prime(monkeypatch):
     built = []
     table = fixdiv._fermat_table
 
-    def counted(polys, params, p):
+    def counted(split, p):
         built.append(p)
-        return table(polys, params, p)
+        return table(split, p)
 
     monkeypatch.setattr(fixdiv, "_fermat_table", counted)
     q = P("(T - 1)*(T - 5)*Y + 15")
