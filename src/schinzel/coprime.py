@@ -57,16 +57,9 @@ def check_copsch_local(Qs):
     if not g.is_constant():
         raise PolyError(f"inputs share the rational factor {g}")
 
-    candidates = candidate_fixed_primes(Qs[0], params)
-    tables = ResidueTables(Qs, params)  # every candidate is a proved prime
-    refuted, violations = {}, []
-    for p in candidates:
-        witness = tables.least_witness(p)
-        if witness is None:
-            violations.append(p)
-        else:
-            refuted[p] = witness
-    return CopschReport(not violations, tuple(candidates), refuted, tuple(violations))
+    candidates = candidate_fixed_primes(Qs[0], params)  # proved primes
+    violations, refuted = ResidueTables(Qs, params).partition(candidates)
+    return CopschReport(not violations, tuple(candidates), refuted, violations)
 
 
 def coprime_search(Qs, budget=10**5):

@@ -29,6 +29,7 @@ _IMAGE_PRIME = 10007  # gcd_q's coprimality image lives in F_p[x] for this p
 _IMAGE_POINTS = 4  # spiral points tried for one where both leading coefficients survive
 MAX_VARS = 3  # the Kronecker oracle packs at most this many variables into one
 MAX_TOTAL_DEGREE = 12  # and factors at most this total degree
+COMBO_BUDGET = 2_000_000  # and tries at most this many candidates, by default
 
 
 BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
@@ -281,7 +282,7 @@ def _normalize_sign(P):
     return -P if P.leading_coefficient() < 0 else P
 
 
-def kronecker_factor(P, combo_budget=2_000_000):
+def kronecker_factor(P, combo_budget=COMBO_BUDGET):
     """Complete factorization over Z by the Kronecker method.
 
     Returns Factorization(unit, content, factors).  Multivariate inputs are
@@ -416,7 +417,7 @@ def _lift(g, dg, r, p):
         return a, b
 
 
-def univariate_certificate(f, registry, name, **oracle_opts):
+def univariate_certificate(f, registry, name, combo_budget=COMBO_BUDGET):
     """Irreducibility over Q of a primitive univariate: mod-p, roots, then the oracle.
 
     `f` is the dense integer coefficient list of a primitive polynomial of
@@ -427,39 +428,37 @@ def univariate_certificate(f, registry, name, **oracle_opts):
     are all simple: a rational root ends it, with the `str`-least b*x - a as
     the factor (method `root`); see `_walk`.
     """
-    return _walk(f, registry, name, oracle_opts, tests=True, witness=True)
+    return _walk(f, registry, name, {"combo_budget": combo_budget}, tests=True, witness=True)
 
 
-def root_verdict(f, registry, name, **oracle_opts):
+def root_verdict(f, registry, name, combo_budget=COMBO_BUDGET):
     """The verdict on a primitive univariate f that no scheduled prime certifies.
 
     The walk of `univariate_certificate` without the F_p tests: degree 1 keeps
     its first-prime mod-p certificate, and the root scans alone settle the
     rational roots.  A rational root makes f reducible, with a `root`
-    certificate that carries no factor, so the settling prime's roots are
-    lifted only up to the first rational one; a degree <= 3 without one is
-    irreducible.  Everything else goes to the Kronecker oracle, which decides
-    `undense(f, registry, name)`.  A quadratic or cubic with f(0) != 0 takes
-    `_discriminant_verdict` first, which gives the walk's verdict where it settles.
+    certificate that carries no factor; a degree <= 3 without one is
+    irreducible, and the rest goes to the Kronecker oracle.  `_discriminant_verdict`
+    decides a quadratic or cubic with f(0) != 0 wherever the walk would settle it.
     """
     if len(f) in (3, 4) and f[0]:
         verdict = _discriminant_verdict(f)
         if verdict:
             return IrredCertificate(verdict, "root")
-    return _walk(f, registry, name, oracle_opts, tests=False, witness=False)
+    return _walk(f, registry, name, {"combo_budget": combo_budget}, tests=False, witness=False)
 
 
 def _discriminant_verdict(f):
     """'reducible' or 'irreducible' for the dense f of degree 2 or 3, f(0) != 0, or None.
 
-    The walk settles f's rational roots at a scheduled p < _ROOT_SCAN_BELOW iff p
-    does not divide the discriminant D; None if no such p exists.  Else f is
+    None iff every scheduled p < _ROOT_SCAN_BELOW divides the discriminant D, as
+    then no root scan of the walk settles f's rational roots either.  Else f is
     reducible iff it has a rational root: for a quadratic, iff D is a square; for
     a*x^3 + b*x^2 + c*x + d, iff h(y) = y^3 + b*y^2 + ac*y + a^2*d, whose roots are
-    a*x, has an integer root.  Float estimates of h's real roots (one if D < 0,
-    three if D > 0) propose unit intervals (n, n + 1), which exact values of h
-    decide: h = 0 at an end is a root, and a sign change in a separate interval
-    for every real root leaves none at an integer.  Anything else is None.
+    a*x, has an integer root.  h(y) != 0 for |y| >= M, a power of 2 (Fujiwara's
+    bound), and the floors of the real zeros of h' = 3y^2 + 2by + ac, exact by
+    `math.isqrt`, cut (-M, M] into runs (lo, hi] on which h rises, falls, rises;
+    bisection finds the root of a run over which h changes sign.
     """
     a, D = f[-1], discriminant(f)
     if not any(D % p for p in itertools.takewhile(_ROOT_SCAN_BELOW.__gt__, _prime_schedule(a))):
@@ -467,23 +466,23 @@ def _discriminant_verdict(f):
     if len(f) == 3:
         return "reducible" if D > 0 and math.isqrt(D) ** 2 == D else "irreducible"
     B, C, E = f[2], a * f[1], a * a * f[0]
-    try:
-        Q, R = (B * B - 3 * C) / 9, (2 * B**3 - 9 * B * C + 27 * E) / 54  # h at y = z - B/3
-        if D > 0:  # three real roots, by the cosine; Q > 0
-            q = math.sqrt(Q)
-            t = math.acos(max(-1.0, min(1.0, R / q**3)))
-            zs = [-2 * q * math.cos((t + 2 * math.pi * k) / 3) for k in range(3)]
-        else:  # one, by Cardano, with R^2 - Q^3 = -a^2 D / 108 from the exact D
-            A = -math.copysign((abs(R) + math.sqrt(-a * a * D / 108)) ** (1 / 3), R)
-            zs = [A + Q / A]
-        starts = {math.floor(z - B / 3) for z in zs}
-    except (OverflowError, ValueError):
-        return None
-    ends = [[((y + B) * y + C) * y + E for y in (n, n + 1)] for n in starts]
-    if not all(lo and hi for lo, hi in ends):
-        return "reducible"
-    if len(ends) == len(zs) and all((lo > 0) != (hi > 0) for lo, hi in ends):
-        return "irreducible"
+
+    def h(y):
+        return ((y + B) * y + C) * y + E
+    M = 2 << max(B.bit_length(), (C.bit_length() + 1) // 2, (E.bit_length() + 2) // 3)
+    disc = B * B - 3 * C  # h' has two real zeros iff disc > 0; else h rises on all of R
+    s = math.isqrt(max(disc, 0))
+    cuts = [-M, (-B - s - (s * s < disc)) // 3, (-B + s) // 3, M]
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        sign = (-1) ** i  # sign * h rises on the run
+        if sign * h(lo + 1) > 0 or sign * h(hi) < 0:
+            continue
+        while hi - lo > 1:  # the least y with sign * h(y) >= 0 stays in (lo, hi]
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if sign * h(mid) < 0 else (lo, mid)
+        if not h(hi):
+            return "reducible"
+    return "irreducible"
 
 
 def _walk(f, registry, name, oracle_opts, tests, witness):
@@ -546,7 +545,7 @@ def _kronecker_certificate(P, **oracle_opts):
     return IrredCertificate("reducible", "kronecker", factor=fac.factors[0][0])
 
 
-def is_irreducible_q(P, **oracle_opts):
+def is_irreducible_q(P, combo_budget=COMBO_BUDGET):
     """Irreducibility in Q[registry], with a certificate.
 
     Univariate: the mod-p schedule with the root route, then the Kronecker
@@ -561,7 +560,7 @@ def is_irreducible_q(P, **oracle_opts):
     pp = _normalize_sign(P.primitive_part())
     names = pp.variables()
     if len(names) == 1:
-        return univariate_certificate(dense(pp, names[0]), pp.registry, names[0], **oracle_opts)
+        return univariate_certificate(dense(pp, names[0]), pp.registry, names[0], combo_budget)
 
     # main variable: largest degree, ties broken by registry order
     main = max(names, key=lambda n: pp.degree_in(n))
@@ -577,7 +576,8 @@ def is_irreducible_q(P, **oracle_opts):
         c = math.gcd(*f)
         f = [a // c for a in f]
         try:
-            inner = _walk(f, pp.registry, main, oracle_opts, tests=True, witness=False)
+            inner = _walk(f, pp.registry, main, {"combo_budget": combo_budget},
+                          tests=True, witness=False)
         except BudgetExceeded:
             continue
         if inner.irreducible:
@@ -589,7 +589,7 @@ def is_irreducible_q(P, **oracle_opts):
                 detail=f"image method {inner.method}",
             )
         # a reducible or undecided image is inconclusive for the multivariate input
-    return _kronecker_certificate(pp, **oracle_opts)
+    return _kronecker_certificate(pp, combo_budget=combo_budget)
 
 
 def content_certificate(P):
@@ -600,11 +600,11 @@ def content_certificate(P):
         return IrredCertificate("reducible", "content", factor=factor, detail=f"content {c}")
 
 
-def is_irreducible_z(P, **opts):
+def is_irreducible_z(P, combo_budget=COMBO_BUDGET):
     """True iff P is irreducible in Z[registry]: Q-irreducible with unit content."""
     if P.is_zero() or P.is_constant():
         raise PolyError("irreducibility undefined for constants")
-    cert = content_certificate(P) or is_irreducible_q(P, **opts)
+    cert = content_certificate(P) or is_irreducible_q(P, combo_budget=combo_budget)
     return cert.irreducible, cert
 
 

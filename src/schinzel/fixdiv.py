@@ -236,6 +236,17 @@ class ResidueTables:
         """`least_witness(polys, params, p)`."""
         return self._entry(p)[1]
 
+    def partition(self, candidates):
+        """(the candidates without a witness, {each other candidate: its least witness})."""
+        fixed, refuted = [], {}
+        for p in candidates:
+            hit = self.least_witness(p)
+            if hit is None:
+                fixed.append(p)
+            else:
+                refuted[p] = hit
+        return tuple(fixed), refuted
+
     def residue_scan(self, p):
         """`residue_scan(polys, params, p)`."""
         table, hit = self._entry(p)
@@ -296,21 +307,15 @@ def fixed_prime_divisors(P, split):
 
     Over Z an empty confirmed set is equivalent to having no fixed divisor
     among all nonunits: a fixed composite would force a fixed prime.
-    Every candidate is a proved prime, so the loop runs `least_witness`'s
-    descent without proving it again, on tables that the report keeps.
+    Every candidate is a proved prime, so `least_witness`'s descent runs
+    without proving it again, on tables that the report keeps.
     """
     candidates = candidate_fixed_primes(P, split)
     tables = ResidueTables([P], _params_of(split))
-    confirmed, witnesses = [], {}
-    for p in candidates:
-        hit = tables.least_witness(p)
-        if hit is None:
-            confirmed.append(p)
-        else:
-            witnesses[p] = hit[0]
+    confirmed, refuted = tables.partition(candidates)
+    witnesses = {p: t for p, (t, _) in refuted.items()}
     return FixedDivisorReport(
-        tuple(candidates), tuple(confirmed), witnesses, param_degree(P, split), P.content(),
-        tables,
+        tuple(candidates), confirmed, witnesses, param_degree(P, split), P.content(), tables
     )
 
 

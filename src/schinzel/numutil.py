@@ -10,7 +10,7 @@ def primes_upto(n):
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i in range(2, n + 1) if sieve[i]]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .factorlab import is_irreducible_q, is_irreducible_z
-from .fixdiv import fixed_prime_divisors, least_witness, proved_prime_factors
+from .fixdiv import fixed_prime_divisors, proved_prime_factors
 from .numutil import crt, primes_upto, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, VarSplit, dense
 from .schinzelcore import HypothesisError
@@ -309,9 +309,9 @@ def _stage(polys, variables, d, budget, monic, report):
         delta = r * sum(d)
         S = sorted(set(primes_upto(delta)) | set(proved_prime_factors(abs(a_r))))
 
-    # every fixed prime is one of the report's candidates, and it confirms none
-    seen = report.witnesses
-    residues = [(seen[p] if p in seen else least_witness([product], (t1,), p)[0])[0] for p in S]
+    # every fixed prime is one of the report's candidates, and it confirms none; a later
+    # stage's report is of the same product, with the parameter named as the variable
+    residues = [report.tables.least_witness(p)[0][0] for p in S]
     theta = crt(residues, S)
     omega = prod(S)
 

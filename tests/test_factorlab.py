@@ -35,7 +35,7 @@ from schinzel.factorlab import (
     root_verdict,
     univariate_certificate,
 )
-from schinzel.numutil import is_prime, primes_upto, signed_ints, spiral
+from schinzel.numutil import divisors, is_prime, primes_upto, signed_ints, spiral
 from schinzel.polyring import MPoly, PolyError, VarSplit, dense, parse_poly, undense
 from schinzel.upoly import evaluate as _eval_dense
 from schinzel.upoly import exact_quotient as _dense_exact_div
@@ -279,6 +279,18 @@ def test_oracle_options_reach_the_oracle(expr, reg):
     # no prime certifies a reducible input, so the oracle runs with the caller's budget
     with pytest.raises(BudgetError, match="exceeded 1 interpolation candidates"):
         is_irreducible_q(parse_poly(expr, reg), combo_budget=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_irreducible_q(U("x^2 + 1"), combo_budgt=5),
+    lambda: is_irreducible_z(U("x^2 + 1"), combo_budgt=5),
+    lambda: univariate_certificate([1, 0, 1], X, "x", combo_budgt=5),
+    lambda: root_verdict([1, 0, 1], X, "x", combo_budgt=5),
+], ids=["is_irreducible_q", "is_irreducible_z", "univariate_certificate", "root_verdict"])
+def test_a_misspelled_oracle_option_is_a_type_error(call):
+    # x^2 + 1 is irreducible mod 3 and has no rational root: no oracle runs to notice it
+    with pytest.raises(TypeError, match="combo_budgt"):
+        call()
 
 
 def test_oracle_unproved_prime_is_a_budget_exit():
@@ -916,8 +928,63 @@ def test_root_verdict_decides_quadratics_and_cubics_as_the_walk(case):
     want = _outcome_of(lambda: factorlab._walk(f, X, "x", {"combo_budget": 200}, tests=False,
                                                witness=False))
     assert _outcome_of(lambda: root_verdict(f, X, "x", combo_budget=200)) == want
-    if kind == "one interval":  # no unit interval isolates each real root: the walk decides
-        assert f[0] and factorlab._discriminant_verdict(f) is None
+    if kind == "one interval":  # two real roots in one unit interval: the integer rule decides
+        assert IrredCertificate(factorlab._discriminant_verdict(f), "root") == want
+
+
+@st.composite
+def _cubics(draw):
+    """Primitive dense cubics with f(0) != 0, of coefficients up to 9, 2^60 or 10^30."""
+    size = draw(st.sampled_from([9, 2**60, 10**30]))
+    num, positive = st.integers(-size, size), st.integers(1, size)
+    kind = draw(st.sampled_from(["linear x quadratic", "three roots", "repeated",
+                                 "one interval", "random"]))
+
+    def linear():
+        return [draw(num), draw(positive)]
+
+    if kind == "linear x quadratic":
+        f = mul(linear(), [draw(num), draw(num), draw(positive)])
+    elif kind == "three roots":
+        f = mul(mul(linear(), linear()), linear())
+    elif kind == "repeated":
+        g = linear()
+        f = mul(mul(g, g), linear())
+    elif kind == "one interval":  # x^3 + (B - 1)x^2 - Bx + 1 at x - n: D > 0, no rational root
+        n, B = draw(num), draw(st.integers(5, max(size, 5)))
+        f = mul(mul([-n, 1], [-n - 1, 1]), [B - n, 1])
+        f[0] += 1
+    else:
+        f = [draw(num) for _ in range(3)] + [draw(positive)]
+    assume(f[0] and f[-1])
+    c = math.gcd(*f) * draw(st.sampled_from([1, -1]))  # negative leads too
+    return [a // c for a in f]
+
+
+@given(_cubics())
+@settings(max_examples=300, deadline=None)
+def test_discriminant_verdict_matches_sympy_on_cubics(f):
+    sympy = pytest.importorskip("sympy")
+    verdict = factorlab._discriminant_verdict(f)
+    if verdict is None:  # only where the walk's root scans would not settle f either
+        scanned = itertools.takewhile(lambda p: p < 256, _prime_schedule(f[-1]))
+        assert all(upoly.discriminant(f) % p == 0 for p in scanned)
+    else:
+        irreducible = sympy.Poly(list(reversed(f)), sympy.Symbol("x")).is_irreducible
+        assert verdict == ("irreducible" if irreducible else "reducible")
+
+
+def test_discriminant_verdict_matches_the_divisors_on_small_monic_cubics():
+    # every y^3 + b*y^2 + c*y + d with |b|, |c|, |d| <= 12 against its integer roots,
+    # which divide d; some lie beyond half the bound M
+    decided = 0
+    for d, c, b in itertools.product(range(-12, 13), repeat=3):
+        verdict = factorlab._discriminant_verdict([d, c, b, 1]) if d else None
+        if verdict is not None:
+            decided += 1
+            root = any(_eval_dense([d, c, b, 1], r) == 0 for a in divisors(d) for r in (a, -a))
+            assert verdict == ("reducible" if root else "irreducible"), (d, c, b)
+    assert decided > 14000
 
 
 # -- the prime walk against the route it replaced ---------------------

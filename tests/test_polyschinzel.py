@@ -2,7 +2,7 @@ import collections
 
 import pytest
 
-from schinzel import polyschinzel
+from schinzel import fixdiv, polyschinzel
 from schinzel.factorlab import is_irreducible_z, kronecker_factor
 from schinzel.fixdiv import BudgetExceeded, fixed_prime_divisors, is_fixed_prime
 from schinzel.polyring import MPoly, PolyError, VarSplit, parse_poly
@@ -321,6 +321,8 @@ def test_compose_decides_each_tower_polynomial_once(monkeypatch, degrees):
     counting("is_irreducible_q", decided)
     counting("is_irreducible_z", decided)
     counting("fixed_prime_divisors", reported)
+    splits, split_terms = [], fixdiv._split_terms
+    monkeypatch.setattr(fixdiv, "_split_terms", lambda *a: splits.append(1) or split_terms(*a))
     plan = iterated_composition([T1("T^2 + 1")], degrees)
     tower = [T1("T^2 + 1")]
     for M in plan.Ms:
@@ -328,6 +330,8 @@ def test_compose_decides_each_tower_polynomial_once(monkeypatch, degrees):
     assert tower[-1] == plan.family[0]
     assert [(decided[key(Q)], reported[key(Q)]) for Q in tower] == [(1, 1)] * len(tower)
     assert max(decided.values()) == max(reported.values()) == 1
+    # the bad primes' residues come from the tables of the report of the stage's product
+    assert len(splits) == len(tower)
 
 
 def test_compose_empty():
