@@ -553,7 +553,11 @@ def is_irreducible_q(P, combo_budget=COMBO_BUDGET):
     primitivity in a main variable plus a degree-preserving integer
     evaluation with irreducible univariate image at one of the first
     EVAL_POINT_TRIES spiral points (a reducible image, or one the oracle
-    cannot decide, tries the next point); full oracle as fallback.
+    cannot decide, tries the next point); full oracle as fallback.  The input
+    is compiled once into `coefficient_rows`: they give the images, and
+    `_unit_content` proves the primitivity from them where it can, so
+    `content_q` runs only where that proof fails, and its common factor is
+    the reducible witness.
     """
     if P.is_zero() or P.is_constant():
         raise PolyError("irreducibility undefined for constants")
@@ -565,12 +569,13 @@ def is_irreducible_q(P, combo_budget=COMBO_BUDGET):
     # main variable: largest degree, ties broken by registry order
     main = max(names, key=lambda n: pp.degree_in(n))
     others = [n for n in names if n != main]
-    g = content_q(pp, (main,))
-    if not g.is_constant():
+    monos = {}
+    rows = coefficient_rows(pp, others, main, monos)
+    if not _unit_content(rows, monos) and not (g := content_q(pp, (main,))).is_constant():
         return IrredCertificate(
             "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
         )
-    for point, f in _spiral_images(pp, others, main, EVAL_POINT_TRIES):
+    for point, f in _row_images(rows, monos, EVAL_POINT_TRIES):
         if not f[-1]:
             continue
         c = math.gcd(*f)
@@ -624,31 +629,71 @@ def _prem(A, B, name):
 def _spiral_images(P, others, main, count):
     """(point, P there as a list in `main`) at the first `count` spiral points of `others`.
 
-    The images are evaluated from P's `coefficient_rows`, not substituted.
+    The images are evaluated from P's `coefficient_rows` (`_row_images`), not substituted.
     Each has deg_main(P) + 1 entries, so its last is 0 where the degree drops.
     """
     if not others:  # the one point is ()
         yield (), dense(P, main)
         return
     monos = {}
-    rows = coefficient_rows(P, others, main, monos)
-    for point in itertools.islice(spiral(len(others)), count):
+    yield from _row_images(coefficient_rows(P, others, main, monos), monos, count)
+
+
+def _row_images(rows, monos, count):
+    """(point, the rows' polynomial there as a list) at the first `count` spiral points.
+
+    `rows` and `monos` are `coefficient_rows` of a nonzero polynomial; a point
+    binds the other variables, in the order of the exponents in `monos`.
+    """
+    for point in itertools.islice(spiral(len(next(iter(monos)))), count):
         values = [math.prod(map(pow, point, m)) for m in monos]
         yield point, [sum([c * values[j] for c, j in row]) for row in rows]
+
+
+def _unit_content(rows, monos):
+    """True if the `coefficient_rows` of P prove its content in their main variable a unit.
+
+    A nonzero constant row does.  With one other variable y, so does a constant
+    `_coprime_fold` of the rows as lists in y, as in `gcd_q_fold`.  False is
+    inconclusive: a common factor, a lead that vanishes mod p, or more variables.
+    """
+    exponents = list(monos)  # monos numbers the exponent tuples in insertion order
+    one = monos.get((0,) * len(exponents[0]))
+    if any(len(row) == 1 and row[0][1] == one for row in rows):
+        return True
+    if len(exponents[0]) > 1:
+        return False
+    fs = []
+    for row in filter(None, rows):  # a zero row is not a coefficient
+        f = [0] * (1 + max(exponents[j][0] for _, j in row))
+        for c, j in row:
+            f[exponents[j][0]] = c
+        fs.append(f)
+    return bool(_coprime_fold(fs))
+
+
+def _coprime_fold(fs):
+    """Whether the integer lists `fs` have a constant gcd in F_p[x], p = _IMAGE_PRIME.
+
+    None if p divides a leading coefficient.  A common factor over Q of positive
+    degree keeps its degree mod p where every lead survives, so True excludes one.
+    """
+    fs = [[c % _IMAGE_PRIME for c in f] for f in fs]
+    if all(f[-1] for f in fs):
+        return len(functools.reduce(lambda g, f: fp_gcd(f, g, _IMAGE_PRIME), fs)) == 1
 
 
 def _coprime_image(polys, name, others):
     """True if one F_p image proves that the gcd of `polys` has degree 0 in `name`.
 
     `others`, the other variables of `polys`, are bound at the first of a few spiral
-    points where every leading coefficient in `name` survives mod p.  A common factor
-    of positive degree in `name` keeps its degree there and divides every image, so a
-    constant `fp_gcd` fold of the images excludes it.  False is inconclusive.
+    points where every leading coefficient in `name` survives mod p, and the images
+    there are folded by `_coprime_fold`.  False is inconclusive.
     """
     for images in zip(*[_spiral_images(P, others, name, _IMAGE_POINTS) for P in polys]):
-        fs = [[c % _IMAGE_PRIME for c in f] for _, f in images]
-        if all(f[-1] for f in fs):
-            return len(functools.reduce(lambda g, f: fp_gcd(f, g, _IMAGE_PRIME), fs)) == 1
+        coprime = _coprime_fold([f for _, f in images])
+        if coprime is not None:
+            return coprime
     return False
 
 

@@ -258,12 +258,20 @@ _ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, x^p mod f O(log p) product
 
 
 def discriminant(f):
-    """The discriminant of the quadratic [c, b, a] or of the cubic [d, c, b, a]."""
+    """The discriminant of the quadratic [c, b, a], cubic [d, c, b, a] or quartic [e, d, c, b, a].
+
+    A quartic's is (4I^3 - J^2)/27, exact over Z, from its invariants I and J.
+    """
     if len(f) == 3:
         c, b, a = f
         return b * b - 4 * a * c
-    d, c, b, a = f
-    return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    if len(f) == 4:
+        d, c, b, a = f
+        return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    e, d, c, b, a = f
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    return (4 * i**3 - j * j) // 27
 
 
 def fp_roots(f, p):
@@ -281,22 +289,25 @@ def fp_irreducible(f, p):
     """True iff the integer list f is irreducible in F_p[x], p prime not dividing its lead.
 
     At odd p, Euler's criterion tells with one modular power whether the
-    discriminant D of a quadratic or cubic is a square mod p.  A quadratic is
-    irreducible iff D is not a square (Modern Computer Algebra, ch. 14).  A
-    cubic is reducible if D = 0 (a repeated linear factor) or D is not a
-    square: by Stickelberger's parity theorem (Swan 1962) a squarefree cubic
-    then has an even number of irreducible factors, so a root.  Else, for
-    small p, a root scan comes first: a root mod p is a linear factor, and
-    degree 2 or 3 without one is irreducible.  The rest is `fp_distinct_degree`.
+    discriminant D of f of degree n <= 4 is a square mod p.  By Stickelberger's
+    parity theorem (Swan 1962), a squarefree f with r irreducible factors mod p
+    has D a square iff n - r is even, and D = 0 means a repeated factor.  So f
+    is reducible unless D is a non-square (n = 2 or 4) or a nonzero square
+    (n = 3), and a quadratic that passes is irreducible (Modern Computer
+    Algebra, ch. 14).  Else, for small p, a root scan comes first: a root mod p
+    is a linear factor, and a cubic without one, or a quartic that passed at
+    odd p (r odd, so 1 or 3 with a root), is irreducible.  The rest is
+    `fp_distinct_degree`.
     """
     if len(f) == 3 and p > 2:
         return pow(discriminant(f), (p - 1) // 2, p) == p - 1
-    if len(f) == 4 and p > 2 and pow(discriminant(f), (p - 1) // 2, p) != 1:
+    parity = p > 2 and len(f) in (4, 5)  # a cubic or quartic that Stickelberger's test sees
+    if parity and pow(discriminant(f), (p - 1) // 2, p) != (1 if len(f) == 4 else p - 1):
         return False
     if p < _ROOT_SCAN_BELOW and len(f) > 2:
         if next(fp_roots(f, p), None) is not None:
             return False
-        if len(f) <= 4:
+        if len(f) <= 4 or parity:
             return True
     return len(f) == 2 or fp_distinct_degree(f, p)
 
@@ -309,8 +320,12 @@ def fp_distinct_degree(f, p):
     gcd(f, x^(p^i) - x) is constant for every i <= deg(f)/2, so one gcd with
     their product mod f decides.  Each x^(p^i) past x^p combines the Frobenius
     rows x^(pj) mod f, j < deg(f), as (sum c_j x^j)^p = sum c_j x^(pj) (Modern
-    Computer Algebra, 14.2).
+    Computer Algebra, 14.2).  A quartic at odd p below _ROOT_SCAN_BELOW has 1 or 2
+    irreducible factors, and by Stickelberger's theorem (see `fp_irreducible`) it
+    is irreducible iff its discriminant is a non-square mod p: one modular power.
     """
+    if len(f) == 5 and 2 < p < _ROOT_SCAN_BELOW:
+        return pow(discriminant(f), (p - 1) // 2, p) == p - 1
     d = len(f) - 1
     inv = pow(f[-1], -1, p)
     m = [c * inv % p for c in f]

@@ -36,7 +36,15 @@ from schinzel.factorlab import (
     univariate_certificate,
 )
 from schinzel.numutil import divisors, is_prime, primes_upto, signed_ints, spiral
-from schinzel.polyring import MPoly, PolyError, VarSplit, dense, parse_poly, undense
+from schinzel.polyring import (
+    MPoly,
+    PolyError,
+    VarSplit,
+    coefficient_rows,
+    dense,
+    parse_poly,
+    undense,
+)
 from schinzel.upoly import evaluate as _eval_dense
 from schinzel.upoly import exact_quotient as _dense_exact_div
 from schinzel.upoly import ext_gcd, fp_coprime, fp_irreducible, fp_roots, mul, trim
@@ -1036,12 +1044,21 @@ def _reference_univariate(f, registry, name, witness=True, **oracle_opts):
     return factorlab._kronecker_certificate(undense(f, registry, name), **oracle_opts)
 
 
-def _reference_irreducible_q(P, **oracle_opts):
-    """`is_irreducible_q` with `_reference_univariate` for its univariate verdicts."""
+def _walk_univariate(f, registry, name, witness=True, **oracle_opts):
+    """The walk of `univariate_certificate`, called as `_reference_univariate` is."""
+    return factorlab._walk(f, registry, name, oracle_opts, tests=True, witness=witness)
+
+
+def _reference_irreducible_q(P, univariate=_reference_univariate, **oracle_opts):
+    """`is_irreducible_q` with `univariate` for its univariate verdicts and `content_q` first.
+
+    With `_walk_univariate` it is the route as it stood before the content
+    was proven from the evaluation route's coefficient rows.
+    """
     pp = factorlab._normalize_sign(P.primitive_part())
     names = pp.variables()
     if len(names) == 1:
-        return _reference_univariate(dense(pp, names[0]), pp.registry, names[0], **oracle_opts)
+        return univariate(dense(pp, names[0]), pp.registry, names[0], **oracle_opts)
     main = max(names, key=lambda n: pp.degree_in(n))
     others = [n for n in names if n != main]
     g = content_q(pp, (main,))
@@ -1055,7 +1072,7 @@ def _reference_irreducible_q(P, **oracle_opts):
         c = math.gcd(*f)
         f = [a // c for a in f]
         try:
-            inner = _reference_univariate(f, pp.registry, main, witness=False, **oracle_opts)
+            inner = univariate(f, pp.registry, main, witness=False, **oracle_opts)
         except BudgetError:
             continue
         if inner.irreducible:
@@ -1163,6 +1180,87 @@ def _bivariate_walk_cases(draw):
 def test_evaluation_walk_matches_the_route_it_replaced(P):
     got = _outcome_of(lambda: is_irreducible_q(P, combo_budget=200))
     assert got == _outcome_of(lambda: _reference_irreducible_q(P, combo_budget=200))
+
+
+def _rows_prove_a_unit(P, main):
+    others = [n for n in P.variables() if n != main]
+    monos = {}
+    return factorlab._unit_content(coefficient_rows(P, others, main, monos), monos)
+
+
+@st.composite
+def _row_content_case(draw):
+    """(P, main) in 2 or 3 names with coefficients up to 10^30: c * g * h, g free of main.
+
+    g is 1 or a polynomial in the other names (a common factor of the rows);
+    h may have rows (coefficients of powers of main) that are zero, and one
+    that is a nonzero constant.
+    """
+    names = GCD_REG[: draw(st.integers(2, 3))]
+    main = draw(st.sampled_from(names))
+    rest = [n for n in names if n != main]
+    coeff = st.one_of(st.integers(-4, 4), st.integers(-10**30, 10**30)).filter(bool)
+    i = GCD_REG.index(main)
+
+    def poly(vars_, max_terms):
+        expo = st.tuples(*[st.integers(0, 3 if n == main else 2) for n in GCD_REG])
+        expo = expo.map(lambda e: tuple(a if n in vars_ else 0 for a, n in zip(e, GCD_REG)))
+        return draw(st.dictionaries(expo, coeff, min_size=1, max_size=max_terms))
+
+    terms = poly(names, 8)
+    dropped = draw(st.sets(st.integers(0, 3), max_size=2))  # zero rows
+    terms = {e: c for e, c in terms.items() if e[i] not in dropped}
+    if draw(st.booleans()):  # a nonzero constant row
+        k = draw(st.integers(0, 3))
+        terms = {e: c for e, c in terms.items() if e[i] != k}
+        terms[tuple(k if j == i else 0 for j in range(len(GCD_REG)))] = draw(coeff)
+    g = MPoly(GCD_REG, poly(rest, 3)) if draw(st.booleans()) else 1
+    P = draw(coeff) * g * MPoly(GCD_REG, terms)
+    assume(main in P.variables() and len(P.variables()) > 1)
+    return P, main
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_content_case())
+def test_the_row_content_proof_claims_only_unit_contents(case):
+    P, main = case
+    pp = P.primitive_part()
+    if _rows_prove_a_unit(pp, main):
+        assert content_q(pp, (main,)).is_constant()
+
+
+@pytest.mark.parametrize("expr, proven", [
+    ("(y + 1)*x^2 + 3*x + y", True),  # the row of x is a nonzero constant
+    ("(y^2 + 1)*x^2 + (y^2 - 1)*x + y*(y + 1)", True),  # a constant gcd mod 10007
+    ("(y + 1)*x^2 + (y^2 - 1)*x + 3*y + 3", False),  # the content y + 1
+    ("(10007*y + 1)*x + y", False),  # a lead vanishes mod 10007: content_q decides
+    ("(y + z)*x^2 + (y - z)*x + y*z + 1", False),  # three names and no constant row
+    ("(y + z)*x^2 + 5*x + y*z + 1", True),
+])
+def test_the_row_content_proof_on_examples(expr, proven):
+    P = parse_poly(expr, GCD_REG)
+    assert _rows_prove_a_unit(P, "x") is proven
+    assert content_q(P, ("x",)).is_constant() or not proven
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_content_case())
+def test_is_irreducible_q_keeps_the_certificates_of_content_q_first(case):
+    P, _ = case
+    got = _outcome_of(lambda: is_irreducible_q(P, combo_budget=100))
+    assert got == _outcome_of(lambda: _reference_irreducible_q(
+        P, univariate=_walk_univariate, combo_budget=100))
+
+
+def test_a_proven_unit_content_calls_no_content_q(monkeypatch):
+    calls = []
+    monkeypatch.setattr(factorlab, "content_q", lambda *a: calls.append(a) or content_q(*a))
+    cert = is_irreducible_q(parse_poly("x^3 + y*x + y^2 + 1", GCD_REG))
+    assert (cert.method, cert.point, calls) == ("evaluation", {"y": -1}, [])
+    P = parse_poly("(y + 1)*x^3 + (y + 1)*x + y^2 - 1", GCD_REG)
+    cert = is_irreducible_q(P)
+    assert (cert.verdict, cert.factor) == ("reducible", parse_poly("y + 1", GCD_REG))
+    assert calls[0] == (P, ("x",))  # the exact content, which recurses through gcd_q
 
 
 def test_a_repeated_factor_with_a_rational_root_is_now_decided_by_its_roots():

@@ -265,6 +265,96 @@ def test_fp_irreducible_decides_cubics(primes, data):
     assert fp_irreducible(f, p) == _poly(f, modulus=p).is_irreducible
 
 
+def _reducible_quartics(p):
+    """Every quartic mod p with a factor of degree 1 or 2, as a tuple in [0, p), by products."""
+    monic = {k: [list(c) + [1] for c in itertools.product(range(p), repeat=k)] for k in (1, 2, 3)}
+    return {tuple(c * a % p for c in mul(g, h))
+            for k in (1, 2) for g in monic[k] for h in monic[4 - k] for a in range(1, p)}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_fp_irreducible_decides_every_quartic_mod_small_primes(p):
+    # against a brute-force factor search; the discriminant's rule must agree everywhere
+    reducible = _reducible_quartics(p)
+    seen = {"D = 0": 0, "root-free": 0, "irreducible": 0}
+    for f in itertools.product(range(p), repeat=5):
+        if not f[-1]:
+            continue
+        f, want = list(f), f not in reducible
+        assert fp_irreducible(f, p) is want, f
+        seen["D = 0"] += discriminant(f) % p == 0
+        if all(evaluate(f, r) % p for r in range(p)):  # fp_distinct_degree's precondition
+            seen["root-free"] += 1
+            assert fp_distinct_degree(f, p) is want, f
+        seen["irreducible"] += want
+    # 2*(p^4 - p^2)/4 monic irreducible quartics per lead, and repeated factors among the rest
+    assert seen["irreducible"] == (p - 1) * (p**4 - p**2) // 4
+    assert min(seen.values()) > 0
+
+
+@st.composite
+def _quartic(draw, primes):
+    """(p, [e, d, c, b, a]) with p not dividing a; a third with discriminant 0 mod p.
+
+    Another third are products of two quadratics, whose discriminant is a
+    square mod p when they are squarefree and root-free.
+    """
+    p = draw(st.sampled_from(primes))
+    a = draw(INTS.filter(lambda v: v % p))  # negative and non-unit leads included
+    kind = draw(st.sampled_from(["D = 0", "two quadratics", "any"]))
+    if kind == "D = 0":  # a*(x - r)^2*(x^2 + s*x + t), shifted by multiples of p
+        r = draw(INTS)
+        f = mul(mul([-r, 1], [-r, 1]), [a * draw(INTS), a * draw(INTS), a])
+        f = [v + p * draw(st.integers(-3, 3)) for v in f]
+        assert discriminant(f) % p == 0
+        return p, f
+    if kind == "two quadratics":
+        return p, mul([draw(INTS), draw(INTS), 1], [draw(INTS), draw(INTS), a])
+    return p, draw(st.lists(INTS, min_size=4, max_size=4)) + [a]
+
+
+@pytest.mark.parametrize("primes", [
+    [2],  # Stickelberger's test needs an odd p: 2 keeps the root scan and the powering
+    primes_upto(255)[1:],  # odd p below the root scan's bound
+    [p for p in primes_upto(300) if p > 256],  # above it
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fp_irreducible_decides_quartics(primes, data):
+    p, f = data.draw(_quartic(primes))
+    want = _poly(f, modulus=p).is_irreducible
+    assert fp_irreducible(f, p) == want
+    if p > 256 or all(evaluate(f, r) % p for r in range(p)):
+        assert fp_distinct_degree(f, p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), min_size=4, max_size=4),
+       st.integers(-10**30, 10**30).filter(bool))
+def test_quartic_discriminant_matches_sympy(low, lead):
+    f = low + [lead]
+    assert discriminant(f) == _poly(f).discriminant()
+
+
+def test_a_quartic_at_odd_p_below_the_scan_bound_is_never_packed(monkeypatch):
+    from schinzel import upoly
+
+    calls = []
+    monkeypatch.setattr(upoly, "_packed", lambda m, p: calls.append(p) or _packed(m, p))
+    quartics = [[2, 0, 0, 0, 1], [7, 0, 3, 0, 1], [1, 1, 0, 0, -3], [5, -2, 4, 9, 6]]
+    for p in primes_upto(255)[1:]:
+        for f in quartics:
+            if f[-1] % p:
+                fp_irreducible(f, p)
+                if all(evaluate(f, r) % p for r in range(p)):
+                    fp_distinct_degree(f, p)
+    assert calls == []
+    # p = 2 and p above the bound keep the Frobenius test
+    fp_distinct_degree([1, 1, 0, 0, 1], 2)
+    fp_irreducible([3, 0, 0, 0, 1], 257)  # D = 2^8 * 3^3, a non-square mod 257
+    assert calls == [2, 257]
+
+
 @pytest.mark.parametrize("degree", range(2, 9))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
