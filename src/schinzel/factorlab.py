@@ -21,7 +21,8 @@ from .numutil import spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
 from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_distinct_degree, fp_gcd
-from .upoly import discriminant, fp_irreducible, fp_roots, mul, require_prime, trim
+from .upoly import discriminant, fp_irreducible, fp_roots, mul, parity_allows, require_prime
+from .upoly import trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
@@ -30,6 +31,7 @@ _IMAGE_POINTS = 4  # spiral points tried for one where both leading coefficients
 MAX_VARS = 3  # the Kronecker oracle packs at most this many variables into one
 MAX_TOTAL_DEGREE = 12  # and factors at most this total degree
 COMBO_BUDGET = 2_000_000  # and tries at most this many candidates, by default
+_PARITY_DEGREES = range(5, MAX_TOTAL_DEGREE + 1)  # the walk's D screen; fp_irreducible's below
 
 
 BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
@@ -500,6 +502,11 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
     them, the scans' simple roots are lifted first: a rational one is a root mod
     every p, so the F_p tests are skipped.  After the walk, degree <= 3 without
     a rational root is irreducible, and the rest goes to the Kronecker oracle.
+
+    From the second F_p test on, f of a degree in _PARITY_DEGREES computes its
+    discriminant once, and a p that fails Stickelberger's rule (`parity_allows`)
+    is not tested: f is reducible mod p there.  The first test runs unscreened,
+    so an f that it certifies pays for no discriminant.
     """
     schedule = _prime_schedule(f[-1])
     if len(f) == 2:
@@ -508,29 +515,42 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
     g, dg = f[k:], [i * c for i, c in enumerate(f[k:])][1:]
     settled = False  # f's rational roots are all known, and f has none
     lifts = []  # the simple roots (r, p) of the scans that settle nothing
+    screened, disc = False, None  # the parity screen runs from the second F_p test on
     for p in schedule:
         if settled or p >= _ROOT_SCAN_BELOW:
             if tests and not k and not settled and any(_lift(g, dg, r, q) for r, q in lifts):
                 tests = False  # a rational root is a root mod every p: no F_p test succeeds
             lifts = []
-            if tests and not k and fp_irreducible(f, p):
+            if not tests or k:
+                continue
+            test = fp_irreducible
+        else:
+            scan = list(fp_roots(g, p)) if dg else []  # x^k has no root but 0
+            simple = [r for r in scan if evaluate(dg, r) % p]
+            if len(simple) < len(scan):  # a multiple root mod p settles nothing
+                lifts += [(r, p) for r in simple]
+                continue
+            settled = True
+            roots = itertools.chain([(0, 1)] if k else [],
+                                    filter(None, (_lift(g, dg, r, p) for r in scan)))
+            root = next(roots, None)
+            if root:
+                if not witness:
+                    return IrredCertificate("reducible", "root")
+                factors = (undense([-a, b], registry, name)
+                           for a, b in itertools.chain([root], roots))
+                return IrredCertificate("reducible", "root", factor=min(factors, key=str))
+            if not tests or scan:
+                continue
+            if len(f) <= 4:
                 return modp_certificate(p)
-            continue
-        scan = list(fp_roots(g, p)) if dg else []  # x^k has no root but 0
-        simple = [r for r in scan if evaluate(dg, r) % p]
-        if len(simple) < len(scan):  # a multiple root mod p settles nothing
-            lifts += [(r, p) for r in simple]
-            continue
-        settled = True
-        roots = itertools.chain([(0, 1)] if k else [],
-                                filter(None, (_lift(g, dg, r, p) for r in scan)))
-        root = next(roots, None)
-        if root:
-            if not witness:
-                return IrredCertificate("reducible", "root")
-            factors = (undense([-a, b], registry, name) for a, b in itertools.chain([root], roots))
-            return IrredCertificate("reducible", "root", factor=min(factors, key=str))
-        if tests and not scan and (len(f) <= 4 or fp_distinct_degree(f, p)):
+            test = fp_distinct_degree
+        if screened:  # so p > 2: a scheduled 2 comes first
+            disc = discriminant(f) if disc is None else disc
+            if not parity_allows(disc, len(f) - 1, p):
+                continue
+        screened = len(f) - 1 in _PARITY_DEGREES
+        if test(f, p):
             return modp_certificate(p)
     if settled and len(f) <= 4:
         return IrredCertificate("irreducible", "root")

@@ -257,10 +257,46 @@ def _minus_x(h, p):
 _ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, x^p mod f O(log p) products
 
 
-def discriminant(f):
-    """The discriminant of the quadratic [c, b, a], cubic [d, c, b, a] or quartic [e, d, c, b, a].
+def _prem(a, b):
+    """lead(b)^(deg a - deg b + 1) * a mod b over Z, for deg a >= deg b >= 1: a pseudo-remainder."""
+    a, db, lead, low = list(a), len(b) - 1, b[-1], b[:-1]
+    for k in range(len(a) - 1, db - 1, -1):
+        c, s = a[k], k - db
+        a = [v * lead for v in a[:k]]
+        a[s:] = [v - c * w for v, w in zip(a[s:], low)]
+    return trim(a)
 
-    A quartic's is (4I^3 - J^2)/27, exact over Z, from its invariants I and J.
+
+def _resultant(a, b):
+    """Res(a, b) over Z for integer lists with deg a >= deg b >= 1, by the subresultant PRS.
+
+    Collins (J. ACM 14, 1967); Cohen, GTM 138, Alg. 3.3.7 without its content
+    reduction: each division by g*h^delta and each update of h is exact over Z.
+    """
+    s = g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        a, b = b, [c // (g * h**delta) for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+        if len(b) == 1:
+            d = len(a) - 1
+            return s * b[0] ** d // h ** (d - 1)
+
+
+def discriminant(f):
+    """The discriminant of the integer list f of degree n >= 1, exact over Z.
+
+    Closed forms give the quadratic [c, b, a], the cubic [d, c, b, a] and the
+    quartic [e, d, c, b, a], whose D is (4I^3 - J^2)/27 from its invariants I
+    and J.  Degree n >= 5 takes (-1)^(n(n-1)/2) * Res(f, f') / lead(f) from the
+    subresultant PRS, tens of times the cost of a closed form; degree 1 gives 1.
     """
     if len(f) == 3:
         c, b, a = f
@@ -268,10 +304,28 @@ def discriminant(f):
     if len(f) == 4:
         d, c, b, a = f
         return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
-    e, d, c, b, a = f
-    i = 12 * a * e - 3 * b * d + c * c
-    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
-    return (4 * i**3 - j * j) // 27
+    if len(f) == 5:
+        e, d, c, b, a = f
+        i = 12 * a * e - 3 * b * d + c * c
+        j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+        return (4 * i**3 - j * j) // 27
+    if len(f) == 2:
+        return 1
+    n = len(f) - 1
+    res = _resultant(f, [i * c for i, c in enumerate(f)][1:])
+    return (-1) ** (n * (n - 1) // 2 % 2) * res // f[-1]
+
+
+def parity_allows(D, n, p):
+    """False iff Stickelberger's rule shows a polynomial f of degree n reducible mod p.
+
+    D is f's discriminant, p an odd prime not dividing f's lead.  By
+    Stickelberger's parity theorem (Swan 1962), a squarefree f with r
+    irreducible factors mod p has D a square mod p iff n - r is even, and
+    D = 0 mod p means a repeated factor.  So f irreducible mod p (r = 1) has
+    (D/p) = (-1)^(n-1), which Euler's criterion tells with one modular power.
+    """
+    return pow(D, (p - 1) // 2, p) == (1 if n % 2 else p - 1)
 
 
 def fp_roots(f, p):
@@ -288,16 +342,13 @@ def fp_roots(f, p):
 def fp_irreducible(f, p):
     """True iff the integer list f is irreducible in F_p[x], p prime not dividing its lead.
 
-    At odd p, Euler's criterion tells with one modular power whether the
-    discriminant D of f of degree n <= 4 is a square mod p.  By Stickelberger's
-    parity theorem (Swan 1962), a squarefree f with r irreducible factors mod p
-    has D a square iff n - r is even, and D = 0 means a repeated factor.  So f
-    is reducible unless D is a non-square (n = 2 or 4) or a nonzero square
-    (n = 3), and a quadratic that passes is irreducible (Modern Computer
-    Algebra, ch. 14).  Else, for small p, a root scan comes first: a root mod p
-    is a linear factor, and a cubic without one, or a quartic that passed at
-    odd p (r odd, so 1 or 3 with a root), is irreducible.  The rest is
-    `fp_distinct_degree`.
+    At odd p, f of degree n <= 4 is reducible unless its discriminant passes
+    Stickelberger's rule (`parity_allows`, inlined on this hot path): a
+    non-square (n = 2 or 4) or a nonzero square (n = 3), and a quadratic that
+    passes is irreducible (Modern Computer Algebra, ch. 14).  Else, for small
+    p, a root scan comes first: a root mod p is a linear factor, and a cubic
+    without one, or a quartic that passed at odd p (r odd, so 1 or 3 with a
+    root), is irreducible.  The rest is `fp_distinct_degree`.
     """
     if len(f) == 3 and p > 2:
         return pow(discriminant(f), (p - 1) // 2, p) == p - 1
@@ -321,8 +372,8 @@ def fp_distinct_degree(f, p):
     their product mod f decides.  Each x^(p^i) past x^p combines the Frobenius
     rows x^(pj) mod f, j < deg(f), as (sum c_j x^j)^p = sum c_j x^(pj) (Modern
     Computer Algebra, 14.2).  A quartic at odd p below _ROOT_SCAN_BELOW has 1 or 2
-    irreducible factors, and by Stickelberger's theorem (see `fp_irreducible`) it
-    is irreducible iff its discriminant is a non-square mod p: one modular power.
+    irreducible factors, and by Stickelberger's theorem it is irreducible iff its
+    discriminant is a non-square mod p (`parity_allows`): one modular power.
     """
     if len(f) == 5 and 2 < p < _ROOT_SCAN_BELOW:
         return pow(discriminant(f), (p - 1) // 2, p) == p - 1

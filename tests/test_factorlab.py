@@ -1352,6 +1352,61 @@ def test_a_rational_root_of_an_unsettled_scan_skips_the_f_p_tests(monkeypatch):
     assert (scans, tests, lifts) == ([2], [], [2])
 
 
+@st.composite
+def _screened_cases(draw):
+    """A primitive dense f of degree 5..12: any, a product of two factors, or g^2 * h (D = 0)."""
+    n = draw(st.integers(5, 12))
+    kind = draw(st.sampled_from(["any", "product", "square"]))
+    if kind == "any":
+        f = _dense_poly(draw, n, draw(st.integers(-12, 12).filter(bool)))
+    elif kind == "product":
+        k = draw(st.integers(1, n - 1))
+        f = mul(_dense_poly(draw, k), _dense_poly(draw, n - k))
+    else:
+        g = _dense_poly(draw, draw(st.integers(1, 2)))
+        f = mul(mul(g, g), _dense_poly(draw, n - 2 * (len(g) - 1)))
+    c = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+    return [a // c for a in f]
+
+
+@given(_screened_cases())
+@settings(max_examples=150, deadline=None)
+def test_the_parity_screen_keeps_every_certificate(f):
+    # the walk that runs every F_p test is the reference: a screened-out prime never certifies
+    got = _outcome_of(lambda: univariate_certificate(f, X, "x", combo_budget=200))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorlab, "_PARITY_DEGREES", range(0))
+        want = _outcome_of(lambda: univariate_certificate(f, X, "x", combo_budget=200))
+    assert got == want
+
+
+@pytest.mark.parametrize("expr, tests, factor", [
+    # (x^2 + 1)(x^3 + x + 1): after the first test, only 11 and 23 of 7..29 pass the rule
+    ("x^5 + 2*x^3 + x^2 + x + 1", [5, 11, 23], "x^2 + 1"),
+    # (x^4 + 1)(x^4 + 4x^2 + 1) has a square D, and n = 8 asks for a non-square: no p passes
+    ("x^8 + 4*x^6 + 2*x^4 + 4*x^2 + 1", [5], "x^4 + 1"),
+])
+def test_the_parity_screen_skips_the_f_p_tests_that_cannot_certify(monkeypatch, expr, tests,
+                                                                   factor):
+    discs = _counted(monkeypatch, ["discriminant"])
+    counts = _walk_counts(monkeypatch)
+    cert = is_irreducible_q(U(expr))
+    assert (counts[1], len(discs)) == (tests, 1)
+    assert (cert.method, cert.verdict, cert.factor) == ("kronecker", "reducible", U(factor))
+
+
+def test_the_parity_screen_computes_no_discriminant_it_cannot_use(monkeypatch):
+    # x^5 + x^2 + 1 is certified by its first F_p test; x^16 + 1, past MAX_TOTAL_DEGREE,
+    # runs its tests unscreened, where one dense D can cost more than all of them
+    discs = _counted(monkeypatch, ["discriminant"])
+    _, tests, _ = _walk_counts(monkeypatch)
+    assert univariate_certificate(dense(U("x^5 + x^2 + 1"), "x"), X, "x").prime == 2
+    assert (tests, discs) == ([2], [])
+    with pytest.raises(BudgetError, match="total degree 16"):
+        univariate_certificate(dense(U("x^16 + 1"), "x"), X, "x")
+    assert (tests[1:], discs) == (list(itertools.islice(_prime_schedule(1), 1, MODP_TRIES)), [])
+
+
 # -- primitivity ------------------------------------------------------
 
 

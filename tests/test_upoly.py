@@ -28,6 +28,7 @@ from schinzel.upoly import (
     fp_powmod,
     fp_rem,
     mul,
+    parity_allows,
     trim,
 )
 
@@ -334,6 +335,92 @@ def test_fp_irreducible_decides_quartics(primes, data):
 def test_quartic_discriminant_matches_sympy(low, lead):
     f = low + [lead]
     assert discriminant(f) == _poly(f).discriminant()
+
+
+@st.composite
+def _discriminant_case(draw):
+    """(f, square): f of degree 1..12 with coefficients up to 10^30, or square = True and g^2 * h.
+
+    Negative and non-unit leads, and f(0) = 0, are included; g^2 * h has D = 0.
+    Sparse coefficients make remainder sequences that skip degrees.
+    """
+    sparse = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    coeff = draw(st.sampled_from([INTS, st.integers(-10**30, 10**30), sparse]))
+    lead = coeff.filter(bool)
+    if draw(st.booleans()):
+        g = draw(st.lists(coeff, min_size=1, max_size=3)) + [draw(lead)]
+        dh = draw(st.integers(0, 12 - 2 * (len(g) - 1)))
+        return mul(mul(g, g), draw(st.lists(coeff, min_size=dh, max_size=dh)) + [draw(lead)]), True
+    n = draw(st.integers(1, 12))
+    f = draw(st.lists(coeff, min_size=n, max_size=n)) + [draw(lead)]
+    if draw(st.booleans()):
+        f[0] = 0
+    return f, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_discriminant_case())
+def test_discriminant_matches_sympy_at_every_degree(case):
+    f, square = case
+    want = _poly(f).discriminant()
+    assert discriminant(f) == want
+    assert want == 0 or not square
+
+
+@st.composite
+def _parity_case(draw, primes):
+    """(p, f) with 5 <= deg f <= 12 and p not dividing f's lead; a third with D = 0 mod p.
+
+    Another third are products of two factors, so that f mod p often splits
+    into an even or odd number of irreducible factors.
+    """
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(5, 12))
+    a = draw(INTS.filter(lambda v: v % p))  # negative and non-unit leads included
+    kind = draw(st.sampled_from(["D = 0", "product", "any"]))
+    if kind == "D = 0":  # (x - r)^2 * h, shifted by multiples of p
+        r = draw(INTS)
+        f = mul(mul([-r, 1], [-r, 1]), draw(st.lists(INTS, min_size=n - 2, max_size=n - 2)) + [a])
+        return p, [v + p * draw(st.integers(-3, 3)) for v in f]
+    if kind == "product":
+        k = draw(st.integers(1, n - 1))
+        g = draw(st.lists(INTS, min_size=k, max_size=k)) + [1]
+        return p, mul(g, draw(st.lists(INTS, min_size=n - k, max_size=n - k)) + [a])
+    return p, draw(st.lists(INTS, min_size=n, max_size=n)) + [a]
+
+
+@pytest.mark.parametrize("primes", [
+    [3, 5, 7, 11],  # each divides some degree from 5 to 12
+    primes_upto(255)[5:],  # odd p below the root scan's bound
+    [p for p in primes_upto(300) if p > 256],  # above it
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parity_rule_matches_the_factorization_mod_p(primes, data):
+    # Stickelberger: D = 0 mod p iff f has a repeated factor mod p, else (D/p) = (-1)^(n - r)
+    p, f = data.draw(_parity_case(primes))
+    n, D = len(f) - 1, discriminant(f)
+    _, factors = _poly(f, modulus=p).factor_list()
+    irreducible = len(factors) == 1 and factors[0][1] == 1
+    if any(e > 1 for _, e in factors):
+        assert D % p == 0
+    else:
+        assert pow(D, (p - 1) // 2, p) == (1 if (n - len(factors)) % 2 == 0 else p - 1)
+    if irreducible:  # no f irreducible mod p is rejected, so every rejected f is reducible
+        assert parity_allows(D, n, p)
+
+
+def test_parity_rule_passes_every_irreducible_quintic_mod_3():
+    # against a brute-force factor search: (3^5 - 3)/5 = 48 monic irreducible quintics
+    p, n = 3, 5
+    monic = {k: [list(c) + [1] for c in itertools.product(range(p), repeat=k)] for k in range(1, n)}
+    reducible = {tuple(c % p for c in mul(g, h)) for k in (1, 2) for g in monic[k]
+                 for h in monic[n - k]}
+    irreducible = [list(c) + [1] for c in itertools.product(range(p), repeat=n)
+                   if c + (1,) not in reducible]
+    assert len(irreducible) == 48 and len(reducible) == p**n - 48
+    assert all(parity_allows(discriminant(f), n, p) for f in irreducible)
+    assert not all(parity_allows(discriminant(list(f)), n, p) for f in reducible)
 
 
 def test_a_quartic_at_odd_p_below_the_scan_bound_is_never_packed(monkeypatch):
