@@ -21,12 +21,12 @@ from .numutil import spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
 from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_distinct_degree, fp_gcd
-from .upoly import discriminant, fp_irreducible, fp_roots, mul, parity_allows, require_prime
-from .upoly import trim
+from .upoly import discriminant, fp_irreducible, fp_roots, gcd, mul, parity_allows
+from .upoly import require_prime, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
-_IMAGE_PRIME = 10007  # gcd_q's coprimality image lives in F_p[x] for this p
+_IMAGE_PRIME = 10007  # gcd_q's coprimality images live in F_p[x] for this p
 _IMAGE_POINTS = 4  # spiral points tried for one where both leading coefficients survive
 MAX_VARS = 3  # the Kronecker oracle packs at most this many variables into one
 MAX_TOTAL_DEGREE = 12  # and factors at most this total degree
@@ -575,9 +575,9 @@ def is_irreducible_q(P, combo_budget=COMBO_BUDGET):
     EVAL_POINT_TRIES spiral points (a reducible image, or one the oracle
     cannot decide, tries the next point); full oracle as fallback.  The input
     is compiled once into `coefficient_rows`: they give the images, and
-    `_unit_content` proves the primitivity from them where it can, so
-    `content_q` runs only where that proof fails, and its common factor is
-    the reducible witness.
+    `_row_content` takes the content in the main variable from them
+    (`content_q` where three variables leave it open); a content of
+    positive degree is the reducible witness.
     """
     if P.is_zero() or P.is_constant():
         raise PolyError("irreducibility undefined for constants")
@@ -591,10 +591,13 @@ def is_irreducible_q(P, combo_budget=COMBO_BUDGET):
     others = [n for n in names if n != main]
     monos = {}
     rows = coefficient_rows(pp, others, main, monos)
-    if not _unit_content(rows, monos) and not (g := content_q(pp, (main,))).is_constant():
-        return IrredCertificate(
-            "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
-        )
+    g = _row_content(rows, monos)
+    if g != [1]:
+        g = undense(g, pp.registry, others[0]) if g else content_q(pp, (main,))
+        if not g.is_constant():
+            return IrredCertificate(
+                "reducible", "evaluation", factor=g, detail=f"common factor in {main}-coefficients"
+            )
     for point, f in _row_images(rows, monos, EVAL_POINT_TRIES):
         if not f[-1]:
             continue
@@ -670,26 +673,27 @@ def _row_images(rows, monos, count):
         yield point, [sum([c * values[j] for c, j in row]) for row in rows]
 
 
-def _unit_content(rows, monos):
-    """True if the `coefficient_rows` of P prove its content in their main variable a unit.
+def _row_content(rows, monos):
+    """The content in their main variable of P's `coefficient_rows`, or None.
 
-    A nonzero constant row does.  With one other variable y, so does a constant
-    `_coprime_fold` of the rows as lists in y, as in `gcd_q_fold`.  False is
-    inconclusive: a common factor, a lead that vanishes mod p, or more variables.
+    [1] when a nonzero constant row proves it a unit.  With one other
+    variable y it is a list in y: [1] when a constant `_coprime_fold` of the
+    rows as lists in y proves it, else their integer `gcd`, as `_gcd_in`
+    takes it.  None, inconclusive, with more variables.
     """
     exponents = list(monos)  # monos numbers the exponent tuples in insertion order
     one = monos.get((0,) * len(exponents[0]))
     if any(len(row) == 1 and row[0][1] == one for row in rows):
-        return True
+        return [1]
     if len(exponents[0]) > 1:
-        return False
+        return None
     fs = []
     for row in filter(None, rows):  # a zero row is not a coefficient
         f = [0] * (1 + max(exponents[j][0] for _, j in row))
         for c, j in row:
             f[exponents[j][0]] = c
         fs.append(f)
-    return bool(_coprime_fold(fs))
+    return [1] if _coprime_fold(fs) else functools.reduce(gcd, fs)
 
 
 def _coprime_fold(fs):
@@ -717,22 +721,39 @@ def _coprime_image(polys, name, others):
     return False
 
 
+def _gcd_in(polys, name):
+    """gcd over Q of nonzero polynomials in `name` alone, primitive with positive lead.
+
+    1 when `_coprime_image` proves it, else the integer `gcd` of their lists, folded.
+    """
+    if _coprime_image(polys, name, ()):
+        return MPoly.const(polys[0].registry, 1)
+    return undense(functools.reduce(gcd, [dense(P, name) for P in polys]), polys[0].registry, name)
+
+
 def _gcd_q_raw(A, B):
     """gcd up to units in Q[registry]; constants are treated as units.
 
-    In the main variable, the last present name in registry order, the gcd is
-    the gcd of the contents times the gcd of the primitive parts (Brown 1971),
-    and the primitive PRS finds the latter.
+    In one name it is `_gcd_in`.  With more, one F_p image per present name
+    (`_coprime_image`) proves most coprime pairs.  Else, in the main variable,
+    the last present name in registry order, the gcd is the gcd of the contents
+    times the gcd of the primitive parts (Brown 1971): 1 if the main image
+    proved it, else the primitive PRS finds it.
     """
     A = A.primitive_part()
     B = B.primitive_part()
     if A.is_constant() or B.is_constant():
         return MPoly.const(A.registry, 1)
-    present = set(A.variables()) | set(B.variables())
-    *others, name = [n for n in A.registry if n in present]
+    names = set(A.variables()) | set(B.variables())
+    *others, name = present = [n for n in A.registry if n in names]
+    if not others:
+        return _gcd_in([A, B], name)
+    coprime = _coprime_image([A, B], name, others)
+    if coprime and all(_coprime_image([A, B], n, [m for m in present if m != n]) for n in others):
+        return MPoly.const(A.registry, 1)
     contA, contB = content_q(A, (name,)), content_q(B, (name,))
     cg = _gcd_q_raw(contA, contB)
-    if min(A.degree_in(name), B.degree_in(name)) == 0 or _coprime_image([A, B], name, others):
+    if coprime or min(A.degree_in(name), B.degree_in(name)) == 0:
         return cg  # the gcd of the primitive parts is 1
     ppA, ppB = exact_div(A, contA), exact_div(B, contB)
     while not ppB.is_zero():
@@ -757,13 +778,13 @@ def gcd_q(P, Q):
 def gcd_q_fold(polys):
     """gcd over Q of nonzero polynomials, folded left to right with gcd_q.
 
-    The constant 1 as soon as the gcd is a constant, at once when `_coprime_image`
-    proves it for polynomials in one name; a single polynomial comes back as it is.
+    Polynomials in one name take `_gcd_in`, and the rest the constant 1 as
+    soon as the gcd is a constant; a single polynomial comes back as it is.
     """
     polys = list(polys)
     names = {n for c in polys for n in c.variables()}
-    if len(polys) > 1 and len(names) == 1 and _coprime_image(polys, names.pop(), ()):
-        return MPoly.const(polys[0].registry, 1)
+    if len(polys) > 1 and len(names) == 1:
+        return _gcd_in(polys, names.pop())
     g = None
     for c in polys:
         g = c if g is None else gcd_q(g, c)

@@ -8,8 +8,7 @@ arithmetic progression along which the first parameter can be specialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .fixdiv import (
     ResidueTables,
@@ -20,7 +19,7 @@ from .fixdiv import (
 from .factorlab import is_primitive_wrt
 from .numutil import crt
 from .polyring import PolyError, VarSplit, dense
-from .upoly import ext_gcd, mul, require_prime
+from .upoly import mul, require_prime, xgcd
 
 
 class HypothesisError(PolyError):
@@ -51,9 +50,12 @@ class ProgressionWitness:
 def bezout_constant(coeffs):
     """Nonzero integer in the ideal generated by univariate polynomials.
 
-    The inputs must be coprime over the rationals; iterated extended Euclid
-    produces 1 as a rational combination, and clearing denominators gives
-    the integer.
+    The inputs must be coprime over the rationals.  A left fold of extended
+    Euclid over Z (`upoly.xgcd`) writes D, the last gcd, as an integer
+    combination of them, and delta is |D|, the lcm of the denominators of
+    the rational one for 1: no prime p divides D and every cofactor, as each
+    xgcd triple has content 1, so where s*a + t*b = r with r and t zero mod p,
+    s is not, nor is a, the gcd before, whose own cofactors then are not all.
     """
     if not coeffs:
         raise PolyError("empty coefficient list")
@@ -64,24 +66,19 @@ def bezout_constant(coeffs):
         raise PolyError(f"coefficients involve several variables: {sorted(names)}")
     name = names.pop() if names else None
     rows = [dense(c, name) if name is not None else [c.constant_value()] for c in coeffs]
-    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rows = [row for row in rows if any(row)]
     if not rows:
         raise PolyError("all coefficients are zero")
 
     g = rows[0]
-    combo = [[Fraction(1)]] + [[] for _ in rows[1:]]
+    combo = [[1]] + [[] for _ in rows[1:]]
     for i in range(1, len(rows)):
-        g2, s, t = ext_gcd(g, rows[i])
+        g, s, t = xgcd(g, rows[i])
         combo = [mul(s, u) for u in combo]
         combo[i] = t
-        g = g2
     if len(g) != 1:
         raise PolyError("inputs are not coprime over the rationals")
-    unit = g[0]
-    combo = [[c / unit for c in u] for u in combo]
-    denoms = [c.denominator for u in combo for c in u]
-    delta = lcm(*denoms) if denoms else 1
-    return delta
+    return abs(g[0])
 
 
 # -- bad primes and CRT point ----------------------------------------

@@ -1,16 +1,17 @@
 """Dense univariate polynomials as coefficient lists.
 
-A polynomial is a list of integers (or of Fractions), constant term first.
-A list is trimmed when it is empty (the zero polynomial) or its last entry
-is nonzero, so a trimmed f has degree len(f) - 1.  Every function here
-expects trimmed lists and returns trimmed lists.  The F_p functions work on
-integer lists and reduce mod p only where it keeps the numbers small;
+A polynomial is a list of integers, constant term first.  A list is
+trimmed when it is empty (the zero polynomial) or its last entry is
+nonzero, so a trimmed f has degree len(f) - 1.  Every function here
+expects trimmed lists and returns trimmed lists.  Gcds over Q run over Z;
+the F_p functions reduce mod p only where it keeps the numbers small, and
 powering mod a polynomial packs each residue into one int (`_packed`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from array import array
 from itertools import zip_longest
@@ -78,44 +79,65 @@ def exact_quotient(f, g):
     return q
 
 
-# -- extended Euclid over Q ------------------------------------------
+# -- gcd and extended Euclid over Z ----------------------------------
 
 
-def _divmod(a, b):
-    """(q, r) with a = q*b + r and deg r < deg b, over a field; b nonzero."""
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for j in range(len(b)):
-            a[k + j] -= c * b[j]
-        trim(a)
-    return q, a
+def _pdivmod(a, b):
+    """(q, r) with lead(b)^len(q) * a = q*b + r and deg r < deg b, over Z; b nonzero.
+
+    The pseudo-division: q has deg a - deg b + 1 entries, none when deg a < deg b.
+    """
+    a, db, lead, low = list(a), len(b) - 1, b[-1], b[:-1]
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        c, s = a[k], k - db
+        a = [v * lead for v in a[:k]]
+        a[s:] = [v - c * w for v, w in zip(a[s:], low)]
+        q[s + 1 :] = [v * lead for v in q[s + 1 :]]
+        q[s] = c
+    return q, trim(a)
 
 
-def _sub_mul(a, q, b):
-    """a - q*b."""
-    return trim([x - y for x, y in zip_longest(a, mul(q, b), fillvalue=0)])
+def _primitive(f):
+    """The nonzero integer list f over its content, with a positive lead."""
+    c = math.gcd(*f)
+    return [v // c for v in f] if f[-1] > 0 else [-v // c for v in f]
 
 
-def ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero); Fraction coefficients."""
-    r0, r1 = a, b
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_mul(s0, q, s1)
-        t0, t1 = t1, _sub_mul(t0, q, t1)
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
+def gcd(a, b):
+    """The primitive gcd over Q of the integer lists a and b, with positive lead.
+
+    The primitive PRS (Collins 1967; Brown 1971): each pseudo-remainder is
+    divided by its content.  A constant gcd is [1]; both zero is an error.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        raise PolyError("gcd of two zero polynomials")
+    while len(b) > 1:
+        r = _pdivmod(a, b)[1]
+        a, b = b, r and _primitive(r)
+    return [1] if b else _primitive(a)
+
+
+def xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g over Z, g a gcd over Q of the integer lists a and b.
+
+    The primitive extended PRS: each pseudo-remainder step carries the
+    cofactors, and divides the triple (r, s, t) by the gcd of all its
+    coefficients.  Every triple is a rational multiple of the one Euclid's
+    algorithm over Q has at the same step, so g, s and t over lead(g) are
+    Euclid's monic gcd and its cofactors.  a or b must be nonzero.
+    """
+    u, v = (a, [1], []), (b, [], [1])
+    while v[0]:
+        q, r = _pdivmod(u[0], v[0])
+        alpha = v[0][-1] ** len(q)
+        w = [r] + [trim([alpha * x - y for x, y in zip_longest(x0, mul(q, x1), fillvalue=0)])
+                   for x0, x1 in zip(u[1:], v[1:])]
+        c = math.gcd(*w[0], *w[1], *w[2])
+        u, v = v, [[x // c for x in f] for f in w]
+    return tuple(u)
 
 
 # -- F_p --------------------------------------------------------------
@@ -257,16 +279,6 @@ def _minus_x(h, p):
 _ROOT_SCAN_BELOW = 256  # a scan costs p evaluations, x^p mod f O(log p) products
 
 
-def _prem(a, b):
-    """lead(b)^(deg a - deg b + 1) * a mod b over Z, for deg a >= deg b >= 1: a pseudo-remainder."""
-    a, db, lead, low = list(a), len(b) - 1, b[-1], b[:-1]
-    for k in range(len(a) - 1, db - 1, -1):
-        c, s = a[k], k - db
-        a = [v * lead for v in a[:k]]
-        a[s:] = [v - c * w for v, w in zip(a[s:], low)]
-    return trim(a)
-
-
 def _resultant(a, b):
     """Res(a, b) over Z for integer lists with deg a >= deg b >= 1, by the subresultant PRS.
 
@@ -279,7 +291,7 @@ def _resultant(a, b):
         delta = da - db
         if da % 2 and db % 2:
             s = -s
-        r = _prem(a, b)
+        r = _pdivmod(a, b)[1]
         if not r:
             return 0
         a, b = b, [c // (g * h**delta) for c in r]

@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import itertools
 import math
@@ -47,7 +48,7 @@ from schinzel.polyring import (
 )
 from schinzel.upoly import evaluate as _eval_dense
 from schinzel.upoly import exact_quotient as _dense_exact_div
-from schinzel.upoly import ext_gcd, fp_coprime, fp_irreducible, fp_roots, mul, trim
+from schinzel.upoly import fp_coprime, fp_irreducible, fp_roots, gcd, mul, trim
 
 REG = ("T", "Y")
 X = ("x",)
@@ -1134,7 +1135,7 @@ def _walk_cases(draw):
 
 def _repeated_factor_and_root(f, cert):
     """True if f has a repeated factor over Q and the linear factor of `cert` divides it."""
-    g, _, _ = ext_gcd([Fraction(c) for c in f], [Fraction(i * c) for i, c in enumerate(f)][1:])
+    g = gcd(f, [i * c for i, c in enumerate(f)][1:])
     return len(g) > 1 and _dense_exact_div(f, dense(cert.factor, "x")) is not None
 
 
@@ -1182,10 +1183,23 @@ def test_evaluation_walk_matches_the_route_it_replaced(P):
     assert got == _outcome_of(lambda: _reference_irreducible_q(P, combo_budget=200))
 
 
-def _rows_prove_a_unit(P, main):
+def _row_content(P, main):
+    """(`factorlab._row_content` of P's rows, whether it called the integer gcd)."""
     others = [n for n in P.variables() if n != main]
     monos = {}
-    return factorlab._unit_content(coefficient_rows(P, others, main, monos), monos)
+    rows = coefficient_rows(P, others, main, monos)
+    calls, gcd_z = [], factorlab.gcd
+    factorlab.gcd = lambda *a: calls.append(a) or gcd_z(*a)
+    try:
+        return factorlab._row_content(rows, monos), bool(calls)
+    finally:
+        factorlab.gcd = gcd_z
+
+
+def _rows_prove_a_unit(P, main):
+    """True if a nonzero constant row or the F_p fold of P's rows proves its content a unit."""
+    content, exact = _row_content(P, main)
+    return content == [1] and not exact
 
 
 @st.composite
@@ -1229,6 +1243,26 @@ def test_the_row_content_proof_claims_only_unit_contents(case):
         assert content_q(pp, (main,)).is_constant()
 
 
+@settings(max_examples=200, deadline=None)
+@given(_row_content_case())
+def test_the_row_content_matches_sympy(case):
+    # with one other variable the rows give the content in main: primitive, positive lead
+    sympy = pytest.importorskip("sympy")
+    P, main = case
+    pp = P.primitive_part()
+    content, _ = _row_content(pp, main)
+    others = [n for n in pp.variables() if n != main]
+    if len(others) > 1:
+        assert content in ([1], None)  # a constant row, else inconclusive
+        return
+    other, = others
+    y = sympy.Symbol(other)
+    coeffs = [sympy.Poly(dense(c, other)[::-1], y) for c in pp.coefficients((main,)).values()]
+    # one coefficient is the content as it is
+    want = coeffs[0] if len(coeffs) == 1 else functools.reduce(sympy.gcd, coeffs).primitive()[1]
+    assert content == [int(c) for c in want.all_coeffs()[::-1]]
+
+
 @pytest.mark.parametrize("expr, proven", [
     ("(y + 1)*x^2 + 3*x + y", True),  # the row of x is a nonzero constant
     ("(y^2 + 1)*x^2 + (y^2 - 1)*x + y*(y + 1)", True),  # a constant gcd mod 10007
@@ -1260,7 +1294,11 @@ def test_a_proven_unit_content_calls_no_content_q(monkeypatch):
     P = parse_poly("(y + 1)*x^3 + (y + 1)*x + y^2 - 1", GCD_REG)
     cert = is_irreducible_q(P)
     assert (cert.verdict, cert.factor) == ("reducible", parse_poly("y + 1", GCD_REG))
-    assert calls[0] == (P, ("x",))  # the exact content, which recurses through gcd_q
+    assert calls == []  # the integer gcd of the rows as lists in y
+    P = parse_poly("(y + z)*x^3 + (y + z)*x + y^2 - z^2", GCD_REG)
+    cert = is_irreducible_q(P)
+    assert (cert.verdict, cert.factor) == ("reducible", parse_poly("y + z", GCD_REG))
+    assert calls[0] == (P, ("x",))  # three names: the exact content, which recurses through gcd_q
 
 
 def test_a_repeated_factor_with_a_rational_root_is_now_decided_by_its_roots():
@@ -1465,8 +1503,8 @@ def test_exact_div_matches_fraction_reference(f, g, noise, kind):
         assert got * g == f
 
 
-def test_only_the_extended_euclids_import_fractions():
-    # Fraction arithmetic is left to upoly.ext_gcd and the Bezout constant
+def test_no_src_module_imports_fractions():
+    # gcds and Bezout constants over Q are computed over Z (upoly.gcd, upoly.xgcd)
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "schinzel"
     importers = set()
     for path in src.glob("*.py"):
@@ -1475,8 +1513,7 @@ def test_only_the_extended_euclids_import_fractions():
                     isinstance(node, ast.Import)
                     and any(a.name == "fractions" for a in node.names)):
                 importers.add(path.stem)
-    assert importers <= {"upoly", "schinzelcore"}
-    assert "factorlab" not in importers
+    assert importers == set()
 
 
 @given(

@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schinzel.numutil import is_prime, primes_upto
+from schinzel.polyring import PolyError
 from schinzel.upoly import (
     _packed,
     discriminant,
     evaluate,
     exact_quotient,
-    ext_gcd,
     fp_coprime,
     fp_gcd,
     fp_distinct_degree,
@@ -27,10 +27,13 @@ from schinzel.upoly import (
     fp_irreducible,
     fp_powmod,
     fp_rem,
+    gcd,
     mul,
     parity_allows,
     trim,
+    xgcd,
 )
+from test_schinzelcore import ext_gcd  # the Fraction Euclid, kept as a reference
 
 sympy = pytest.importorskip("sympy")
 x = sympy.Symbol("x")
@@ -123,6 +126,31 @@ def test_ext_gcd_over_q(a, b, common):
     assert g == _rats(want_g)
     assert s == _rats(want_s)
     assert t == _rats(want_t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS, 6), _lists(INTS, 6), _lists(st.integers(-5, 5), 3))
+def test_gcd_over_z(a, b, common):
+    a, b = mul(a, common) or a, mul(b, common) or b
+    if not a and not b:
+        with pytest.raises(PolyError):
+            gcd(a, b)
+        return
+    want = sympy.gcd(_poly(a, domain="ZZ"), _poly(b, domain="ZZ"))
+    assert gcd(a, b) == _ints(want.primitive()[1])  # sympy's lead is positive
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lists(INTS, 7), _lists(INTS, 7), _lists(st.integers(-5, 5), 3))
+def test_xgcd_is_euclid_over_q_times_the_lead(a, b, common):
+    a, b = mul(a, common) or a, mul(b, common) or b
+    if not a and not b:
+        return
+    g, s, t = xgcd(a, b)
+    combo = [u + v for u, v in zip_longest(mul(s, a), mul(t, b), fillvalue=0)]
+    assert trim(combo) == g  # exactly, over Z
+    want = ext_gcd([Fraction(c) for c in a], [Fraction(c) for c in b])
+    assert [[Fraction(c, g[-1]) for c in f] for f in (g, s, t)] == list(want)
 
 
 @st.composite
