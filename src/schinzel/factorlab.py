@@ -21,8 +21,8 @@ from .numutil import spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, coefficient_rows, dense, reduce_mod
 from .polyring import undense
 from .upoly import _ROOT_SCAN_BELOW, evaluate, exact_quotient, fp_distinct_degree, fp_gcd
-from .upoly import discriminant, fp_irreducible, fp_roots, gcd, mul, parity_allows
-from .upoly import require_prime, trim
+from .upoly import binomial_irreducible, discriminant, fp_irreducible, fp_roots, gcd, mul
+from .upoly import parity_allows, require_prime, trim
 
 MODP_TRIES = 10
 EVAL_POINT_TRIES = 40
@@ -41,9 +41,10 @@ BudgetError = BudgetExceeded  # the name callers of the Kronecker oracle know
 class IrredCertificate:
     """Evidence for an irreducibility verdict.
 
-    method is one of 'mod-p', 'root', 'evaluation', 'kronecker', 'content'.
-    For mod-p the witness is the prime; for root, a linear factor or, at
-    degree <= 3, the absence of a rational root; for evaluation the point
+    method is one of 'mod-p', 'root', 'binomial', 'evaluation', 'kronecker',
+    'content'.  For mod-p the witness is the prime; for root, a linear factor or,
+    at degree <= 3, the absence of a rational root; for binomial, Capelli's
+    theorem, which names no factor; for evaluation the point
     plus the inner certificate of the univariate image; for reducible
     verdicts the witness is a nontrivial factor dividing the input exactly.
     """
@@ -440,7 +441,8 @@ def root_verdict(f, registry, name, combo_budget=COMBO_BUDGET):
     its first-prime mod-p certificate, and the root scans alone settle the
     rational roots.  A rational root makes f reducible, with a `root`
     certificate that carries no factor; a degree <= 3 without one is
-    irreducible, and the rest goes to the Kronecker oracle.  `_discriminant_verdict`
+    irreducible, a binomial takes Capelli's theorem (`binomial`, either
+    verdict), and the rest goes to the Kronecker oracle.  `_discriminant_verdict`
     decides a quadratic or cubic with f(0) != 0 wherever the walk would settle it.
     """
     if len(f) in (3, 4) and f[0]:
@@ -501,7 +503,10 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
     tested at p by `fp_distinct_degree`.  If no p below _ROOT_SCAN_BELOW settles
     them, the scans' simple roots are lifted first: a rational one is a root mod
     every p, so the F_p tests are skipped.  After the walk, degree <= 3 without
-    a rational root is irreducible, and the rest goes to the Kronecker oracle.
+    a rational root is irreducible.  A binomial a*x^n + c, c != 0, of degree n <=
+    MAX_TOTAL_DEGREE then takes Capelli's theorem (`binomial_irreducible`), whose
+    reducible verdict names no factor, so with `witness` it keeps the oracle.  The
+    rest goes to the Kronecker oracle.
 
     From the second F_p test on, f of a degree in _PARITY_DEGREES computes its
     discriminant once, and a p that fails Stickelberger's rule (`parity_allows`)
@@ -554,6 +559,11 @@ def _walk(f, registry, name, oracle_opts, tests, witness):
             return modp_certificate(p)
     if settled and len(f) <= 4:
         return IrredCertificate("irreducible", "root")
+    if f[0] and len(f) <= MAX_TOTAL_DEGREE + 1 and not any(f[1:-1]):
+        if binomial_irreducible(f[-1], f[0], len(f) - 1):
+            return IrredCertificate("irreducible", "binomial")
+        if not witness:
+            return IrredCertificate("reducible", "binomial")
     return _kronecker_certificate(undense(f, registry, name), **oracle_opts)
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from .factorlab import is_irreducible_q, is_irreducible_z
 from .fixdiv import fixed_prime_divisors, proved_prime_factors
 from .numutil import crt, primes_upto, spiral
 from .polyring import BudgetExceeded, MPoly, PolyError, VarSplit, dense
 from .schinzelcore import HypothesisError
+from .upoly import mul
 
 LAM_BUDGET = 64  # most lambda indeterminates a generic substitution may use
 SAMPLE_COEFF_BOUND = 10  # |coefficient| bound of the counterexample's sample M
@@ -401,6 +402,8 @@ def sharpness_counterexample(d, m_budget=200, samples=100, seed=0):
     P = prod over {0,1}-polynomials p of degree <= d of (T - p(Y)), shifted
     by the least even constant 2m making it irreducible.  Any M of degree d
     is congruent mod 2 to one member p, so T - p(Y) kills P(M(Y), Y) mod 2.
+    Each sample's composition is Horner's rule in T on P's rows as integer
+    lists in Y, and its content one integer gcd.
     """
     if d < 0:
         raise PolyError("d must be non-negative")
@@ -428,6 +431,9 @@ def sharpness_counterexample(d, m_budget=200, samples=100, seed=0):
         tuple(sorted((e[1], c % 2) for e, c in p.terms.items())): idx
         for idx, p in enumerate(family)
     }
+    rows = [[0] * (P.degree_in("Y") + 1) for _ in range(P.degree_in("T") + 1)]  # T-rows, in Y
+    for (i, j), c in P.terms.items():
+        rows[i][j] = c
     for _ in range(samples):
         coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(d)]
         lead = 0
@@ -435,8 +441,10 @@ def sharpness_counterexample(d, m_budget=200, samples=100, seed=0):
             lead = rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND)
         coeffs.append(lead)
         M = MPoly(yreg, {(j,): c for j, c in enumerate(coeffs) if c})
-        comp = P.substitute({"T": M}, yreg)
+        comp = []  # P(M(Y), Y) by Horner's rule in T
+        for row in reversed(rows):
+            comp = [a + b for a, b in itertools.zip_longest(mul(comp, coeffs), row, fillvalue=0)]
         key = tuple(sorted((e[0], c % 2) for e, c in M.terms.items() if c % 2))
-        log.append((M, comp.content(), residues.get(key)))
+        log.append((M, gcd(*comp), residues.get(key)))
     all_even = all(content % 2 == 0 for _, content, _ in log)
     return CounterexampleBundle(d, tuple(family), P0, m, P, cert, tuple(log), all_even)

@@ -6,6 +6,7 @@ nonzero, so a trimmed f has degree len(f) - 1.  Every function here
 expects trimmed lists and returns trimmed lists.  Gcds over Q run over Z;
 the F_p functions reduce mod p only where it keeps the numbers small, and
 powering mod a polynomial packs each residue into one int (`_packed`).
+Binomials a*x^n + c are decided in closed form, over Q and over F_p.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import operator
 from array import array
 from itertools import zip_longest
 
-from .numutil import UnprovedPrimeError, is_prime
+from .numutil import UnprovedPrimeError, is_prime, prime_factors
 from .polyring import PolyError
 
 
@@ -340,6 +341,61 @@ def parity_allows(D, n, p):
     return pow(D, (p - 1) // 2, p) == (1 if n % 2 else p - 1)
 
 
+# -- binomials ---------------------------------------------------------
+
+@functools.cache
+def _prime_factors(n):
+    """The primes dividing a binomial's degree n: few and small, so each n is factored once."""
+    return tuple(prime_factors(n))
+
+
+def _iroot(x, k):
+    """The k-th root of the integer x >= 0, rounded down, by Newton's method over Z."""
+    if x < 2:
+        return x
+    y = 1 << -(-x.bit_length() // k)  # above the root; each step falls until it passes it
+    while (z := ((k - 1) * y + x // y ** (k - 1)) // k) < y:
+        y = z
+    return y
+
+
+def _is_power(u, v, k):
+    """Whether the rational u/v, v > 0, is the k-th power of a rational."""
+    g = math.gcd(u, v)
+    u, v = u // g, v // g
+    if u < 0:
+        if not k % 2:
+            return False
+        u = -u
+    return _iroot(u, k) ** k == u and _iroot(v, k) ** k == v
+
+
+def binomial_irreducible(a, c, n):
+    """Whether a*x^n + c, a*c != 0, is irreducible over Q: Capelli's theorem.
+
+    Lang, Algebra (GTM 211), VI Thm 9.1: x^n - A is irreducible iff A is no
+    q-th power for each prime q | n, and A is not -4w^4 when 4 | n.  With
+    A = -c/a, each test asks for exact integer roots of a numerator and a
+    denominator in lowest terms (`_iroot`).
+    """
+    u, v = (-c, a) if a > 0 else (c, -a)  # A = u/v, v > 0
+    if any(_is_power(u, v, q) for q in _prime_factors(n)):
+        return False
+    return n % 4 != 0 or not _is_power(-u, 4 * v, 4)
+
+
+def _fp_binomial(f, p):
+    """Whether the binomial f = a*x^n + c, n >= 2, is irreducible in F_p[x], p not dividing a.
+
+    Lidl and Niederreiter, Finite Fields, Thm 3.75: with A = -c/a != 0 mod p,
+    x^n - A is irreducible iff each prime r | n divides p - 1 and A is no
+    r-th power, A^((p-1)/r) != 1, and 4 | p - 1 when 4 | n.  A = 0 leaves a*x^n.
+    """
+    A, n = -f[0] * pow(f[-1], -1, p) % p, len(f) - 1
+    return A != 0 and (n % 4 != 0 or p % 4 == 1) and all(
+        not (p - 1) % r and pow(A, (p - 1) // r, p) != 1 for r in _prime_factors(n))
+
+
 def fp_roots(f, p):
     """The roots in F_p of the integer list f, in increasing order, lazily.
 
@@ -360,10 +416,14 @@ def fp_irreducible(f, p):
     passes is irreducible (Modern Computer Algebra, ch. 14).  Else, for small
     p, a root scan comes first: a root mod p is a linear factor, and a cubic
     without one, or a quartic that passed at odd p (r odd, so 1 or 3 with a
-    root), is irreducible.  The rest is `fp_distinct_degree`.
+    root), is irreducible.  A binomial a*x^n + c of degree n >= 3 takes the
+    binomial rule of Lidl and Niederreiter (`_fp_binomial`): one modular power
+    per prime factor of n.  The rest is `fp_distinct_degree`.
     """
     if len(f) == 3 and p > 2:
         return pow(discriminant(f), (p - 1) // 2, p) == p - 1
+    if len(f) > 3 and not any(f[1:-1]):
+        return _fp_binomial(f, p)
     parity = p > 2 and len(f) in (4, 5)  # a cubic or quartic that Stickelberger's test sees
     if parity and pow(discriminant(f), (p - 1) // 2, p) != (1 if len(f) == 4 else p - 1):
         return False
@@ -385,8 +445,11 @@ def fp_distinct_degree(f, p):
     rows x^(pj) mod f, j < deg(f), as (sum c_j x^j)^p = sum c_j x^(pj) (Modern
     Computer Algebra, 14.2).  A quartic at odd p below _ROOT_SCAN_BELOW has 1 or 2
     irreducible factors, and by Stickelberger's theorem it is irreducible iff its
-    discriminant is a non-square mod p (`parity_allows`): one modular power.
+    discriminant is a non-square mod p (`parity_allows`): one modular power.  A
+    binomial a*x^n + c takes the binomial rule of Lidl and Niederreiter (`_fp_binomial`).
     """
+    if not any(f[1:-1]):
+        return _fp_binomial(f, p)
     if len(f) == 5 and 2 < p < _ROOT_SCAN_BELOW:
         return pow(discriminant(f), (p - 1) // 2, p) == p - 1
     d = len(f) - 1

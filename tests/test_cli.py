@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from schinzel import cli, factorlab, fixdiv
 from schinzel.cli import run
+from schinzel.hilbert import density_report
 from schinzel.numutil import primes_upto
-from schinzel.polyring import identifiers
+from schinzel.polyring import VarSplit, identifiers, parse_poly
 
 
 def invoke(capsys, *argv):
@@ -551,3 +552,24 @@ OUTCOMES = [
 def test_outcome_ledger(argv, code, key, lead, capsys):
     got, out = invoke(capsys, *argv)
     assert (got, kv(out)[key][: len(lead)]) == (code, lead)
+
+
+def test_binomials_up_to_the_degree_cap_never_reach_the_oracle(monkeypatch, capsys):
+    # Capelli's theorem decides every binomial of degree <= MAX_TOTAL_DEGREE; past
+    # the cap the oracle still runs, and its degree guard still refuses x^16 + 1
+    oracle = factorlab.kronecker_factor
+
+    def guarded(P, **opts):
+        if P.total_degree() <= factorlab.MAX_TOTAL_DEGREE:
+            pytest.fail(f"the Kronecker oracle was called on {P}")
+        return oracle(P, **opts)
+
+    monkeypatch.setattr(factorlab, "kronecker_factor", guarded)
+    code, out = invoke(capsys, "compose", "--poly", "T^2+1", "--d", "2,3")
+    assert (code, kv(out)["verdict"]) == (0, "true")
+    split = VarSplit(("T",), ("Y",))
+    for family, members, reducible in [("Y^4 + T^2", 186, 15), ("Y^4 - T", 188, 13)]:
+        report = density_report([parse_poly(family, ("T", "Y"))], split, 100)
+        assert (report.members, report.reasons) == (members, {"reducible": reducible})
+    code, out = invoke(capsys, "irred", "--poly", "x^16+1")
+    assert code == 3 and kv(out)["detail"].startswith("total degree 16 exceeds")

@@ -1,12 +1,12 @@
 """The plan search of the polynomial Schinzel engine, pinned.
 
-Every entry point of `schinzel.polyschinzel` composes through one ring map
+Every plan search of `schinzel.polyschinzel` composes through one ring map
 (`MPoly.substitute` into the codomain registry) and certifies through one
-loop (`_certificates`).  The tables below fix the plans, certificates,
-`tried` counts, generic families and counterexample samples that the engine
-gives for a few small inputs, so a change to the search shows as a changed
-plan.  A certificate is pinned as (verdict, method, prime, point, factor,
-detail).
+loop (`_certificates`); the sharpness counterexample composes on integer
+rows.  The tables below fix the plans, certificates, `tried` counts,
+generic families and counterexample samples that the engine gives for a
+few small inputs, so a change to the search shows as a changed plan.  A
+certificate is pinned as (verdict, method, prime, point, factor, detail).
 """
 
 import ast

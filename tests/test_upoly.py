@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from schinzel.numutil import is_prime, primes_upto
 from schinzel.polyring import PolyError
 from schinzel.upoly import (
+    _iroot,
     _packed,
+    binomial_irreducible,
     discriminant,
     evaluate,
     exact_quotient,
@@ -466,7 +468,7 @@ def test_a_quartic_at_odd_p_below_the_scan_bound_is_never_packed(monkeypatch):
     assert calls == []
     # p = 2 and p above the bound keep the Frobenius test
     fp_distinct_degree([1, 1, 0, 0, 1], 2)
-    fp_irreducible([3, 0, 0, 0, 1], 257)  # D = 2^8 * 3^3, a non-square mod 257
+    fp_irreducible([3, 1, 0, 0, 1], 257)  # D = 3^4 * 5 * 17, a non-square mod 257
     assert calls == [2, 257]
 
 
@@ -656,3 +658,67 @@ def test_fp_has_root_at_large_primes(p, f, roots):
         f = mul(f, [-r, 1])
     _, factors = _poly(f, modulus=p).factor_list()
     assert fp_has_root(f, p) == any(g.degree() == 1 for g, _ in factors)
+
+
+# -- binomials ----------------------------------------------------------
+
+CAPELLI_BOUND = 10**30
+
+
+@st.composite
+def _binomial(draw):
+    """(a, c, n) with a*c != 0, |a|, |c| <= 10^30 and 2 <= n <= 32.
+
+    Besides random pairs, -c/a is made a q-th power for a prime q | n, or
+    -4w^4 when 4 | n.  Both a and c carry a common factor m, so -c/a is
+    such a power only in lowest terms, and a flipped sign gives negative leads.
+    """
+    n, m = draw(st.integers(2, 32)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "power", "-4w^4"]))
+    if kind == "power":
+        q = draw(st.sampled_from(sympy.primefactors(n)))
+        top = sympy.integer_nthroot(CAPELLI_BOUND // m, q)[0]
+        s, t = draw(st.integers(-top, top).filter(bool)), draw(st.integers(1, top))
+        a, c = m * t**q, -m * s**q  # -c/a = (s/t)^q
+    elif kind == "-4w^4" and n % 4 == 0:
+        top = sympy.integer_nthroot(CAPELLI_BOUND // (4 * m), 4)[0]
+        s, t = draw(st.integers(1, top)), draw(st.integers(1, top))
+        a, c = m * t**4, 4 * m * s**4  # -c/a = -4(s/t)^4
+    else:
+        a, c = (draw(st.integers(-CAPELLI_BOUND, CAPELLI_BOUND).filter(bool)) for _ in "ac")
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * a, sign * c, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binomial())
+def test_capelli_matches_sympy(binomial):
+    a, c, n = binomial
+    assert binomial_irreducible(a, c, n) == _poly([c] + [0] * (n - 1) + [a]).is_irreducible
+
+
+@pytest.mark.parametrize("x, k", [(0, 2), (1, 5), (2**64 - 1, 2), (2**64, 2), (3**40, 5),
+                                  (3**40 - 1, 5), (10**30, 3), (10**30 + 1, 3), (7, 31)])
+def test_iroot_is_the_floor_of_the_real_root(x, k):
+    r = _iroot(x, k)
+    assert r**k <= x < (r + 1) ** k
+
+
+def _frobenius_irreducible(f, p):
+    """f irreducible in F_p[x] iff gcd(f, x^(p^i) - x) is constant for each i <= deg(f)/2."""
+    for i in range(1, (len(f) - 1) // 2 + 1):
+        h = fp_powmod([0, 1], p**i, f, p) + [0, 0]
+        h[1] -= 1
+        if not fp_coprime(trim([v % p for v in h]), f, p):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_fp_binomial_rule_matches_the_frobenius_test(p):
+    # every a*x^n + c mod p with 2 <= n <= 12, c = 0 included
+    for n, a, c in itertools.product(range(2, 13), range(1, p), range(p)):
+        f = [c] + [0] * (n - 1) + [a]
+        want = _frobenius_irreducible(f, p)
+        assert fp_irreducible(f, p) is want, (f, p)
+        assert fp_distinct_degree(f, p) is want, (f, p)
